@@ -123,9 +123,10 @@ def reorthonormalize(m: Mat3, max_defect: float = REPAIR_LIMIT) -> Mat3:
         raise TooFarFromSO3(f"orthogonality defect {d:.3e} exceeds repair limit {max_defect}")
     r = m
     for _ in range(30):
-        if orthogonality_defect(r) <= 1e-15:
+        if d <= 1e-15:
             break
         r = 0.5 * (r + np.linalg.inv(r).T)
+        d = orthogonality_defect(r)
     return r
 
 

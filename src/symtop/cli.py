@@ -8,10 +8,11 @@ Subcommands:
     orbit    --nu a,b,c --pi a,b,c        Casimir level and orbit report
 
 Configs are strict JSON: unknown keys anywhere are rejected (exit 2), as are
-non-positive dt/T and rotations further than 1e-6 from orthogonal.  CSV rows
-carry t, x, p, nu, pi, energy, C1, C2 and the attitude orthogonality defect
-(0 for reduced runs), all floats with 17 significant digits so downstream
-tools can round-trip them losslessly.
+numbers given as bools or strings, non-finite numbers, non-positive dt/T, a
+T that is not a whole number of steps dt, and rotations further than 1e-6
+from orthogonal.  CSV rows carry t, x, p, nu, pi, energy, C1, C2 and the
+attitude orthogonality defect (0 for reduced runs), all floats with 17
+significant digits so downstream tools can round-trip them losslessly.
 
 Exit codes: 0 success / all checks pass, 2 validation error, 3 non-finite
 state during integration, 1 a check or comparison failed.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -35,6 +37,9 @@ CSV_COLUMNS = (
 )
 
 ROTATION_LOAD_TOL = 1e-6
+
+# Relative tolerance within which T must be a whole number of steps dt.
+HORIZON_TOL = 1e-9
 
 
 class ConfigError(Exception):
@@ -52,21 +57,37 @@ def _require_keys(d: dict, required: set[str], optional: set[str], where: str) -
         raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
 
 
+def _finite(v, where: str) -> float:
+    """v as a finite float.  Bools (a subclass of int) and strings are not
+    numbers here, though float() would take them."""
+    f = math.nan
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            f = float(v)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not math.isfinite(f):
+        raise ConfigError(f"{where} must be a finite number, got {v!r}")
+    return f
+
+
+def _positive(v, where: str) -> float:
+    f = _finite(v, where)
+    if not f > 0:
+        raise ConfigError(f"{where} must be a positive number")
+    return f
+
+
+def _integer(v, where: str) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ConfigError(f"{where} must be an integer, got {v!r}")
+    return v
+
+
 def _vec(v, n: int, where: str) -> np.ndarray:
-    try:
-        a = np.asarray(v, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: {e}") from None
-    if a.shape != (n,) or not np.all(np.isfinite(a)):
-        raise ConfigError(f"{where} must be {n} finite numbers")
-    return a
-
-
-def _positive(d: dict, key: str, where: str) -> float:
-    v = d[key]
-    if not isinstance(v, (int, float)) or not v > 0:
-        raise ConfigError(f"{where}.{key} must be a positive number")
-    return float(v)
+    if not isinstance(v, list) or len(v) != n:
+        raise ConfigError(f"{where} must be a list of {n} finite numbers")
+    return np.array([_finite(e, f"{where}[{i}]") for i, e in enumerate(v)])
 
 
 def parse_potential(node, where: str = "potential") -> dynamics.Potential:
@@ -81,10 +102,10 @@ def parse_potential(node, where: str = "potential") -> dynamics.Potential:
         g = _vec(node["g"], 3, f"{where}.g")
         if np.linalg.norm(g) == 0.0:
             raise ConfigError(f"{where}.g must be nonzero")
-        return dynamics.LinearGravity(g=g, chi=float(node["chi"]))
+        return dynamics.LinearGravity(g=g, chi=_finite(node["chi"], f"{where}.chi"))
     if kind == "dipole":
         _require_keys(node, {"type", "m", "mu"}, set(), where)
-        return dynamics.DipolePotential(m=float(node["m"]), mu=_vec(node["mu"], 3, f"{where}.mu"))
+        return dynamics.DipolePotential(m=_finite(node["m"], f"{where}.m"), mu=_vec(node["mu"], 3, f"{where}.mu"))
     if kind == "sum":
         _require_keys(node, {"type", "terms"}, set(), where)
         if not isinstance(node["terms"], list) or not node["terms"]:
@@ -132,9 +153,9 @@ class RunConfig:
 
         _require_keys(raw["body"], {"M", "I1", "I3"}, set(), "body")
         self.body = dynamics.BodyParams(
-            M=_positive(raw["body"], "M", "body"),
-            I1=_positive(raw["body"], "I1", "body"),
-            I3=_positive(raw["body"], "I3", "body"),
+            M=_positive(raw["body"]["M"], "body.M"),
+            I1=_positive(raw["body"]["I1"], "body.I1"),
+            I3=_positive(raw["body"]["I3"], "body.I3"),
         )
         self.potential = parse_potential(raw["potential"])
 
@@ -156,20 +177,21 @@ class RunConfig:
                 _vec(initial["pi"], 3, "initial.pi"),
             ])
 
-        self.dt = _positive(raw, "dt", "config")
-        self.T = _positive(raw, "T", "config")
+        self.dt = _positive(raw["dt"], "config.dt")
+        self.T = _positive(raw["T"], "config.T")
+        steps = self.T / self.dt
+        if not math.isfinite(steps) or abs(round(steps) * self.dt - self.T) > HORIZON_TOL * self.T:
+            raise ConfigError(
+                f"config.T = {self.T!r} is not a whole number of steps dt = {self.dt!r}"
+            )
         method = raw.get("method", "rk4_repair")
         if method not in dynamics.METHODS:
             raise ConfigError(f"config.method must be one of {dynamics.METHODS}")
         self.method = method
-        stride = raw.get("sample_stride", 1)
-        if not isinstance(stride, int) or stride < 1:
+        self.sample_stride = _integer(raw.get("sample_stride", 1), "config.sample_stride")
+        if self.sample_stride < 1:
             raise ConfigError("config.sample_stride must be a positive integer")
-        self.sample_stride = stride
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError("config.seed must be an integer")
-        self.seed = seed
+        self.seed = _integer(raw.get("seed", 0), "config.seed")
 
     def hamiltonian(self):
         if self.space is SpaceId.Reduced:

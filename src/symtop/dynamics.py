@@ -25,6 +25,7 @@ constraint drift itself can be measured.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,21 +98,34 @@ class LinearGravity(Potential):
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
-        if np.linalg.norm(g) == 0.0:
+        norm = np.linalg.norm(g)
+        if norm == 0.0:
             raise ValueError("gravity vector must be nonzero")
         object.__setattr__(self, "g", g)
-
-    def _ghat(self):
-        return self.g / np.linalg.norm(self.g)
+        object.__setattr__(self, "_ghat", g / norm)
 
     def value(self, x, nu, bp):
-        return bp.M * float(self.g @ x) + self.chi * float(nu @ self._ghat())
+        return bp.M * float(self.g @ x) + self.chi * float(nu @ self._ghat)
 
     def grad_x(self, x, nu, bp):
         return bp.M * self.g
 
     def grad_nu(self, x, nu, bp):
-        return self.chi * self._ghat()
+        return self.chi * self._ghat
+
+
+# |x| below which the dipole field counts as singular.  Far above the point
+# where 1/|x|^7 underflows, so no division below can be by zero.
+DIPOLE_MIN_RADIUS = 1e-8
+_DIPOLE_MIN_R2 = DIPOLE_MIN_RADIUS**2
+
+
+def _dipole_r2(x0: float, x1: float, x2: float) -> float:
+    """|x|^2, or NonFinite at the singularity or for a non-finite x."""
+    r2 = x0 * x0 + x1 * x1 + x2 * x2
+    if not _DIPOLE_MIN_R2 <= r2 < math.inf:
+        raise NonFinite(f"dipole potential singular at x = {[x0, x1, x2]} (|x|^2 = {r2:.3e})")
+    return r2
 
 
 @dataclass(frozen=True)
@@ -119,36 +133,55 @@ class DipolePotential(Potential):
     """Point-dipole interaction V = -m <nu, b(x)> with the standard field
     b(x) = (3 xhat <mu, xhat> - mu) / |x|^3 of a source moment mu at the origin.
 
-    Singular at x = 0; trajectories entering the singularity surface as
-    NonFinite during integration.
+    Singular at x = 0: below DIPOLE_MIN_RADIUS, or for a non-finite x, every
+    method raises NonFinite.  The gradients work on Python floats, which
+    neither warn nor allocate per operation.
     """
 
     m: float
     mu: Vec3
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
+        mu = np.asarray(self.mu, dtype=float)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "_mu", tuple(mu.tolist()))
 
-    def _field(self, x):
-        r2 = float(x @ x)
-        r = np.sqrt(r2)
-        return (3.0 * x * float(self.mu @ x) / r2 - self.mu) / r**3
+    def _field(self, x) -> tuple[float, float, float]:
+        x0, x1, x2 = x.tolist()
+        u0, u1, u2 = self._mu
+        r2 = _dipole_r2(x0, x1, x2)
+        r3 = r2 * math.sqrt(r2)
+        a = 3.0 * (u0 * x0 + u1 * x1 + u2 * x2) / r2
+        return (a * x0 - u0) / r3, (a * x1 - u1) / r3, (a * x2 - u2) / r3
 
     def value(self, x, nu, bp):
-        return -self.m * float(nu @ self._field(x))
+        b0, b1, b2 = self._field(x)
+        n0, n1, n2 = nu.tolist()
+        return -self.m * (n0 * b0 + n1 * b1 + n2 * b2)
 
     def grad_nu(self, x, nu, bp):
-        return -self.m * self._field(x)
+        m = self.m
+        b0, b1, b2 = self._field(x)
+        return np.array([-m * b0, -m * b1, -m * b2])
 
     def grad_x(self, x, nu, bp):
-        # J_b nu with the (symmetric) dipole-field Jacobian contracted analytically.
-        r2 = float(x @ x)
-        r = np.sqrt(r2)
-        mx = float(self.mu @ x)
-        mn = float(self.mu @ nu)
-        xn = float(x @ nu)
-        jb_nu = 3.0 * (nu * mx + x * mn + self.mu * xn) / r**5 - 15.0 * mx * xn * x / r**7
-        return -self.m * jb_nu
+        # J_b nu with the (symmetric) dipole-field Jacobian contracted analytically:
+        # J_b nu = 3 (nu <mu,x> + x <mu,nu> + mu <x,nu>) / r^5 - 15 <mu,x> <x,nu> x / r^7.
+        x0, x1, x2 = x.tolist()
+        n0, n1, n2 = nu.tolist()
+        u0, u1, u2 = self._mu
+        r2 = _dipole_r2(x0, x1, x2)
+        r5 = r2 * r2 * math.sqrt(r2)
+        mx = u0 * x0 + u1 * x1 + u2 * x2
+        mn = u0 * n0 + u1 * n1 + u2 * n2
+        xn = x0 * n0 + x1 * n1 + x2 * n2
+        a = -3.0 * self.m / r5
+        c = 15.0 * self.m * mx * xn / (r5 * r2)
+        return np.array([
+            a * (n0 * mx + x0 * mn + u0 * xn) + c * x0,
+            a * (n1 * mx + x1 * mn + u1 * xn) + c * x1,
+            a * (n2 * mx + x2 * mn + u2 * xn) + c * x2,
+        ])
 
 
 @dataclass(frozen=True)
@@ -157,15 +190,19 @@ class SumPotential(Potential):
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
+        if not self.terms:
+            raise ValueError("SumPotential needs at least one term")
 
     def value(self, x, nu, bp):
         return sum(t.value(x, nu, bp) for t in self.terms)
 
     def grad_x(self, x, nu, bp):
-        return sum((t.grad_x(x, nu, bp) for t in self.terms), np.zeros(3))
+        first, *rest = (t.grad_x(x, nu, bp) for t in self.terms)
+        return sum(rest, first)
 
     def grad_nu(self, x, nu, bp):
-        return sum((t.grad_nu(x, nu, bp) for t in self.terms), np.zeros(3))
+        first, *rest = (t.grad_nu(x, nu, bp) for t in self.terms)
+        return sum(rest, first)
 
 
 def spin_coefficient(bp: BodyParams) -> float:
@@ -217,7 +254,7 @@ def full_hamiltonian_field(bp: BodyParams, potential: Potential) -> ScalarField:
     """Full Hamiltonian as a chart field; R enters only through its third column."""
     lay = LAYOUTS[SpaceId.CotSE3]
     kappa = spin_coefficient(bp)
-    nu_idx = [lay.r_entry(i, 2) for i in range(3)]
+    nu_idx = slice(lay.r_entry(0, 2), lay.r.stop, 3)  # third column of R
 
     def value(z):
         x, p, pi = z[lay.x], z[lay.p], z[lay.pi]
@@ -232,12 +269,12 @@ def full_hamiltonian_field(bp: BodyParams, potential: Potential) -> ScalarField:
     def grad(z):
         x, p, pi = z[lay.x], z[lay.p], z[lay.pi]
         nu = z[nu_idx]
-        c2 = float(nu @ pi)
+        spin = 2.0 * kappa * float(nu @ pi)
         g = np.zeros(lay.dim)
         g[lay.x] = potential.grad_x(x, nu, bp)
         g[lay.p] = p / bp.M
-        g[nu_idx] = 2.0 * kappa * c2 * pi + potential.grad_nu(x, nu, bp)
-        g[lay.pi] = pi / bp.I1 + 2.0 * kappa * c2 * nu
+        g[nu_idx] = spin * pi + potential.grad_nu(x, nu, bp)
+        g[lay.pi] = pi / bp.I1 + spin * nu
         return g
 
     return ScalarField(SpaceId.CotSE3, value, grad, name="H")
@@ -328,20 +365,29 @@ def simulate(
     sample_stride: int = 1,
 ) -> Trajectory:
     """Integrate from t = 0 to T, recording every sample_stride-th step
-    (plus the endpoint) with energy/Casimir/orthogonality monitors."""
+    (plus the endpoint) with energy/Casimir/orthogonality monitors.
+
+    A NonFinite failure is re-raised naming the step that failed and the
+    time it was to reach (step 0: the initial state's monitors).
+    """
     if not T > 0.0:
         raise ValueError(f"T = {T} must be positive")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     z = np.asarray(z0, dtype=float).copy()
     n_steps = int(round(T / dt))
-    ts, zs, mons = [0.0], [z.copy()], [_monitors(space, h, z)]
-    for k in range(1, n_steps + 1):
-        z = step(space, h, z, dt, method)
-        if k % sample_stride == 0 or k == n_steps:
-            ts.append(k * dt)
-            zs.append(z.copy())
-            mons.append(_monitors(space, h, z))
+    ts, zs, mons = [0.0], [z.copy()], []
+    k = 0
+    try:
+        mons.append(_monitors(space, h, z))
+        for k in range(1, n_steps + 1):
+            z = step(space, h, z, dt, method)
+            if k % sample_stride == 0 or k == n_steps:
+                ts.append(k * dt)
+                zs.append(z.copy())
+                mons.append(_monitors(space, h, z))
+    except NonFinite as e:
+        raise NonFinite(f"step {k} of {n_steps} (t = {k * dt:.6g}): {e}") from e
     m = np.array(mons)
     return Trajectory(
         space=space,

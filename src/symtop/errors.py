@@ -39,4 +39,4 @@ class NotTangent(SymtopError):
 
 
 class NonFinite(SymtopError):
-    """Integration produced a non-finite state."""
+    """Integration produced a non-finite state, or reached a singularity."""

@@ -7,9 +7,10 @@ linear part,
 
     Lambda(z)[a, b] = LAM0[a, b] + LIN[a, b, c] z[c],
 
-with LIN[a, b, :] the exact gradient of the (a, b) entry.  That single
-encoding drives bracket evaluation, Hamiltonian vector fields and the Jacobi
-residual with no symbolic algebra and no finite differencing.
+with LIN[a, b, :] the exact gradient of the (a, b) entry.  That encoding
+drives bracket evaluation and the Jacobi residual with no symbolic algebra
+and no finite differencing, and it is the certificate the Hamiltonian
+vector field is checked against.
 
 Bracket families (all unlisted brackets vanish):
 
@@ -24,6 +25,16 @@ third-column entry involves third-column entries only.
 
 Sign convention: trajectories follow zdot_a = Lambda_ab dH/dz_b, so the
 translational block yields the standard xdot = dH/dp, pdot = -dH/dx.
+
+Because the table is this sparse, ham_vector_field evaluates Lambda(z) grad H
+in closed form rather than by forming Lambda(z).  With v standing for nu or
+for each column of R,
+
+    xdot = dH/dp,   pdot = -dH/dx,   vdot = dH/dpi x v,
+    pidot = dH/dpi x pi + sum_v dH/dv x v.
+
+The integrator calls it at every RK4 stage; the tensors stay the
+independent reference it is tested against.
 """
 
 from __future__ import annotations
@@ -245,10 +256,58 @@ def bracket(f: ScalarField, g: ScalarField, z: np.ndarray) -> float:
     return float(f.gradient(z) @ lam @ g.gradient(z))
 
 
+def _field_table(space: SpaceId) -> tuple:
+    """(dim, x start, p start, pi start, vector blocks) of one chart, where a
+    vector block is the (start, stride) of nu or of one column of R."""
+    lay = LAYOUTS[space]
+    vectors = []
+    if lay.nu is not None:
+        vectors.append((lay.nu.start, 1))
+    if lay.r is not None:
+        vectors += [(lay.r_entry(0, k), 3) for k in range(3)]
+    x0 = lay.x.start if lay.x is not None else None
+    p0 = lay.p.start if lay.p is not None else None
+    return lay.dim, x0, p0, lay.pi.start, tuple(vectors)
+
+
+_FIELD_TABLES = {space: _field_table(space) for space in SpaceId}
+
+
 def ham_vector_field(h: ScalarField, z: np.ndarray) -> np.ndarray:
-    """Chart tangent vector zdot_a = Lambda(z)_ab dH/dz_b."""
-    lam = structure_matrix(h.space, z)
-    return lam @ h.gradient(z)
+    """Chart tangent vector zdot_a = Lambda(z)_ab dH/dz_b, in closed form.
+
+    Works on Python floats: at chart dimension 18 or less, per-call numpy
+    overhead would cost more than the arithmetic.
+    """
+    z = _check_point(h.space, z)
+    n, x0, p0, s, vectors = _FIELD_TABLES[h.space]
+    dh = h.gradient(z)
+    if dh.shape != z.shape:
+        raise DimensionMismatch(f"gradient of {h.name or 'field'} has shape {dh.shape}, chart {z.shape}")
+    g = dh.tolist()
+    zl = z.tolist()
+    out = [0.0] * n
+    w0, w1, w2 = g[s], g[s + 1], g[s + 2]
+    q0, q1, q2 = zl[s], zl[s + 1], zl[s + 2]
+    # pidot = w x pi + sum over vector blocks v of dH/dv x v, with w = dH/dpi
+    t0 = w1 * q2 - w2 * q1
+    t1 = w2 * q0 - w0 * q2
+    t2 = w0 * q1 - w1 * q0
+    for a, d in vectors:
+        b, c = a + d, a + 2 * d
+        v0, v1, v2 = zl[a], zl[b], zl[c]
+        u0, u1, u2 = g[a], g[b], g[c]
+        out[a] = w1 * v2 - w2 * v1
+        out[b] = w2 * v0 - w0 * v2
+        out[c] = w0 * v1 - w1 * v0
+        t0 += u1 * v2 - u2 * v1
+        t1 += u2 * v0 - u0 * v2
+        t2 += u0 * v1 - u1 * v0
+    out[s], out[s + 1], out[s + 2] = t0, t1, t2
+    if x0 is not None:
+        out[x0:x0 + 3] = g[p0:p0 + 3]
+        out[p0], out[p0 + 1], out[p0 + 2] = -g[x0], -g[x0 + 1], -g[x0 + 2]
+    return np.array(out)
 
 
 def jacobi_residual(space: SpaceId, a: int, b: int, c: int, z: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,78 @@ def test_simulate_nonfinite_exit_code(tmp_path):
     with np.errstate(all="ignore"):
         code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")])
     assert code == 3
+
+
+def test_simulate_dipole_singularity_reports_step(tmp_path, capsys):
+    cfg = json.loads(json.dumps(FREE_TOP_REDUCED))
+    cfg["potential"] = {"type": "dipole", "m": 0.05, "mu": [0.0, 0.0, 1.0]}
+    cfg["initial"]["x"] = [0.0, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "step 0 of 500 (t = 0)" in err and "dipole" in err
+
+
+def _with(cfg, path, value):
+    """Deep copy of cfg with the entry at path (a tuple of keys) replaced."""
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+GRAVITY_REDUCED = _with(FREE_TOP_REDUCED, ("potential",), {"type": "gravity", "g": [0.0, 0.0, -1.0], "chi": 0.3})
+DIPOLE_REDUCED = _with(FREE_TOP_REDUCED, ("potential",), {"type": "dipole", "m": 0.05, "mu": [0.0, 0.0, 1.0]})
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _with(FREE_TOP_REDUCED, ("dt",), True),
+        _with(FREE_TOP_REDUCED, ("T",), True),
+        _with(FREE_TOP_REDUCED, ("body", "M"), True),
+        _with(FREE_TOP_REDUCED, ("body", "I1"), True),
+        _with(FREE_TOP_REDUCED, ("body", "I3"), True),
+        _with(FREE_TOP_REDUCED, ("sample_stride",), True),
+        _with(FREE_TOP_REDUCED, ("seed",), False),
+        _with(GRAVITY_REDUCED, ("potential", "chi"), "0.3"),
+        _with(GRAVITY_REDUCED, ("potential", "chi"), float("nan")),
+        _with(GRAVITY_REDUCED, ("potential", "chi"), float("inf")),
+        _with(GRAVITY_REDUCED, ("potential", "chi"), True),
+        _with(DIPOLE_REDUCED, ("potential", "m"), "0.05"),
+        _with(DIPOLE_REDUCED, ("potential", "m"), float("nan")),
+        _with(DIPOLE_REDUCED, ("potential", "m"), 10**400),
+        _with(FREE_TOP_REDUCED, ("dt",), float("inf")),
+        _with(_with(FREE_TOP_REDUCED, ("T",), 1e300), ("dt",), 1e-10),
+        _with(_with(FREE_TOP_REDUCED, ("T",), 1.0), ("dt",), 0.3),
+        _with(FREE_TOP_REDUCED, ("T",), 4e-4),
+        _with(FREE_TOP_REDUCED, ("initial", "x"), ["0.1", 0.0, 0.0]),
+        _with(FREE_TOP_REDUCED, ("initial", "p"), [True, 0.0, 0.0]),
+        _with(FREE_TOP_REDUCED, ("initial", "pi"), [10**400, 0.0, 0.0]),
+        _with(FREE_TOP_REDUCED, ("initial", "x"), {"0": 0.1}),
+    ],
+    ids=[
+        "dt-bool", "T-bool", "M-bool", "I1-bool", "I3-bool", "stride-bool", "seed-bool",
+        "chi-string", "chi-nan", "chi-inf", "chi-bool", "m-string", "m-nan", "m-huge-int",
+        "dt-inf", "T-overflows-steps", "T-not-multiple-of-dt", "T-below-one-step",
+        "vector-string", "vector-bool", "vector-huge-int", "vector-object",
+    ],
+)
+def test_simulate_rejects_bad_number(tmp_path, capsys, cfg):
+    code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_simulate_accepts_integer_numbers(tmp_path):
+    cfg = _with(_with(GRAVITY_REDUCED, ("potential", "chi"), 1), ("T",), 1)
+    cfg = _with(_with(cfg, ("body",), {"M": 1, "I1": 2, "I3": 1}), ("dt",), 0.25)
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")]) == 0
 
 
 def test_check_suite_passes(capsys):

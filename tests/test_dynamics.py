@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -126,6 +128,42 @@ def test_potential_gradients_match_fd(pot):
         scale = max(np.linalg.norm(gx), np.linalg.norm(gn), 1.0)
         assert np.abs(gx - fx).max() / scale < 1e-5
         assert np.abs(gn - fn).max() / scale < 1e-5
+
+
+def test_dipole_matches_vector_formula():
+    # the numpy form of the field and its Jacobian, as the reference for the
+    # componentwise float arithmetic in DipolePotential
+    pot = DipolePotential(m=0.05, mu=np.array([0.3, -0.4, 1.0]))
+    rng = np.random.default_rng(5)
+    for _ in range(25):
+        x = random_unit(rng) * rng.uniform(0.5, 3.0)
+        nu = random_unit(rng)
+        mu, r = pot.mu, np.linalg.norm(x)
+        b = (3.0 * x * (mu @ x) / (x @ x) - mu) / r**3
+        jb_nu = 3.0 * (nu * (mu @ x) + x * (mu @ nu) + mu * (x @ nu)) / r**5 - 15.0 * (mu @ x) * (x @ nu) * x / r**7
+        npt.assert_allclose(pot.grad_nu(x, nu, BP), -pot.m * b, rtol=0, atol=1e-15 * np.abs(b).max())
+        npt.assert_allclose(pot.grad_x(x, nu, BP), -pot.m * jb_nu, rtol=0, atol=1e-15 * np.abs(jb_nu).max())
+        assert abs(pot.value(x, nu, BP) + pot.m * (nu @ b)) <= 1e-15 * np.abs(b).max()
+
+
+@pytest.mark.parametrize(
+    "x",
+    [[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 1.0, 0.0], [1e155, 1e155, 0.0]],
+    ids=["origin", "below-floor", "nan", "inf", "square-overflows"],
+)
+def test_dipole_singularity_raises_nonfinite(x):
+    pot = DipolePotential(m=0.05, mu=np.array([0.0, 0.0, 1.0]))
+    x, nu = np.array(x), np.array([0.0, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in (pot.value, pot.grad_x, pot.grad_nu):
+            with pytest.raises(NonFinite, match="dipole"):
+                method(x, nu, BP)
+
+
+def test_sum_potential_needs_a_term():
+    with pytest.raises(ValueError):
+        SumPotential(terms=())
 
 
 def test_hamiltonian_field_gradients_match_fd():

@@ -3,6 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from symtop.algebra3 import EPS
+from symtop.checks import PRESET_BODY, PRESET_POTENTIALS
+from symtop.dynamics import full_hamiltonian_field, reduced_hamiltonian_field
 from symtop.errors import DimensionMismatch
 from symtop.phase import LAYOUTS, SpaceId, random_chart_point, random_rotation
 from symtop.poisson import (
@@ -148,6 +150,22 @@ def test_vector_field_matches_componentwise_brackets():
         zdot = ham_vector_field(h, z)
         for a in range(z.size):
             assert abs(zdot[a] - bracket(coordinate(space, a), h, z)) < 1e-12
+
+
+def test_closed_form_vector_field_matches_structure_matrix():
+    # ham_vector_field skips Lambda(z); the affine tensors certify it
+    rng = np.random.default_rng(8)
+    cases = [(random_polynomial(space, rng), space) for space in ALL for _ in range(5)]
+    for pot in PRESET_POTENTIALS.values():
+        cases.append((reduced_hamiltonian_field(PRESET_BODY, pot), SpaceId.Reduced))
+        cases.append((full_hamiltonian_field(PRESET_BODY, pot), SpaceId.CotSE3))
+    for h, space in cases:
+        for seed in range(20):
+            z = random_chart_point(space, seed)
+            g = h.gradient(z)
+            expected = structure_matrix(space, z) @ g
+            err = np.abs(ham_vector_field(h, z) - expected).max()
+            assert err <= 1e-14 * max(1.0, np.abs(g).max()), (h.name, space, seed, err)
 
 
 def test_spin_rate_matches_structure_product():
