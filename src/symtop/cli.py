@@ -9,10 +9,13 @@ Subcommands:
 
 Configs are strict JSON: unknown keys anywhere are rejected (exit 2), as are
 numbers given as bools or strings, non-finite numbers, non-positive dt/T, a
-T that is not a whole number of steps dt, and rotations further than 1e-6
-from orthogonal.  CSV rows carry t, x, p, nu, pi, energy, C1, C2 and the
-attitude orthogonality defect (0 for reduced runs), all floats with 17
-significant digits so downstream tools can round-trip them losslessly.
+T that is not a whole number of steps dt (dynamics.step_count), and initial
+attitudes further than 1e-6 from a proper rotation (orthogonal, det +1).
+The initial block becomes a ReducedState or FullState, and phase.flatten
+gives its chart vector, so the chart order is known only to phase.  CSV rows
+carry t, x, p, nu, pi, energy, C1, C2 and the attitude orthogonality defect
+(0 for reduced runs), all floats with 17 significant digits so downstream
+tools can round-trip them losslessly.
 
 Exit codes: 0 success / all checks pass, 2 validation error, 3 non-finite
 state during integration, 1 a check or comparison failed.
@@ -28,18 +31,15 @@ import sys
 import numpy as np
 
 from . import checks, dynamics, orbits
-from .algebra3 import exp_so3, orthogonality_defect, reorthonormalize
+from .algebra3 import exp_so3, reorthonormalize, rotation_defect
 from .errors import NonFinite
-from .phase import LAYOUTS, Se3DualPoint, SpaceId, random_rotation, unflatten
+from .phase import LAYOUTS, FullState, ReducedState, Se3DualPoint, SpaceId, flatten, random_rotation
 
 CSV_COLUMNS = (
     "t,x1,x2,x3,p1,p2,p3,nu1,nu2,nu3,pi1,pi2,pi3,energy,C1,C2,ortho_defect"
 )
 
 ROTATION_LOAD_TOL = 1e-6
-
-# Relative tolerance within which T must be a whole number of steps dt.
-HORIZON_TOL = 1e-9
 
 
 class ConfigError(Exception):
@@ -123,8 +123,8 @@ def _load_rotation(initial: dict) -> np.ndarray:
         r = _vec(initial["R"], 9, "initial.R").reshape(3, 3)
     else:
         r = exp_so3(_vec(initial["axis_angle"], 3, "initial.axis_angle"))
-    defect = orthogonality_defect(r)
-    if defect > ROTATION_LOAD_TOL:
+    defect = rotation_defect(r)
+    if not defect <= ROTATION_LOAD_TOL:  # also catches a NaN defect
         raise ConfigError(f"initial rotation defect {defect:.3e} exceeds {ROTATION_LOAD_TOL}")
     return reorthonormalize(r)
 
@@ -144,7 +144,7 @@ class RunConfig:
         _require_keys(
             raw,
             {"space", "body", "potential", "initial", "dt", "T"},
-            {"method", "sample_stride", "seed"},
+            {"method", "sample_stride"},
             "config",
         )
         if raw["space"] not in ("full", "reduced"):
@@ -162,28 +162,28 @@ class RunConfig:
         initial = raw["initial"]
         if self.space is SpaceId.Reduced:
             _require_keys(initial, {"x", "p", "nu", "pi"}, set(), "initial")
-            self.z0 = np.concatenate([
-                _vec(initial["x"], 3, "initial.x"),
-                _vec(initial["p"], 3, "initial.p"),
-                _load_nu(initial),
-                _vec(initial["pi"], 3, "initial.pi"),
-            ])
+            self.state = ReducedState(
+                x=_vec(initial["x"], 3, "initial.x"),
+                p=_vec(initial["p"], 3, "initial.p"),
+                nu=_load_nu(initial),
+                pi=_vec(initial["pi"], 3, "initial.pi"),
+            )
         else:
             _require_keys(initial, {"x", "p", "pi"}, {"R", "axis_angle"}, "initial")
-            self.z0 = np.concatenate([
-                _vec(initial["x"], 3, "initial.x"),
-                _vec(initial["p"], 3, "initial.p"),
-                _load_rotation(initial).ravel(),
-                _vec(initial["pi"], 3, "initial.pi"),
-            ])
+            self.state = FullState(
+                x=_vec(initial["x"], 3, "initial.x"),
+                p=_vec(initial["p"], 3, "initial.p"),
+                R=_load_rotation(initial),
+                pi=_vec(initial["pi"], 3, "initial.pi"),
+            )
+        self.z0 = flatten(self.state, self.space)
 
         self.dt = _positive(raw["dt"], "config.dt")
         self.T = _positive(raw["T"], "config.T")
-        steps = self.T / self.dt
-        if not math.isfinite(steps) or abs(round(steps) * self.dt - self.T) > HORIZON_TOL * self.T:
-            raise ConfigError(
-                f"config.T = {self.T!r} is not a whole number of steps dt = {self.dt!r}"
-            )
+        try:
+            dynamics.step_count(self.T, self.dt)
+        except ValueError as e:
+            raise ConfigError(f"config: {e}") from None
         method = raw.get("method", "rk4_repair")
         if method not in dynamics.METHODS:
             raise ConfigError(f"config.method must be one of {dynamics.METHODS}")
@@ -191,7 +191,6 @@ class RunConfig:
         self.sample_stride = _integer(raw.get("sample_stride", 1), "config.sample_stride")
         if self.sample_stride < 1:
             raise ConfigError("config.sample_stride must be a positive integer")
-        self.seed = _integer(raw.get("seed", 0), "config.seed")
 
     def hamiltonian(self):
         if self.space is SpaceId.Reduced:
@@ -253,9 +252,8 @@ def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     if cfg.space is not SpaceId.CotSE3:
         raise ConfigError("compare requires a config with space = 'full'")
-    z0 = unflatten(SpaceId.CotSE3, cfg.z0)
     residual = dynamics.commutation_residual(
-        z0, cfg.body, cfg.potential, cfg.dt, cfg.T, cfg.method, cfg.sample_stride
+        cfg.state, cfg.body, cfg.potential, cfg.dt, cfg.T, cfg.method, cfg.sample_stride
     )
     ok = residual <= args.tol
     print(f"commutation residual {residual:.3e}  tol {args.tol:.1e}  {'PASS' if ok else 'FAIL'}")

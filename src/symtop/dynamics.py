@@ -40,7 +40,7 @@ from .phase import (
     flatten,
 )
 from .poisson import ScalarField, ham_vector_field
-from .reduction import chart_projection, project_full, tau
+from .reduction import chart_projection, project_full
 
 
 @dataclass(frozen=True)
@@ -210,77 +210,78 @@ def spin_coefficient(bp: BodyParams) -> float:
     return 0.5 / bp.I3 - 0.5 / bp.I1
 
 
+def _hamiltonian_field(
+    space: SpaceId, bp: BodyParams, potential: Potential, kappa: float, name: str
+) -> ScalarField:
+    """|p|^2/(2M) + |pi|^2/(2 I1) + kappa <nu, pi>^2 + V(x, nu) as a chart field
+    with analytic gradient, nu read through Layout.axis.  The spin term is
+    evaluated only for nonzero kappa."""
+    lay = LAYOUTS[space]
+    sx, sp, snu, spi = lay.x, lay.p, lay.axis, lay.pi
+
+    def value(z):
+        x, p, nu, pi = z[sx], z[sp], z[snu], z[spi]
+        v = float(p @ p) / (2.0 * bp.M) + float(pi @ pi) / (2.0 * bp.I1)
+        if kappa:
+            v += kappa * float(nu @ pi) ** 2
+        return v + potential.value(x, nu, bp)
+
+    def grad(z):
+        x, p, nu, pi = z[sx], z[sp], z[snu], z[spi]
+        g_nu, g_pi = potential.grad_nu(x, nu, bp), pi / bp.I1
+        if kappa:
+            spin = 2.0 * kappa * float(nu @ pi)
+            g_nu, g_pi = g_nu + spin * pi, g_pi + spin * nu
+        g = np.zeros(lay.dim)
+        g[sx] = potential.grad_x(x, nu, bp)
+        g[sp] = p / bp.M
+        g[snu] = g_nu
+        g[spi] = g_pi
+        return g
+
+    return ScalarField(space, value, grad, name=name)
+
+
+def reduced_hamiltonian_field(bp: BodyParams, potential: Potential) -> ScalarField:
+    """Reduced Hamiltonian h as a chart field on Reduced."""
+    return _hamiltonian_field(SpaceId.Reduced, bp, potential, 0.0, "h")
+
+
+def full_hamiltonian_field(bp: BodyParams, potential: Potential) -> ScalarField:
+    """Full Hamiltonian H as a chart field on CotSE3; R enters only through its third column."""
+    return _hamiltonian_field(SpaceId.CotSE3, bp, potential, spin_coefficient(bp), "H")
+
+
 def reduced_hamiltonian(s: ReducedState, bp: BodyParams, potential: Potential) -> float:
     """h = |p|^2/(2M) + |pi|^2/(2 I1) + V(x, nu)."""
-    return (
-        float(s.p @ s.p) / (2.0 * bp.M)
-        + float(s.pi @ s.pi) / (2.0 * bp.I1)
-        + potential.value(s.x, s.nu, bp)
-    )
+    return reduced_hamiltonian_field(bp, potential)(flatten(s, SpaceId.Reduced))
 
 
 def full_hamiltonian(s: FullState, bp: BodyParams, potential: Potential) -> float:
     """H = |p|^2/(2M) + |pi|^2/(2 I1) + kappa <nu, pi>^2 + V(x, nu), nu = tau(R)."""
-    nu = tau(s.R)
-    return (
-        float(s.p @ s.p) / (2.0 * bp.M)
-        + float(s.pi @ s.pi) / (2.0 * bp.I1)
-        + spin_coefficient(bp) * float(nu @ s.pi) ** 2
-        + potential.value(s.x, nu, bp)
-    )
-
-
-def reduced_hamiltonian_field(bp: BodyParams, potential: Potential) -> ScalarField:
-    """Reduced Hamiltonian as a chart field with analytic gradient."""
-    lay = LAYOUTS[SpaceId.Reduced]
-
-    def value(z):
-        x, p, nu, pi = z[lay.x], z[lay.p], z[lay.nu], z[lay.pi]
-        return float(p @ p) / (2.0 * bp.M) + float(pi @ pi) / (2.0 * bp.I1) + potential.value(x, nu, bp)
-
-    def grad(z):
-        x, p, nu, pi = z[lay.x], z[lay.p], z[lay.nu], z[lay.pi]
-        g = np.zeros(lay.dim)
-        g[lay.x] = potential.grad_x(x, nu, bp)
-        g[lay.p] = p / bp.M
-        g[lay.nu] = potential.grad_nu(x, nu, bp)
-        g[lay.pi] = pi / bp.I1
-        return g
-
-    return ScalarField(SpaceId.Reduced, value, grad, name="h")
-
-
-def full_hamiltonian_field(bp: BodyParams, potential: Potential) -> ScalarField:
-    """Full Hamiltonian as a chart field; R enters only through its third column."""
-    lay = LAYOUTS[SpaceId.CotSE3]
-    kappa = spin_coefficient(bp)
-    nu_idx = slice(lay.r_entry(0, 2), lay.r.stop, 3)  # third column of R
-
-    def value(z):
-        x, p, pi = z[lay.x], z[lay.p], z[lay.pi]
-        nu = z[nu_idx]
-        return (
-            float(p @ p) / (2.0 * bp.M)
-            + float(pi @ pi) / (2.0 * bp.I1)
-            + kappa * float(nu @ pi) ** 2
-            + potential.value(x, nu, bp)
-        )
-
-    def grad(z):
-        x, p, pi = z[lay.x], z[lay.p], z[lay.pi]
-        nu = z[nu_idx]
-        spin = 2.0 * kappa * float(nu @ pi)
-        g = np.zeros(lay.dim)
-        g[lay.x] = potential.grad_x(x, nu, bp)
-        g[lay.p] = p / bp.M
-        g[nu_idx] = spin * pi + potential.grad_nu(x, nu, bp)
-        g[lay.pi] = pi / bp.I1 + spin * nu
-        return g
-
-    return ScalarField(SpaceId.CotSE3, value, grad, name="H")
+    return full_hamiltonian_field(bp, potential)(flatten(s, SpaceId.CotSE3))
 
 
 METHODS = ("rk4", "rk4_repair")
+
+# Relative tolerance within which a horizon T must be a whole number of steps dt.
+HORIZON_TOL = 1e-9
+
+
+def step_count(T: float, dt: float) -> int:
+    """Number of steps dt that make up the horizon T.
+
+    Raises ValueError unless T and dt are positive and T is a whole number
+    of steps within HORIZON_TOL * T, so a run ends exactly at T.
+    """
+    if not T > 0.0:
+        raise ValueError(f"T = {T!r} must be positive")
+    if not dt > 0.0:
+        raise ValueError(f"dt = {dt!r} must be positive")
+    steps = T / dt
+    if not math.isfinite(steps) or abs(round(steps) * dt - T) > HORIZON_TOL * T:
+        raise ValueError(f"T = {T!r} is not a whole number of steps dt = {dt!r}")
+    return round(steps)
 
 
 def _repair(space: SpaceId, z: np.ndarray) -> np.ndarray:
@@ -339,13 +340,10 @@ class Trajectory:
 
 
 def nu_pi_of(space: SpaceId, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Body axis and angular momentum read off a chart vector (nu via the
-    attitude column on the full charts)."""
+    """Body axis and angular momentum read off a chart vector (views of z;
+    nu via the attitude column on the full charts)."""
     lay = LAYOUTS[space]
-    if lay.nu is not None:
-        return z[lay.nu].copy(), z[lay.pi].copy()
-    r = z[lay.r].reshape(3, 3)
-    return r[:, 2].copy(), z[lay.pi].copy()
+    return z[lay.axis], z[lay.pi]
 
 
 def _monitors(space: SpaceId, h: ScalarField, z: np.ndarray) -> tuple[float, float, float, float]:
@@ -367,15 +365,14 @@ def simulate(
     """Integrate from t = 0 to T, recording every sample_stride-th step
     (plus the endpoint) with energy/Casimir/orthogonality monitors.
 
-    A NonFinite failure is re-raised naming the step that failed and the
-    time it was to reach (step 0: the initial state's monitors).
+    T must be a whole number of steps dt (see step_count).  A NonFinite
+    failure is re-raised naming the step that failed and the time it was to
+    reach (step 0: the initial state's monitors).
     """
-    if not T > 0.0:
-        raise ValueError(f"T = {T} must be positive")
+    n_steps = step_count(T, dt)
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     z = np.asarray(z0, dtype=float).copy()
-    n_steps = int(round(T / dt))
     ts, zs, mons = [0.0], [z.copy()], []
     k = 0
     try:

@@ -10,7 +10,9 @@ Four spaces appear in the reduction chain:
 The 9 entries of R are carried as 9 redundant chart coordinates (the bracket
 tables are polynomial in matrix entries); the redundancy is resolved by
 constraint-preserving integration, not by a minimal chart.  Every module
-indexes chart vectors through the Layout constants defined here.
+indexes chart vectors through the Layout constants defined here; the body
+axis nu is read through Layout.axis on every chart, as the third column of R
+on the attitude charts.
 
 Flat layouts (row-major R):
 
@@ -23,7 +25,8 @@ Flat layouts (row-major R):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +43,10 @@ class SpaceId(enum.Enum):
 
 @dataclass(frozen=True)
 class Layout:
-    """Slice map of one chart; absent blocks are None."""
+    """Slice map of one chart; absent blocks are None.
+
+    Blocks are named after the state fields they hold (r holds R, row-major).
+    """
 
     dim: int
     x: slice | None = None
@@ -48,6 +54,12 @@ class Layout:
     r: slice | None = None
     nu: slice | None = None
     pi: slice | None = None
+
+    @cached_property
+    def axis(self) -> slice:
+        """Chart entries of the body axis nu: the nu block, or the third
+        column of R (entries R[0,2], R[1,2], R[2,2]) on the attitude charts."""
+        return self.nu if self.nu is not None else slice(self.r.start + 2, self.r.stop, 3)
 
     def r_entry(self, j: int, k: int) -> int:
         """Absolute chart index of R[j,k] (0-based row/column)."""
@@ -72,10 +84,6 @@ LAYOUTS: dict[SpaceId, Layout] = {
 }
 
 
-def layout(space: SpaceId) -> Layout:
-    return LAYOUTS[space]
-
-
 def dim(space: SpaceId) -> int:
     return LAYOUTS[space].dim
 
@@ -84,7 +92,7 @@ def _vec3(v, name: str) -> Vec3:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"{name} must have shape (3,), got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite components")
     return a
 
@@ -159,6 +167,15 @@ _STATE_TYPES = {
 
 State = CotSO3State | Se3DualPoint | FullState | ReducedState
 
+# Per space, (field name, chart block, shape) in the state dataclass's field order.
+_FIELDS = {
+    space: tuple(
+        (f.name, getattr(LAYOUTS[space], f.name.lower()), (3, 3) if f.name == "R" else (3,))
+        for f in fields(cls)
+    )
+    for space, cls in _STATE_TYPES.items()
+}
+
 
 def flatten(state: State, space: SpaceId) -> np.ndarray:
     """Flat chart vector of a state, per the documented layouts."""
@@ -166,13 +183,10 @@ def flatten(state: State, space: SpaceId) -> np.ndarray:
         raise DimensionMismatch(
             f"state of type {type(state).__name__} does not live on {space.value}"
         )
-    if space is SpaceId.CotSO3:
-        return np.concatenate([state.R.ravel(), state.pi])
-    if space is SpaceId.Se3Dual:
-        return np.concatenate([state.nu, state.pi])
-    if space is SpaceId.CotSE3:
-        return np.concatenate([state.x, state.p, state.R.ravel(), state.pi])
-    return np.concatenate([state.x, state.p, state.nu, state.pi])
+    z = np.empty(LAYOUTS[space].dim)
+    for name, block, _ in _FIELDS[space]:
+        z[block] = getattr(state, name).ravel()
+    return z
 
 
 def unflatten(space: SpaceId, z: np.ndarray) -> State:
@@ -181,13 +195,7 @@ def unflatten(space: SpaceId, z: np.ndarray) -> State:
     lay = LAYOUTS[space]
     if z.shape != (lay.dim,):
         raise DimensionMismatch(f"{space.value} chart has dim {lay.dim}, got shape {z.shape}")
-    if space is SpaceId.CotSO3:
-        return CotSO3State(R=z[lay.r].reshape(3, 3), pi=z[lay.pi])
-    if space is SpaceId.Se3Dual:
-        return Se3DualPoint(nu=z[lay.nu], pi=z[lay.pi])
-    if space is SpaceId.CotSE3:
-        return FullState(x=z[lay.x], R=z[lay.r].reshape(3, 3), p=z[lay.p], pi=z[lay.pi])
-    return ReducedState(x=z[lay.x], p=z[lay.p], nu=z[lay.nu], pi=z[lay.pi])
+    return _STATE_TYPES[space](**{name: z[block].reshape(shape) for name, block, shape in _FIELDS[space]})
 
 
 def random_rotation(rng: np.random.Generator) -> Mat3:
@@ -205,26 +213,20 @@ def random_unit(rng: np.random.Generator) -> Vec3:
     return v / np.linalg.norm(v)
 
 
+def _random_component(rng: np.random.Generator) -> Vec3:
+    return rng.uniform(-1, 1, 3)
+
+
+_DRAWS = {"R": random_rotation, "nu": random_unit}
+
+
 def random_state(space: SpaceId, seed: int) -> State:
     """Deterministic generic test point: R from axis-angle compositions,
-    nu uniform on the sphere, x/p/pi components uniform in [-1, 1]."""
+    nu uniform on the sphere, x/p/pi components uniform in [-1, 1], drawn in
+    the state's field order."""
     rng = np.random.default_rng(seed)
-    if space is SpaceId.CotSO3:
-        return CotSO3State(R=random_rotation(rng), pi=rng.uniform(-1, 1, 3))
-    if space is SpaceId.Se3Dual:
-        return Se3DualPoint(nu=random_unit(rng), pi=rng.uniform(-1, 1, 3))
-    if space is SpaceId.CotSE3:
-        return FullState(
-            x=rng.uniform(-1, 1, 3),
-            R=random_rotation(rng),
-            p=rng.uniform(-1, 1, 3),
-            pi=rng.uniform(-1, 1, 3),
-        )
-    return ReducedState(
-        x=rng.uniform(-1, 1, 3),
-        p=rng.uniform(-1, 1, 3),
-        nu=random_unit(rng),
-        pi=rng.uniform(-1, 1, 3),
+    return _STATE_TYPES[space](
+        **{name: _DRAWS.get(name, _random_component)(rng) for name, _, _ in _FIELDS[space]}
     )
 
 

@@ -132,30 +132,15 @@ def fd_gradient(f: Callable[[np.ndarray], float], z: np.ndarray, step: float = 1
 
 @dataclass
 class ScalarField:
-    """Function on a chart together with its gradient.
+    """Function on a chart together with its closed-form gradient.
 
-    analytic=True marks a closed-form gradient (the production path);
-    fields built without one fall back to central differences and are
-    flagged analytic=False so tests can tell the two apart.
+    Every field supplies its own gradient; fd_gradient only checks them.
     """
 
     space: SpaceId
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    analytic: bool = True
     name: str = ""
-
-    @classmethod
-    def from_callable(
-        cls,
-        space: SpaceId,
-        value: Callable[[np.ndarray], float],
-        grad: Callable[[np.ndarray], np.ndarray] | None = None,
-        name: str = "",
-    ) -> "ScalarField":
-        if grad is None:
-            return cls(space, value, lambda z: fd_gradient(value, z), analytic=False, name=name)
-        return cls(space, value, grad, analytic=True, name=name)
 
     def __call__(self, z: np.ndarray) -> float:
         return float(self.value(z))
@@ -169,7 +154,6 @@ class ScalarField:
             self.space,
             lambda z: self.value(z) + other.value(z),
             lambda z: self.gradient(z) + other.gradient(z),
-            analytic=self.analytic and other.analytic,
             name=f"({self.name}+{other.name})",
         )
 
@@ -180,7 +164,6 @@ class ScalarField:
                 self.space,
                 lambda z: self.value(z) * other.value(z),
                 lambda z: self.gradient(z) * other.value(z) + self.value(z) * other.gradient(z),
-                analytic=self.analytic and other.analytic,
                 name=f"({self.name}*{other.name})",
             )
         c = float(other)
@@ -188,7 +171,6 @@ class ScalarField:
             self.space,
             lambda z: c * self.value(z),
             lambda z: c * self.gradient(z),
-            analytic=self.analytic,
             name=f"({c}*{self.name})",
         )
 

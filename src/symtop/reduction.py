@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra3 import Mat3, Vec3, exp_so3, orthogonal_unit
+from .algebra3 import IDENTITY, Mat3, Vec3, exp_so3, orthogonal_unit
 from .errors import DimensionMismatch
 from .phase import (
     LAYOUTS,
@@ -94,8 +94,8 @@ def chart_projection(reduced_space: SpaceId) -> tuple[SpaceId, np.ndarray]:
     """Source space and matrix P of the linear chart projection onto reduced_space.
 
     Reduced comes from CotSE3 via project_full; Se3Dual comes from CotSO3 via
-    tilde_tau.  P picks x, p, pi straight through and reads nu_i off the
-    third-column entries R[i, 2].
+    tilde_tau.  P picks x, p, pi straight through and reads nu off the
+    source chart's axis entries, the third column of R.
     """
     if reduced_space not in _PROJECTIONS:
         if reduced_space is SpaceId.Reduced:
@@ -106,13 +106,10 @@ def chart_projection(reduced_space: SpaceId) -> tuple[SpaceId, np.ndarray]:
             raise DimensionMismatch(f"{reduced_space.value} is not the image of a projection")
         dst_lay, src_lay = LAYOUTS[reduced_space], LAYOUTS[src]
         p = np.zeros((dst_lay.dim, src_lay.dim))
-        for blk in ("x", "p", "pi"):
+        for blk in ("x", "p", "axis", "pi"):
             d, s = getattr(dst_lay, blk), getattr(src_lay, blk)
             if d is not None:
-                for i in range(3):
-                    p[d.start + i, s.start + i] = 1.0
-        for i in range(3):
-            p[dst_lay.nu_entry(i), src_lay.r_entry(i, 2)] = 1.0
+                p[d, s] = IDENTITY
         _PROJECTIONS[reduced_space] = (src, p)
     return _PROJECTIONS[reduced_space]
 
@@ -125,7 +122,6 @@ def pullback(f: ScalarField) -> ScalarField:
         src,
         lambda z: f.value(p @ z),
         lambda z: p.T @ f.gradient(p @ z),
-        analytic=f.analytic,
         name=f"{f.name}@proj",
     )
 

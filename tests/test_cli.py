@@ -1,11 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symtop.algebra3 import exp_so3
 from symtop.cli import main
 
 FREE_TOP_REDUCED = {
@@ -101,15 +106,37 @@ def test_simulate_rejects_zero_horizon(tmp_path):
 
 
 def test_simulate_rejects_unknown_key(tmp_path):
-    cfg = dict(FREE_TOP_REDUCED, extra=1)
-    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    # "seed" is not a config key: nothing would read it.
+    for extra in ({"extra": 1}, {"seed": 0}):
+        cfg = dict(FREE_TOP_REDUCED, **extra)
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
 
-def test_simulate_rejects_bad_rotation(tmp_path):
+BAD_ROTATIONS = {
+    "non-orthogonal": [1.01, 0, 0, 0, 1, 0, 0, 0, 1],  # defect ~2e-2 > 1e-6
+    "reflection": [1, 0, 0, 0, 1, 0, 0, 0, -1],  # orthogonal, det -1
+}
+
+
+def _with_rotation(r):
     cfg = json.loads(json.dumps(FREE_TOP_FULL))
     del cfg["initial"]["axis_angle"]
-    cfg["initial"]["R"] = [1.01, 0, 0, 0, 1, 0, 0, 0, 1]  # defect ~2e-2 > 1e-6
-    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    cfg["initial"]["R"] = r
+    return cfg
+
+
+def test_simulate_rejects_bad_rotation(tmp_path, capsys):
+    for r in BAD_ROTATIONS.values():
+        cfg = write_config(tmp_path, _with_rotation(r))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: initial rotation defect")
+        assert not (tmp_path / "o.csv").exists()
+
+
+def test_compare_rejects_bad_rotation(tmp_path, capsys):
+    for r in BAD_ROTATIONS.values():
+        assert main(["compare", "--config", write_config(tmp_path, _with_rotation(r))]) == 2
+        assert capsys.readouterr().err.startswith("error: initial rotation defect")
 
 
 def test_simulate_rejects_off_sphere_nu(tmp_path):
@@ -284,3 +311,50 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "drift" in proc.stdout
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ANGLES = st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3).map(exp_so3)
+_REFLECT = np.diag([1.0, 1.0, -1.0])
+_R_ENTRIES = st.one_of(
+    st.lists(_FINITE, min_size=9, max_size=9),
+    _ANGLES.map(lambda r: r.ravel().tolist()),
+    _ANGLES.map(lambda r: (r @ _REFLECT).ravel().tolist()),
+)
+_NU = st.one_of(
+    st.lists(_FINITE, min_size=3, max_size=3),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+    .filter(lambda v: np.linalg.norm(v) > 1e-3)
+    .map(lambda v: (np.array(v) / np.linalg.norm(v)).tolist()),
+)
+# (dt, T): near-whole horizons of at most 20 steps, and arbitrary pairs.  Valid
+# pairs of more than 50 steps, or with dt > 0.1, would run long or leave the
+# integrator's stable range; they are not drawn.
+_WHOLE = st.tuples(
+    st.floats(1e-3, 0.1), st.integers(1, 20), st.sampled_from([0.0, 1e-12, 1e-8, 0.3, -0.5])
+).map(lambda a: (a[0], a[0] * a[1] * (1.0 + a[2])))
+_ANY = st.tuples(st.floats(), st.floats()).filter(
+    lambda a: not (a[0] > 0.0 and a[1] > 0.0 and (a[0] > 0.1 or a[1] / a[0] > 50.0))
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["full", "reduced"]), _R_ENTRIES, _NU, st.one_of(_WHOLE, _ANY))
+def test_simulate_fuzzed_config_exits_0_or_2(space, r, nu, horizon):
+    cfg = json.loads(json.dumps(FREE_TOP_FULL if space == "full" else FREE_TOP_REDUCED))
+    if space == "full":
+        del cfg["initial"]["axis_angle"]
+        cfg["initial"]["R"] = r
+    else:
+        cfg["initial"]["nu"] = nu
+    cfg["dt"], cfg["T"] = horizon
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        with np.errstate(all="ignore"):
+            code = main(["simulate", "--config", path, "--out", os.path.join(tmp, "o.csv")])
+            reflected = space == "full" and np.linalg.det(np.reshape(r, (3, 3))) < 0
+    assert code in (0, 2)
+    if reflected:
+        assert code == 2  # no rotation has det < 0

@@ -19,6 +19,7 @@ from symtop.dynamics import (
     reduced_hamiltonian_field,
     simulate,
     step,
+    step_count,
 )
 from symtop.errors import DimensionMismatch, NonFinite
 from symtop.phase import (
@@ -268,6 +269,27 @@ def test_simulate_rejects_bad_horizon():
     z0 = flatten(reduced_point(), SpaceId.Reduced)
     with pytest.raises(ValueError):
         simulate(SpaceId.Reduced, h, z0, 0.01, 0.0)
+    # 1.0 is 3.33 steps of 0.3; the run must not stop silently at t = 0.9
+    with pytest.raises(ValueError, match="whole number of steps"):
+        simulate(SpaceId.Reduced, h, z0, 0.3, 1.0)
+
+
+@pytest.mark.parametrize(
+    "T, dt, n",
+    [(1.0, 0.25, 4), (10.0, 1e-3, 10000), (0.03, 1e-3, 30), (0.5, 0.5, 1), (1.0 + 5e-10, 0.25, 4)],
+)
+def test_step_count_whole_horizons(T, dt, n):
+    assert step_count(T, dt) == n
+
+
+@pytest.mark.parametrize(
+    "T, dt",
+    [(1.0, 0.3), (4e-4, 1e-3), (1e300, 1e-10), (0.0, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, -0.5),
+     (float("nan"), 0.1), (1.0, float("nan")), (float("inf"), 0.1), (1.0 + 2e-9, 0.25)],
+)
+def test_step_count_rejects(T, dt):
+    with pytest.raises(ValueError):
+        step_count(T, dt)
 
 
 def test_free_top_analytic_at_zero():

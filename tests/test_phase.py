@@ -1,16 +1,21 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symtop.algebra3 import rotation_defect
+from symtop.algebra3 import exp_so3, rotation_defect
 from symtop.errors import DimensionMismatch
 from symtop.phase import (
     LAYOUTS,
     CotSO3State,
+    FullState,
     ReducedState,
+    Se3DualPoint,
     SpaceId,
     dim,
     flatten,
+    random_chart_point,
     random_state,
     unflatten,
 )
@@ -50,6 +55,38 @@ def test_random_state_deterministic():
         npt.assert_array_equal(a, b)
 
 
+# random_chart_point(space, 0) as literals: any change in the kind or the
+# order of random_state's draws shows here.
+FROZEN_POINTS = {
+    SpaceId.CotSO3: [
+        -0.4533723663234055, -0.7968515085599605, -0.3993509368463167, 0.5125236521682618,
+        -0.5996290653040653, 0.6146254876025554, -0.7292276759849572, 0.07397741106775663,
+        0.6802604936561363, 0.7148085531751387, -0.9328288493890713, 0.45931089285988813,
+    ],
+    SpaceId.Se3Dual: [
+        0.18881711923692265, -0.19839032737660414, 0.9617636786063786,
+        -0.9669447289429418, 0.6265404784005448, 0.8255111545554434,
+    ],
+    SpaceId.CotSE3: [
+        0.2739233746429086, -0.4604265724722594, -0.9180529521276106, -0.648688758794882,
+        0.7263578446997732, 0.08292244049818343, -0.620010609142786, -0.134721858673307,
+        -0.7729404021954092, -0.022153048325615328, -0.9817489761424943, 0.18888671285468275,
+        -0.7842806175089845, 0.13423475197866594, 0.6057102808777083, -0.40057621892523043,
+        -0.1546255576046831, -0.9433606577090741,
+    ],
+    SpaceId.Reduced: [
+        0.2739233746429086, -0.4604265724722594, -0.9180529521276106, -0.9669447289429418,
+        0.6265404784005448, 0.8255111545554434, 0.7415052042025201, 0.5385471155343273,
+        -0.4001712589507583, 0.8701448475755365, 0.6317071082430643, -0.9945229996597038,
+    ],
+}
+
+
+@pytest.mark.parametrize("space", ALL, ids=[s.value for s in ALL])
+def test_random_chart_point_frozen(space):
+    npt.assert_allclose(random_chart_point(space, 0), FROZEN_POINTS[space], rtol=0, atol=1e-15)
+
+
 def test_random_rotation_valid():
     for seed in range(20):
         s = random_state(SpaceId.CotSO3, seed)
@@ -85,3 +122,35 @@ def test_layout_entry_helpers():
     assert lay.pi_entry(0) == 15
     with pytest.raises(DimensionMismatch):
         LAYOUTS[SpaceId.Se3Dual].r_entry(0, 0)
+    # Layout.axis: the nu block, or the third column of R
+    assert LAYOUTS[SpaceId.Reduced].axis == slice(6, 9)
+    assert LAYOUTS[SpaceId.Se3Dual].axis == slice(0, 3)
+    assert list(range(18))[lay.axis] == [8, 11, 14]
+    assert list(range(12))[LAYOUTS[SpaceId.CotSO3].axis] == [2, 5, 8]
+
+
+_COMPONENT = st.floats(-1e6, 1e6, allow_nan=False)
+_VECTOR = st.lists(_COMPONENT, min_size=3, max_size=3).map(np.array)
+_ROTATION = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3).map(exp_so3)
+_UNIT = _VECTOR.filter(lambda v: np.linalg.norm(v) > 1e-3).map(lambda v: v / np.linalg.norm(v))
+
+_STATES = st.one_of(
+    st.builds(CotSO3State, R=_ROTATION, pi=_VECTOR),
+    st.builds(Se3DualPoint, nu=_VECTOR, pi=_VECTOR),
+    st.builds(FullState, x=_VECTOR, R=_ROTATION, p=_VECTOR, pi=_VECTOR),
+    st.builds(ReducedState, x=_VECTOR, p=_VECTOR, nu=_UNIT, pi=_VECTOR),
+)
+_SPACE_OF = {CotSO3State: SpaceId.CotSO3, Se3DualPoint: SpaceId.Se3Dual,
+             FullState: SpaceId.CotSE3, ReducedState: SpaceId.Reduced}
+
+
+@settings(max_examples=50, deadline=None)
+@given(_STATES)
+def test_unflatten_inverts_flatten(state):
+    space = _SPACE_OF[type(state)]
+    z = flatten(state, space)
+    back = unflatten(space, z)
+    assert type(back) is type(state)
+    for name, value in vars(state).items():
+        npt.assert_array_equal(getattr(back, name), value)
+    npt.assert_array_equal(flatten(back, space), z)

@@ -261,15 +261,6 @@ def test_right_invariance_of_attitude_table():
                     assert abs(got - expected) < 1e-12
 
 
-def test_scalar_field_fd_fallback_flagged():
-    f = ScalarField.from_callable(SpaceId.Se3Dual, lambda z: float(z[0] ** 2))
-    assert not f.analytic
-    z = random_chart_point(SpaceId.Se3Dual, 1)
-    expected = np.zeros(6)
-    expected[0] = 2 * z[0]
-    npt.assert_allclose(f.gradient(z), expected, atol=1e-8)
-
-
 def test_polynomial_gradients_match_fd():
     rng = np.random.default_rng(5)
     for space in ALL:
