@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, orbits, poisson, reduction
+from .algebra3 import cross
 from .phase import (
     LAYOUTS,
     Se3DualPoint,
@@ -205,16 +206,16 @@ def check_orbits(seed: int = 0, pairs: int = 1000) -> list[CheckResult]:
     worst_anti, worst_rep, worst_zero = 0.0, 0.0, 0.0
     for _ in range(200):
         nu = random_unit(rng)
-        u = np.cross(nu, rng.uniform(-1, 1, 3))
-        v = np.cross(nu, rng.uniform(-1, 1, 3))
+        u = cross(nu, rng.uniform(-1, 1, 3))
+        v = cross(nu, rng.uniform(-1, 1, 3))
         c2 = rng.uniform(-2, 2)
         m = orbits.magnetic_form(nu, u, v, c2)
         worst_anti = max(worst_anti, abs(m + orbits.magnetic_form(nu, v, u, c2)))
         # shift the representative xi by a multiple of nu and re-evaluate directly
         lam = rng.uniform(-2, 2)
-        xi = np.cross(nu, u) + lam * nu
-        eta = np.cross(nu, v)
-        shifted = -c2 * float(np.cross(xi, eta) @ nu)
+        xi = cross(nu, u) + lam * nu
+        eta = cross(nu, v)
+        shifted = -c2 * float(cross(xi, eta) @ nu)
         worst_rep = max(worst_rep, abs(shifted - m))
         worst_zero = max(worst_zero, abs(orbits.magnetic_form(nu, u, v, 0.0)))
     res.append(CheckResult("orbits/magnetic-antisymmetry", worst_anti, 0.0, 200))

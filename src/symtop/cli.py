@@ -17,13 +17,15 @@ carry t, x, p, nu, pi, energy, C1, C2 and the attitude orthogonality defect
 (0 for reduced runs), all floats with 17 significant digits so downstream
 tools can round-trip them losslessly.
 
-Exit codes: 0 success / all checks pass, 2 validation error, 3 non-finite
-state during integration, 1 a check or comparison failed.
+Exit codes: 0 success / all checks pass, 2 validation error, 3 integration
+failed (a non-finite state, or a step too large for the constraint repair),
+1 a check or comparison failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,8 +33,8 @@ import sys
 import numpy as np
 
 from . import checks, dynamics, orbits
-from .algebra3 import exp_so3, reorthonormalize, rotation_defect
-from .errors import NonFinite
+from .algebra3 import cross, exp_so3, reorthonormalize, rotation_defect
+from .errors import NonFinite, TooFarFromSO3
 from .phase import LAYOUTS, FullState, ReducedState, Se3DualPoint, SpaceId, flatten, random_rotation
 
 CSV_COLUMNS = (
@@ -265,16 +267,24 @@ def _parse_triple(s: str, name: str) -> np.ndarray:
     if len(parts) != 3:
         raise ConfigError(f"--{name} expects three comma-separated numbers")
     try:
-        return np.array([float(p) for p in parts])
+        v = np.array([float(p) for p in parts])
     except ValueError:
         raise ConfigError(f"--{name} expects numbers, got {s!r}") from None
+    if not np.isfinite(v).all():
+        raise ConfigError(f"--{name} expects finite numbers, got {s!r}")
+    return v
 
 
 def cmd_orbit(args) -> int:
     nu = _parse_triple(args.nu, "nu")
     pi = _parse_triple(args.pi, "pi")
-    if np.linalg.norm(nu) == 0.0:
-        raise ConfigError("orbit report requires nu != 0 (degenerate orbits excluded)")
+    with np.errstate(over="ignore"):
+        c1 = float(nu @ nu)
+    if not orbits.WITNESS_TOL < c1 < math.inf:
+        raise ConfigError(
+            f"orbit report requires {orbits.WITNESS_TOL:g} < |nu|^2 < inf"
+            f" (degenerate orbits excluded), got |nu|^2 = {c1:.3e}"
+        )
     q0 = Se3DualPoint(nu=nu, pi=pi)
     level = orbits.casimirs(q0)
     print(f"Casimir level: C1 = {_fmt(level.c1)}, C2 = {_fmt(level.c2)}")
@@ -292,8 +302,8 @@ def cmd_orbit(args) -> int:
     nh = nu / np.linalg.norm(nu)
     print(f"magnetic form samples at c2 = {_fmt(level.c2)} (tangent pairs at nu/|nu|):")
     for _ in range(3):
-        u = np.cross(nh, rng.uniform(-1, 1, 3))
-        v = np.cross(nh, rng.uniform(-1, 1, 3))
+        u = cross(nh, rng.uniform(-1, 1, 3))
+        v = cross(nh, rng.uniform(-1, 1, 3))
         print(f"  B(u, v) = {_fmt(orbits.magnetic_form(nh, u, v, level.c2))}")
     return 0 if worst <= 1e-9 else 1
 
@@ -329,14 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call: parsing reads it without changing it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except NonFinite as e:
+    except (NonFinite, TooFarFromSO3) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

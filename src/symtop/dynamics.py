@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra3 import Vec3, exp_so3, orthogonality_defect, reorthonormalize
-from .errors import DimensionMismatch, NonFinite
+from .errors import DimensionMismatch, NonFinite, TooFarFromSO3
 from .phase import (
     LAYOUTS,
     FullState,
@@ -366,8 +366,9 @@ def simulate(
     (plus the endpoint) with energy/Casimir/orthogonality monitors.
 
     T must be a whole number of steps dt (see step_count).  A NonFinite
-    failure is re-raised naming the step that failed and the time it was to
-    reach (step 0: the initial state's monitors).
+    failure, or a TooFarFromSO3 from a step too large for the repair, is
+    re-raised naming the step that failed and the time it was to reach
+    (step 0: the initial state's monitors).
     """
     n_steps = step_count(T, dt)
     if sample_stride < 1:
@@ -383,8 +384,8 @@ def simulate(
                 ts.append(k * dt)
                 zs.append(z.copy())
                 mons.append(_monitors(space, h, z))
-    except NonFinite as e:
-        raise NonFinite(f"step {k} of {n_steps} (t = {k * dt:.6g}): {e}") from e
+    except (NonFinite, TooFarFromSO3) as e:
+        raise type(e)(f"step {k} of {n_steps} (t = {k * dt:.6g}): {e}") from e
     m = np.array(mons)
     return Trajectory(
         space=space,

@@ -30,10 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra3 import Mat3, Vec3, require_rotation, rotation_aligning
+from .algebra3 import Mat3, Vec3, cross, require_rotation, rotation_aligning
 from .errors import NotSameLevel, NotTangent, NotUnit, ZeroNu
 from .phase import LAYOUTS, Se3DualPoint, SpaceId
 from .poisson import ScalarField
+
+
+# Default level-match tolerance of same_orbit_witness; c1 at or below it
+# counts as nu = 0.
+WITNESS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ def casimirs(q: Se3DualPoint) -> OrbitLevel:
 def coadjoint(g: SE3Element, q: Se3DualPoint) -> Se3DualPoint:
     """(nu, pi) -> (A nu, a x A nu + A pi)."""
     anu = g.A @ q.nu
-    return Se3DualPoint(nu=anu, pi=np.cross(g.a, anu) + g.A @ q.pi)
+    return Se3DualPoint(nu=anu, pi=cross(g.a, anu) + g.A @ q.pi)
 
 
 def on_level(q: Se3DualPoint, level: OrbitLevel, tol: float) -> bool:
@@ -82,7 +87,7 @@ def on_level(q: Se3DualPoint, level: OrbitLevel, tol: float) -> bool:
 
 
 def same_orbit_witness(
-    q1: Se3DualPoint, q2: Se3DualPoint, tol: float = 1e-9
+    q1: Se3DualPoint, q2: Se3DualPoint, tol: float = WITNESS_TOL
 ) -> SE3Element:
     """Group element (a, A) with coadjoint((a, A), q1) = q2.
 
@@ -101,7 +106,7 @@ def same_orbit_witness(
         raise ZeroNu(f"c1 = {l1.c1:.3e} too small for an orbit witness")
     rot = rotation_aligning(q1.nu, q2.nu)
     d = q2.pi - rot @ q1.pi
-    a = np.cross(q2.nu, d) / l1.c1
+    a = cross(q2.nu, d) / l1.c1
     return SE3Element(a=a, A=rot)
 
 
@@ -130,9 +135,9 @@ def magnetic_form(nu: Vec3, u: Vec3, v: Vec3, c2: float, tol: float = 1e-9) -> f
         t = abs(float(w @ nu))
         if t > tol:
             raise NotTangent(f"<{label}, nu> = {t:.3e} exceeds {tol:.1e}")
-    xi = np.cross(nu, u)
-    eta = np.cross(nu, v)
-    return -float(c2) * float(np.cross(xi, eta) @ nu)
+    xi = cross(nu, u)
+    eta = cross(nu, v)
+    return -float(c2) * float(cross(xi, eta) @ nu)
 
 
 def casimir_fields(space: SpaceId) -> tuple[ScalarField, ScalarField]:

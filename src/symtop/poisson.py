@@ -12,6 +12,11 @@ drives bracket evaluation and the Jacobi residual with no symbolic algebra
 and no finite differencing, and it is the certificate the Hamiltonian
 vector field is checked against.
 
+structure_matrix forms LIN z as one matrix-vector product over the (n*n, n)
+view of LIN.  Each entry is affine in at most one coordinate, with a +-1
+coefficient, so every sum is one exact product plus exact zeros and the
+result does not depend on the order BLAS sums in.
+
 Bracket families (all unlisted brackets vanish):
 
     {x_i, p_j}   = delta_ij          translational block (CotSE3, Reduced)
@@ -115,7 +120,8 @@ def structure_matrix(space: SpaceId, z: np.ndarray) -> np.ndarray:
     """Antisymmetric matrix of coordinate brackets Lambda(z)[a,b] = {z_a, z_b}(z)."""
     z = _check_point(space, z)
     lam0, lin = structure_tensors(space)
-    return lam0 + np.tensordot(lin, z, axes=([2], [0]))
+    n = z.shape[0]
+    return lam0 + (lin.reshape(n * n, n) @ z).reshape(n, n)
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], z: np.ndarray, step: float = 1e-6) -> np.ndarray:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra3 import IDENTITY, Mat3, Vec3, exp_so3, orthogonal_unit
+from .algebra3 import IDENTITY, Mat3, Vec3, cross, exp_so3, orthogonal_unit
 from .errors import DimensionMismatch
 from .phase import (
     LAYOUTS,
@@ -83,7 +83,7 @@ def section(nu: Vec3) -> Mat3:
         raise ValueError("cannot build a frame over nu = 0")
     nh = nu / n
     u = orthogonal_unit(nh)
-    v = np.cross(nh, u)
+    v = cross(nh, u)
     return np.column_stack([u, v, nh])
 
 

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from symtop.algebra3 import (
+    cross,
     exp_so3,
     hat,
     orthogonality_defect,
@@ -170,6 +171,22 @@ def test_rotation_aligning_generic_and_degenerate():
     r = rotation_aligning(v, -v)
     npt.assert_allclose(r @ v / np.linalg.norm(v), -v / np.linalg.norm(v), atol=1e-12)
     assert rotation_defect(r) < 1e-12
+
+
+def test_cross_matches_numpy_bytes():
+    # np.cross is the reference: the float form does the same IEEE products
+    # and differences, so the results agree bit for bit, signed zeros included
+    rng = np.random.default_rng(13)
+    for _ in range(2000):
+        a = rng.normal(size=3) * 10.0 ** rng.uniform(-150, 150, 3)
+        b = rng.normal(size=3) * 10.0 ** rng.uniform(-150, 150, 3)
+        a[rng.random(3) < 0.2] = 0.0
+        b[rng.random(3) < 0.2] = -0.0
+        assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    for a, b in (([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]), ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+                 ([-0.0, 1.0, 0.0], [0.0, -1.0, -0.0]), ([2.0, 4.0, 6.0], [1.0, 2.0, 3.0])):
+        a, b = np.array(a), np.array(b)
+        assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 def test_orthogonal_unit():

@@ -301,14 +301,47 @@ def test_orbit_rejects_malformed_vector():
     assert main(["orbit", "--nu", "1,2", "--pi", "0,0,1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "nu, pi, message",
+    [
+        ("1,0,nan", "0.1,0.2,0.3", "error: --nu expects finite numbers"),
+        ("1,0,0", "0,0,inf", "error: --pi expects finite numbers"),
+        ("1,0,1e400", "0,0,1", "error: --nu expects finite numbers"),
+        ("1e-6,0,0", "0.1,0.2,0.3", "error: orbit report requires 1e-09 < |nu|^2"),
+        ("1e200,0,0", "0,0,1", "error: orbit report requires 1e-09 < |nu|^2"),
+    ],
+    ids=["nu-nan", "pi-inf", "nu-overflows", "nu-below-witness-tol", "nu-squared-overflows"],
+)
+def test_orbit_rejects_bad_vector(capsys, nu, pi, message):
+    assert main(["orbit", "--nu", nu, "--pi", pi]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def _run_cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "symtop.cli", *args], capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_step_too_large_for_repair_exits_3(tmp_path, command):
+    # dt = 5 takes R far outside the repair's reach in the first step
+    cfg = _with(_with(FREE_TOP_FULL, ("dt",), 5.0), ("T",), 10.0)
+    args = ["--config", write_config(tmp_path, cfg)]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "o.csv")]
+    proc = _run_cli(command, *args)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: step 1 of 2 (t = 5): orthogonality defect")
+    assert "exceeds repair limit" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path, FREE_TOP_REDUCED)
     out = str(tmp_path / "traj.csv")
-    proc = subprocess.run(
-        [sys.executable, "-m", "symtop.cli", "simulate", "--config", cfg, "--out", out],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_cli("simulate", "--config", cfg, "--out", out)
     assert proc.returncode == 0, proc.stderr
     assert "drift" in proc.stdout
 

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtop.checks import random_same_level_pair
 from symtop.errors import NotSameLevel, NotTangent, NotUnit, ZeroNu
@@ -15,7 +17,7 @@ from symtop.orbits import (
     same_orbit_witness,
     witness_residual,
 )
-from symtop.phase import Se3DualPoint, SpaceId, random_chart_point, random_rotation, random_unit
+from symtop.phase import Se3DualPoint, SpaceId, flatten, random_chart_point, random_rotation, random_unit
 from symtop.poisson import bracket, coordinate, fd_gradient, random_polynomial
 
 
@@ -74,6 +76,20 @@ def test_casimirs_annihilate_brackets():
         z = random_chart_point(SpaceId.Se3Dual, k)
         assert abs(bracket(c1f, f, z)) < 1e-12
         assert abs(bracket(c2f, f, z)) < 1e-12
+
+
+_VEC = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(np.array)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_VEC, _VEC, st.integers(0, 2**32 - 1))
+def test_casimirs_annihilate_brackets_at_generated_points(nu, pi, seed):
+    c1f, c2f = casimir_fields(SpaceId.Se3Dual)
+    f = random_polynomial(SpaceId.Se3Dual, np.random.default_rng(seed))
+    z = flatten(Se3DualPoint(nu=nu, pi=pi), SpaceId.Se3Dual)
+    # the casimirs suite's tolerance
+    assert abs(bracket(c1f, f, z)) <= 1e-12
+    assert abs(bracket(c2f, f, z)) <= 1e-12
 
 
 def test_casimir_field_gradients():

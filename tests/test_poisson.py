@@ -1,12 +1,24 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symtop.algebra3 import EPS
+from symtop.algebra3 import EPS, exp_so3
 from symtop.checks import PRESET_BODY, PRESET_POTENTIALS
 from symtop.dynamics import full_hamiltonian_field, reduced_hamiltonian_field
 from symtop.errors import DimensionMismatch
-from symtop.phase import LAYOUTS, SpaceId, random_chart_point, random_rotation
+from symtop.phase import (
+    LAYOUTS,
+    CotSO3State,
+    FullState,
+    ReducedState,
+    Se3DualPoint,
+    SpaceId,
+    flatten,
+    random_chart_point,
+    random_rotation,
+)
 from symtop.poisson import (
     ScalarField,
     bracket,
@@ -19,6 +31,7 @@ from symtop.poisson import (
     jacobi_residual_all,
     random_polynomial,
     structure_matrix,
+    structure_tensors,
 )
 
 ALL = list(SpaceId)
@@ -214,6 +227,39 @@ def test_jacobi_all_triples_all_spaces():
         for seed in range(25):
             z = random_chart_point(space, seed)
             assert np.abs(jacobi_residual_all(space, z)).max() < 1e-10
+
+
+# Chart entries in [-2, 2]; attitudes exp_so3 of a drawn axis-angle, with the
+# reduced chart's nu the third column of such a rotation.
+_ENTRY = st.floats(-2.0, 2.0)
+_VEC = st.lists(_ENTRY, min_size=3, max_size=3).map(np.array)
+_ROT = st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3).map(lambda v: exp_so3(np.array(v)))
+_CHART_POINTS = st.one_of(
+    st.builds(CotSO3State, R=_ROT, pi=_VEC).map(lambda s: (SpaceId.CotSO3, flatten(s, SpaceId.CotSO3))),
+    st.builds(Se3DualPoint, nu=_VEC, pi=_VEC).map(lambda s: (SpaceId.Se3Dual, flatten(s, SpaceId.Se3Dual))),
+    st.builds(FullState, x=_VEC, R=_ROT, p=_VEC, pi=_VEC).map(lambda s: (SpaceId.CotSE3, flatten(s, SpaceId.CotSE3))),
+    st.builds(ReducedState, x=_VEC, p=_VEC, nu=_ROT.map(lambda r: r[:, 2]), pi=_VEC).map(
+        lambda s: (SpaceId.Reduced, flatten(s, SpaceId.Reduced))),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_CHART_POINTS)
+def test_jacobi_at_generated_points(point):
+    space, z = point
+    assert np.abs(jacobi_residual_all(space, z)).max() <= 1e-10  # the jacobi suite's tolerance
+
+
+def test_structure_matrix_matches_tensordot_bytes():
+    # the tensordot contraction the mat-vec replaced, as the reference: each
+    # entry of LIN has at most one nonzero coefficient, so both are exact
+    for space in ALL:
+        lam0, lin = structure_tensors(space)
+        for seed in range(50):
+            for scale in 10.0 ** np.arange(-3, 4):
+                z = scale * random_chart_point(space, seed)
+                reference = lam0 + np.tensordot(lin, z, axes=([2], [0]))
+                assert structure_matrix(space, z).tobytes() == reference.tobytes()
 
 
 def test_leibniz_rule():

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtop.algebra3 import exp_so3
 from symtop.errors import DimensionMismatch
@@ -156,6 +158,27 @@ def test_poisson_map_residual_all_pairs_both_projections():
             for a in range(len(fields)):
                 for b in range(a + 1, len(fields)):
                     assert abs(poisson_map_residual(fields[a], fields[b], z)) < 1e-10
+
+
+_VEC = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(np.array)
+_ROT = st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3).map(lambda v: exp_so3(np.array(v)))
+_SOURCE_STATES = st.one_of(
+    st.builds(FullState, x=_VEC, R=_ROT, p=_VEC, pi=_VEC),
+    st.builds(CotSO3State, R=_ROT, pi=_VEC),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_SOURCE_STATES)
+def test_poisson_map_at_generated_points(state):
+    reduced_space = SpaceId.Reduced if isinstance(state, FullState) else SpaceId.Se3Dual
+    src, _ = chart_projection(reduced_space)
+    z = flatten(state, src)
+    fields = coordinate_fields(reduced_space)
+    for a in range(len(fields)):
+        for b in range(a + 1, len(fields)):
+            # the poisson-map suite's tolerance
+            assert abs(poisson_map_residual(fields[a], fields[b], z)) <= 1e-10
 
 
 def test_poisson_map_residual_accepts_typed_rotational_state():
