@@ -278,13 +278,20 @@ def _parse_triple(s: str, name: str) -> np.ndarray:
 def cmd_orbit(args) -> int:
     nu = _parse_triple(args.nu, "nu")
     pi = _parse_triple(args.pi, "pi")
+    # The Casimirs' rounding grows with |nu|^2 and |nu||pi|, so the level
+    # match scales its tolerance by s, and the witness residual is judged
+    # relative to the size of the input.  For |nu|, |pi| <= 1 both scales are 1.
+    norm_nu, norm_pi = math.hypot(*nu), math.hypot(*pi)
     with np.errstate(over="ignore"):
         c1 = float(nu @ nu)
-    if not orbits.WITNESS_TOL < c1 < math.inf:
+    s = max(1.0, c1, norm_nu * norm_pi)
+    tol = orbits.WITNESS_TOL * s
+    if not (tol < c1 and s < math.inf):
         raise ConfigError(
-            f"orbit report requires {orbits.WITNESS_TOL:g} < |nu|^2 < inf"
-            f" (degenerate orbits excluded), got |nu|^2 = {c1:.3e}"
+            f"orbit report requires {orbits.WITNESS_TOL:g} < |nu|^2/s with s = max(1, |nu|^2, |nu||pi|) < inf"
+            f" (degenerate orbits excluded), got |nu|^2 = {c1:.3e}, s = {s:.3e}"
         )
+    scale = max(1.0, norm_nu, norm_pi)
     q0 = Se3DualPoint(nu=nu, pi=pi)
     level = orbits.casimirs(q0)
     print(f"Casimir level: C1 = {_fmt(level.c1)}, C2 = {_fmt(level.c2)}")
@@ -294,8 +301,8 @@ def cmd_orbit(args) -> int:
     for _ in range(args.count):
         g = orbits.SE3Element(a=rng.uniform(-1, 1, 3), A=random_rotation(rng))
         q = orbits.coadjoint(g, q0)
-        w = orbits.same_orbit_witness(q0, q)
-        worst = max(worst, orbits.witness_residual(w, q0, q))
+        w = orbits.same_orbit_witness(q0, q, tol)
+        worst = max(worst, orbits.witness_residual(w, q0, q) / scale)
     print(f"sampled {args.count} same-level points via the coadjoint action")
     print(f"worst witness residual: {worst:.3e}  ({'PASS' if worst <= 1e-9 else 'FAIL'} at 1e-9)")
 

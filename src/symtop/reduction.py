@@ -14,10 +14,19 @@ is a complete invariant of the circle action and defines the projections
     tilde_tau: (R, pi)       -> (nu, pi)         CotSO3  -> Se3Dual (onto W1)
     project_full: (x, R, p, pi) -> (x, p, nu, pi)   CotSE3  -> Reduced
 
-Both maps are linear in chart coordinates (they select entries), which makes
-the Poisson-map property directly checkable: pulling back reduced functions
-along the projection and bracketing upstairs must agree with bracketing
-downstairs.  poisson_map_residual computes exactly that difference.
+Both maps are linear in chart coordinates, z -> P z, and P selects entries:
+reduced coordinate i reads source coordinate sel[i].  A linear map is Poisson
+exactly when
+
+    P Lambda_src(z) P^T = Lambda_dst(P z)
+
+(the coordinate form of a Poisson map), and with P a selection the left side
+is Lambda_src(z)[sel][:, sel].  poisson_map_residual_all returns that whole
+defect from one source and one reduced structure matrix.  Every entry of
+either side is 0, +-1 or +-z_c, so a correct projection gives exactly 0.0,
+bit for bit the value poisson_map_residual gives coordinate pair by pair.
+poisson_map_residual stays the check for arbitrary reduced fields: it pulls
+them back along the projection and brackets upstairs and downstairs.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from .phase import (
     SpaceId,
     flatten,
 )
-from .poisson import ScalarField, bracket
+from .poisson import ScalarField, bracket, structure_matrix
 
 
 def z_rotation(theta: float) -> Mat3:
@@ -87,15 +96,13 @@ def section(nu: Vec3) -> Mat3:
     return np.column_stack([u, v, nh])
 
 
-_PROJECTIONS: dict[SpaceId, tuple[SpaceId, np.ndarray]] = {}
+_PROJECTIONS: dict[SpaceId, tuple[SpaceId, np.ndarray, np.ndarray]] = {}
 
 
-def chart_projection(reduced_space: SpaceId) -> tuple[SpaceId, np.ndarray]:
-    """Source space and matrix P of the linear chart projection onto reduced_space.
+def _projection(reduced_space: SpaceId) -> tuple[SpaceId, np.ndarray, np.ndarray]:
+    """(source space, P, sel) of the projection onto reduced_space; cached.
 
-    Reduced comes from CotSE3 via project_full; Se3Dual comes from CotSO3 via
-    tilde_tau.  P picks x, p, pi straight through and reads nu off the
-    source chart's axis entries, the third column of R.
+    P has exactly one 1 per row, in column sel[i] for reduced coordinate i.
     """
     if reduced_space not in _PROJECTIONS:
         if reduced_space is SpaceId.Reduced:
@@ -110,8 +117,19 @@ def chart_projection(reduced_space: SpaceId) -> tuple[SpaceId, np.ndarray]:
             d, s = getattr(dst_lay, blk), getattr(src_lay, blk)
             if d is not None:
                 p[d, s] = IDENTITY
-        _PROJECTIONS[reduced_space] = (src, p)
+        _PROJECTIONS[reduced_space] = (src, p, p.argmax(axis=1))
     return _PROJECTIONS[reduced_space]
+
+
+def chart_projection(reduced_space: SpaceId) -> tuple[SpaceId, np.ndarray]:
+    """Source space and matrix P of the linear chart projection onto reduced_space.
+
+    Reduced comes from CotSE3 via project_full; Se3Dual comes from CotSO3 via
+    tilde_tau.  P picks x, p, pi straight through and reads nu off the
+    source chart's axis entries, the third column of R.
+    """
+    src, p, _ = _projection(reduced_space)
+    return src, p
 
 
 def pullback(f: ScalarField) -> ScalarField:
@@ -126,6 +144,18 @@ def pullback(f: ScalarField) -> ScalarField:
     )
 
 
+def _source_point(src: SpaceId, z) -> np.ndarray:
+    """Chart vector of a source-space point given as a state or a vector."""
+    if isinstance(z, FullState):
+        z = flatten(z, SpaceId.CotSE3)
+    elif isinstance(z, CotSO3State):
+        z = flatten(z, SpaceId.CotSO3)
+    z = np.asarray(z, dtype=float)
+    if z.shape != (LAYOUTS[src].dim,):
+        raise DimensionMismatch(f"expected a {src.value} point, got shape {z.shape}")
+    return z
+
+
 def poisson_map_residual(f: ScalarField, g: ScalarField, z) -> float:
     """{F o P, G o P}_source(z) - {F, G}_reduced(P z); zero iff the projection
     respects both bracket tables at z.
@@ -136,13 +166,17 @@ def poisson_map_residual(f: ScalarField, g: ScalarField, z) -> float:
     if f.space is not g.space:
         raise DimensionMismatch("fields must live on the same reduced space")
     src, p = chart_projection(f.space)
-    if isinstance(z, FullState):
-        z = flatten(z, SpaceId.CotSE3)
-    elif isinstance(z, CotSO3State):
-        z = flatten(z, SpaceId.CotSO3)
-    z = np.asarray(z, dtype=float)
-    if z.shape != (LAYOUTS[src].dim,):
-        raise DimensionMismatch(f"expected a {src.value} point, got shape {z.shape}")
+    z = _source_point(src, z)
     upstairs = bracket(pullback(f), pullback(g), z)
     downstairs = bracket(f, g, p @ z)
     return upstairs - downstairs
+
+
+def poisson_map_residual_all(reduced_space: SpaceId, z) -> np.ndarray:
+    """Defect P Lambda_src(z) P^T - Lambda_dst(P z) over every pair of reduced
+    coordinates at once; entry [a, b] is poisson_map_residual of coordinates
+    a and b.  z is a state or chart vector of the source space.
+    """
+    src, _, sel = _projection(reduced_space)
+    z = _source_point(src, z)
+    return structure_matrix(src, z)[sel[:, None], sel] - structure_matrix(reduced_space, z[sel])

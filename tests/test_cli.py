@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -309,13 +312,28 @@ def test_orbit_rejects_malformed_vector():
         ("1,0,1e400", "0,0,1", "error: --nu expects finite numbers"),
         ("1e-6,0,0", "0.1,0.2,0.3", "error: orbit report requires 1e-09 < |nu|^2"),
         ("1e200,0,0", "0,0,1", "error: orbit report requires 1e-09 < |nu|^2"),
+        ("1e150,0,0", "1e200,0,0", "error: orbit report requires 1e-09 < |nu|^2"),
+        ("1,0,0", "1e10,0,0", "error: orbit report requires 1e-09 < |nu|^2"),
     ],
-    ids=["nu-nan", "pi-inf", "nu-overflows", "nu-below-witness-tol", "nu-squared-overflows"],
+    ids=[
+        "nu-nan", "pi-inf", "nu-overflows", "nu-below-witness-tol", "nu-squared-overflows",
+        "scale-overflows", "nu-below-scaled-tol",
+    ],
 )
 def test_orbit_rejects_bad_vector(capsys, nu, pi, message):
     assert main(["orbit", "--nu", nu, "--pi", pi]) == 2
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "nu, pi", [("1,0,0", "1e8,3,0"), ("1e5,0,0", "0,1,1"), ("1e100,0,0", "0,0,1")]
+)
+def test_orbit_large_inputs_pass(capsys, nu, pi):
+    assert main(["orbit", "--nu", nu, "--pi", pi]) == 0
+    out = capsys.readouterr().out
+    line, = (ln for ln in out.splitlines() if ln.startswith("worst witness residual"))
+    assert float(line.split()[3]) < 1e-14 and "PASS" in line
 
 
 def _run_cli(*args):
@@ -391,3 +409,94 @@ def test_simulate_fuzzed_config_exits_0_or_2(space, r, nu, horizon):
     assert code in (0, 2)
     if reflected:
         assert code == 2  # no rotation has det < 0
+
+
+# Config fields other than R, nu and the horizon.  Valid numbers come from
+# ranges where 20 steps of dt <= 0.1 stay inside the integrator's stable range
+# (|omega| dt < 1).  Up to two fields are then replaced by values the config
+# must reject.
+_VEC3 = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)
+_POTENTIAL = st.recursive(
+    st.one_of(
+        st.fixed_dictionaries({"type": st.just("zero")}),
+        st.fixed_dictionaries({"type": st.just("gravity"), "g": _VEC3, "chi": st.floats(-1.0, 1.0)}),
+        st.fixed_dictionaries({"type": st.just("dipole"), "m": st.floats(-0.1, 0.1), "mu": _VEC3}),
+    ),
+    lambda terms: st.fixed_dictionaries(
+        {"type": st.just("sum"), "terms": st.lists(terms, min_size=1, max_size=3)}
+    ),
+    max_leaves=4,
+)
+# Never a finite JSON number, so never valid where a number is expected.
+_JUNK = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3), st.just({}),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400]),
+)
+_BAD_VEC3 = st.one_of(
+    _JUNK,
+    st.lists(st.floats(-2.0, 2.0), max_size=4).filter(lambda v: len(v) != 3),
+    st.tuples(_VEC3, st.integers(0, 2), _JUNK).map(lambda a: a[0][:a[1]] + [a[2]] + a[0][a[1] + 1:]),
+)
+_BAD_POTENTIAL = st.one_of(
+    _JUNK,
+    st.fixed_dictionaries({"type": st.sampled_from(["gravity", "dipole", "sum", "spring", 1])}),
+    st.tuples(_POTENTIAL, st.text(max_size=2)).map(lambda a: {**a[0], "extra" + a[1]: 0}),
+    st.fixed_dictionaries({"type": st.just("sum"), "terms": st.one_of(st.just([]), _JUNK)}),
+    st.fixed_dictionaries({"type": st.just("gravity"), "g": st.just([0.0, 0.0, 0.0]), "chi": st.just(0.3)}),
+    st.fixed_dictionaries(
+        {"type": st.just("gravity"), "g": _BAD_VEC3, "chi": st.one_of(st.floats(-1.0, 1.0), _JUNK)}
+    ),
+    st.fixed_dictionaries({"type": st.just("dipole"), "m": _JUNK, "mu": _VEC3}),
+    st.fixed_dictionaries({"type": st.just("dipole"), "m": st.just(0.05), "mu": _BAD_VEC3}),
+    st.builds(lambda bad, ok: {"type": "sum", "terms": [ok, bad]}, _JUNK, _POTENTIAL),
+)
+_BAD_FIELDS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from([("body", "M"), ("body", "I1"), ("body", "I3")]),
+                  st.one_of(_JUNK, st.floats(max_value=0.0))),
+        st.tuples(st.sampled_from([("initial", "x"), ("initial", "p"), ("initial", "pi")]), _BAD_VEC3),
+        st.tuples(st.just(("potential",)), _BAD_POTENTIAL),
+    ),
+    max_size=2,
+)
+
+
+def _has_dipole(node) -> bool:
+    if not isinstance(node, dict):
+        return False
+    return node.get("type") == "dipole" or any(_has_dipole(t) for t in node.get("terms") or ())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["full", "reduced"]),
+    st.fixed_dictionaries({"M": st.floats(0.5, 2.0), "I1": st.floats(0.5, 2.0), "I3": st.floats(0.5, 2.0)}),
+    _POTENTIAL,
+    st.fixed_dictionaries({"x": _VEC3, "p": _VEC3, "pi": _VEC3}),
+    _BAD_FIELDS,
+    _WHOLE,
+)
+def test_simulate_fuzzed_body_potential_initial(space, body, potential, vectors, bad, horizon):
+    cfg = json.loads(json.dumps(FREE_TOP_FULL if space == "full" else FREE_TOP_REDUCED))
+    cfg["body"], cfg["potential"] = body, potential
+    cfg["initial"].update(vectors)
+    for path, value in bad:
+        cfg = _with(cfg, path, value)
+    cfg["dt"], cfg["T"] = horizon
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", path, "--out", os.path.join(tmp, "o.csv")])
+    err = err.getvalue()
+    assert code in (0, 2, 3), err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    if bad:
+        assert code == 2, err
+    if code == 3:
+        # a valid config fails only at the dipole's singularity, reported by step and t
+        assert _has_dipole(cfg["potential"]), err
+        assert re.match(r"error: step \d+ of \d+ \(t = [^)]*\): ", err), err

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symtop.algebra3 import exp_so3
+from symtop import reduction
+from symtop.algebra3 import IDENTITY, exp_so3
+from symtop.checks import check_poisson_map
 from symtop.errors import DimensionMismatch
 from symtop.phase import (
+    LAYOUTS,
     CotSO3State,
     FullState,
     SpaceId,
@@ -20,6 +23,7 @@ from symtop.orbits import casimir_fields
 from symtop.reduction import (
     chart_projection,
     poisson_map_residual,
+    poisson_map_residual_all,
     project_full,
     right_action,
     section,
@@ -186,3 +190,88 @@ def test_poisson_map_residual_accepts_typed_rotational_state():
     g = coordinate(SpaceId.Se3Dual, 4)
     s = random_state(SpaceId.CotSO3, 2)
     assert abs(poisson_map_residual(f, g, s)) < 1e-10
+
+
+def _assert_matches_pairwise(reduced_space, z):
+    fields = coordinate_fields(reduced_space)
+    defect = poisson_map_residual_all(reduced_space, z)
+    for a in range(len(fields)):
+        for b in range(len(fields)):
+            assert defect[a, b] == poisson_map_residual(fields[a], fields[b], z)
+
+
+def test_poisson_map_residual_all_matches_pairwise():
+    for reduced_space in (SpaceId.Reduced, SpaceId.Se3Dual):
+        src, _ = chart_projection(reduced_space)
+        for seed in range(10):
+            _assert_matches_pairwise(reduced_space, random_chart_point(src, seed))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_SOURCE_STATES)
+def test_poisson_map_residual_all_matches_pairwise_at_generated_points(state):
+    reduced_space = SpaceId.Reduced if isinstance(state, FullState) else SpaceId.Se3Dual
+    _assert_matches_pairwise(reduced_space, state)
+
+
+@pytest.mark.parametrize("reduced_space, n", [(SpaceId.Reduced, 12), (SpaceId.Se3Dual, 6)])
+def test_poisson_map_residual_all_exact_zero(reduced_space, n):
+    src, _ = chart_projection(reduced_space)
+    for seed in range(20):
+        defect = poisson_map_residual_all(reduced_space, random_chart_point(src, seed))
+        assert defect.shape == (n, n)
+        npt.assert_array_equal(defect, -defect.T)
+        npt.assert_array_equal(defect, 0.0)
+
+
+def test_poisson_map_residual_all_rejects_wrong_chart():
+    with pytest.raises(DimensionMismatch):
+        poisson_map_residual_all(SpaceId.Reduced, random_chart_point(SpaceId.Reduced, 0))
+    with pytest.raises(DimensionMismatch):
+        poisson_map_residual_all(SpaceId.Se3Dual, random_state(SpaceId.CotSE3, 0))
+    with pytest.raises(DimensionMismatch):
+        poisson_map_residual_all(SpaceId.CotSE3, random_chart_point(SpaceId.CotSE3, 0))
+
+
+def _swap_x_p(p, dst, src):
+    # reduced x reads the source p block and reduced p the source x block
+    p[dst.x] = 0.0
+    p[dst.p] = 0.0
+    p[dst.x, src.p] = IDENTITY
+    p[dst.p, src.x] = IDENTITY
+
+
+def _nu_from_third_row(p, dst, src):
+    # nu_j reads R[2, j] instead of R[j, 2]
+    for j in range(3):
+        p[dst.axis.start + j] = 0.0
+        p[dst.axis.start + j, src.r_entry(2, j)] = 1.0
+
+
+def _nu_from_second_column(p, dst, src):
+    # every column of R brackets with pi like nu, so this is still a Poisson map
+    for j in range(3):
+        p[dst.axis.start + j] = 0.0
+        p[dst.axis.start + j, src.r_entry(j, 1)] = 1.0
+
+
+@pytest.mark.parametrize(
+    "reduced_space, mutate, poisson",
+    [
+        (SpaceId.Reduced, _swap_x_p, False),
+        (SpaceId.Reduced, _nu_from_third_row, False),
+        (SpaceId.Se3Dual, _nu_from_third_row, False),
+        (SpaceId.Reduced, _nu_from_second_column, True),
+    ],
+    ids=["Reduced-swap-x-p", "Reduced-nu-third-row", "Se3Dual-nu-third-row", "Reduced-nu-second-column"],
+)
+def test_poisson_map_certificate_catches_wrong_projection(monkeypatch, reduced_space, mutate, poisson):
+    src, p, _ = reduction._projection(reduced_space)
+    p = p.copy()
+    mutate(p, LAYOUTS[reduced_space], LAYOUTS[src])
+    monkeypatch.setitem(reduction._PROJECTIONS, reduced_space, (src, p, p.argmax(axis=1)))
+    result, = (r for r in check_poisson_map(points=10) if r.name.endswith(f"->{reduced_space.value}"))
+    if poisson:
+        assert result.max_residual == 0.0 and result.passed
+    else:
+        assert result.max_residual >= 1.0 and not result.passed
