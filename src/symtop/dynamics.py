@@ -21,11 +21,22 @@ the "rk4_repair" variant renormalizes nu (reduced charts) or reorthonormalizes
 R (attitude charts) after each step, keeping trajectories on the constraint
 manifold without a full Lie-group integrator.  Plain "rk4" is kept so the
 constraint drift itself can be measured.
+
+A step runs on Python floats: one tolist() on the way in, one np.array on
+the way out, and in between the Hamiltonian gradient, the vector field
+(poisson.vector_field_floats), the stage sums and the nu repair work on
+lists, because at chart dimension 18 or less numpy's per-call overhead costs
+more than the arithmetic.  Two 3-term dot products stay on numpy, <nu, pi>
+in the spin term and |nu| in the repair: numpy's dot rounds differently from
+a plain float sum, and keeping it keeps trajectories bit-identical to the
+ndarray form of the same expressions.  R is repaired by
+algebra3.reorthonormalize.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +50,10 @@ from .phase import (
     SpaceId,
     flatten,
 )
-from .poisson import ScalarField, ham_vector_field
+from .poisson import ScalarField, _check_point, ham_vector_field, vector_field_floats
 from .reduction import chart_projection, project_full
+
+Float3 = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -64,15 +77,17 @@ class Potential:
 
     Implementations supply value / grad_x / grad_nu; gradients are part of
     the production path (finite differences are used only to verify them).
+    grad_x and grad_nu take x and nu as any 3-sequences (ndarrays, or the
+    float lists of the RK4 step) and return a triple of Python floats.
     """
 
     def value(self, x: Vec3, nu: Vec3, bp: BodyParams) -> float:
         raise NotImplementedError
 
-    def grad_x(self, x: Vec3, nu: Vec3, bp: BodyParams) -> Vec3:
+    def grad_x(self, x: Sequence[float], nu: Sequence[float], bp: BodyParams) -> Float3:
         raise NotImplementedError
 
-    def grad_nu(self, x: Vec3, nu: Vec3, bp: BodyParams) -> Vec3:
+    def grad_nu(self, x: Sequence[float], nu: Sequence[float], bp: BodyParams) -> Float3:
         raise NotImplementedError
 
 
@@ -82,10 +97,10 @@ class ZeroPotential(Potential):
         return 0.0
 
     def grad_x(self, x, nu, bp):
-        return np.zeros(3)
+        return 0.0, 0.0, 0.0
 
     def grad_nu(self, x, nu, bp):
-        return np.zeros(3)
+        return 0.0, 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -103,21 +118,30 @@ class LinearGravity(Potential):
             raise ValueError("gravity vector must be nonzero")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "_ghat", g / norm)
+        object.__setattr__(self, "_g", tuple(g.tolist()))
+        object.__setattr__(self, "_grad_nu", tuple((self.chi * self._ghat).tolist()))
 
     def value(self, x, nu, bp):
         return bp.M * float(self.g @ x) + self.chi * float(nu @ self._ghat)
 
     def grad_x(self, x, nu, bp):
-        return bp.M * self.g
+        m = bp.M
+        g0, g1, g2 = self._g
+        return m * g0, m * g1, m * g2
 
     def grad_nu(self, x, nu, bp):
-        return self.chi * self._ghat
+        return self._grad_nu
 
 
 # |x| below which the dipole field counts as singular.  Far above the point
 # where 1/|x|^7 underflows, so no division below can be by zero.
 DIPOLE_MIN_RADIUS = 1e-8
 _DIPOLE_MIN_R2 = DIPOLE_MIN_RADIUS**2
+
+
+def _floats(v) -> list[float]:
+    """A vector as Python floats; sequences other than ndarrays pass as they are."""
+    return v.tolist() if isinstance(v, np.ndarray) else v
 
 
 def _dipole_r2(x0: float, x1: float, x2: float) -> float:
@@ -146,8 +170,8 @@ class DipolePotential(Potential):
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "_mu", tuple(mu.tolist()))
 
-    def _field(self, x) -> tuple[float, float, float]:
-        x0, x1, x2 = x.tolist()
+    def _field(self, x) -> Float3:
+        x0, x1, x2 = _floats(x)
         u0, u1, u2 = self._mu
         r2 = _dipole_r2(x0, x1, x2)
         r3 = r2 * math.sqrt(r2)
@@ -156,19 +180,19 @@ class DipolePotential(Potential):
 
     def value(self, x, nu, bp):
         b0, b1, b2 = self._field(x)
-        n0, n1, n2 = nu.tolist()
+        n0, n1, n2 = _floats(nu)
         return -self.m * (n0 * b0 + n1 * b1 + n2 * b2)
 
     def grad_nu(self, x, nu, bp):
         m = self.m
         b0, b1, b2 = self._field(x)
-        return np.array([-m * b0, -m * b1, -m * b2])
+        return -m * b0, -m * b1, -m * b2
 
     def grad_x(self, x, nu, bp):
         # J_b nu with the (symmetric) dipole-field Jacobian contracted analytically:
         # J_b nu = 3 (nu <mu,x> + x <mu,nu> + mu <x,nu>) / r^5 - 15 <mu,x> <x,nu> x / r^7.
-        x0, x1, x2 = x.tolist()
-        n0, n1, n2 = nu.tolist()
+        x0, x1, x2 = _floats(x)
+        n0, n1, n2 = _floats(nu)
         u0, u1, u2 = self._mu
         r2 = _dipole_r2(x0, x1, x2)
         r5 = r2 * r2 * math.sqrt(r2)
@@ -177,11 +201,11 @@ class DipolePotential(Potential):
         xn = x0 * n0 + x1 * n1 + x2 * n2
         a = -3.0 * self.m / r5
         c = 15.0 * self.m * mx * xn / (r5 * r2)
-        return np.array([
+        return (
             a * (n0 * mx + x0 * mn + u0 * xn) + c * x0,
             a * (n1 * mx + x1 * mn + u1 * xn) + c * x1,
             a * (n2 * mx + x2 * mn + u2 * xn) + c * x2,
-        ])
+        )
 
 
 @dataclass(frozen=True)
@@ -197,12 +221,20 @@ class SumPotential(Potential):
         return sum(t.value(x, nu, bp) for t in self.terms)
 
     def grad_x(self, x, nu, bp):
-        first, *rest = (t.grad_x(x, nu, bp) for t in self.terms)
-        return sum(rest, first)
+        return _sum3([t.grad_x(x, nu, bp) for t in self.terms])
 
     def grad_nu(self, x, nu, bp):
-        first, *rest = (t.grad_nu(x, nu, bp) for t in self.terms)
-        return sum(rest, first)
+        return _sum3([t.grad_nu(x, nu, bp) for t in self.terms])
+
+
+def _sum3(triples: list[Float3]) -> Float3:
+    """Componentwise sum of float triples, added in list order."""
+    s0, s1, s2 = triples[0]
+    for a0, a1, a2 in triples[1:]:
+        s0 += a0
+        s1 += a1
+        s2 += a2
+    return s0, s1, s2
 
 
 def spin_coefficient(bp: BodyParams) -> float:
@@ -215,7 +247,8 @@ def _hamiltonian_field(
 ) -> ScalarField:
     """|p|^2/(2M) + |pi|^2/(2 I1) + kappa <nu, pi>^2 + V(x, nu) as a chart field
     with analytic gradient, nu read through Layout.axis.  The spin term is
-    evaluated only for nonzero kappa."""
+    evaluated only for nonzero kappa.  The gradient takes z as an ndarray or
+    a float list and returns a float list (a floats=True field)."""
     lay = LAYOUTS[space]
     sx, sp, snu, spi = lay.x, lay.p, lay.axis, lay.pi
 
@@ -227,19 +260,22 @@ def _hamiltonian_field(
         return v + potential.value(x, nu, bp)
 
     def grad(z):
+        z = _floats(z)
         x, p, nu, pi = z[sx], z[sp], z[snu], z[spi]
-        g_nu, g_pi = potential.grad_nu(x, nu, bp), pi / bp.I1
+        m, i1 = bp.M, bp.I1
+        g_nu, g_pi = potential.grad_nu(x, nu, bp), [v / i1 for v in pi]
         if kappa:
-            spin = 2.0 * kappa * float(nu @ pi)
-            g_nu, g_pi = g_nu + spin * pi, g_pi + spin * nu
-        g = np.zeros(lay.dim)
+            spin = 2.0 * kappa * float(np.dot(nu, pi))
+            g_nu = [a + spin * b for a, b in zip(g_nu, pi)]
+            g_pi = [a + spin * b for a, b in zip(g_pi, nu)]
+        g = [0.0] * lay.dim
         g[sx] = potential.grad_x(x, nu, bp)
-        g[sp] = p / bp.M
+        g[sp] = [v / m for v in p]
         g[snu] = g_nu
         g[spi] = g_pi
         return g
 
-    return ScalarField(space, value, grad, name=name)
+    return ScalarField(space, value, grad, name=name, floats=True)
 
 
 def reduced_hamiltonian_field(bp: BodyParams, potential: Potential) -> ScalarField:
@@ -284,16 +320,28 @@ def step_count(T: float, dt: float) -> int:
     return round(steps)
 
 
-def _repair(space: SpaceId, z: np.ndarray) -> np.ndarray:
+def _repair(space: SpaceId, z: list[float]) -> list[float]:
+    """Put a step's result back on the constraint set, in place: nu scaled to
+    unit length, R replaced by its nearest rotation."""
     lay = LAYOUTS[space]
-    z = z.copy()
     if lay.nu is not None:
         nu = z[lay.nu]
-        z[lay.nu] = nu / np.linalg.norm(nu)
+        norm = float(np.linalg.norm(nu))
+        if norm == 0.0:
+            raise NonFinite("nu has zero length; it cannot be renormalized")
+        z[lay.nu] = [v / norm for v in nu]
     if lay.r is not None:
-        r = z[lay.r].reshape(3, 3)
-        z[lay.r] = reorthonormalize(r).ravel()
+        r = np.array(z[lay.r]).reshape(3, 3)
+        z[lay.r] = reorthonormalize(r).ravel().tolist()
     return z
+
+
+def _slope(space: SpaceId, h: ScalarField, z: list[float]) -> list[float]:
+    """Lambda(z) grad h(z) on float lists; a field without a float gradient
+    goes through ham_vector_field."""
+    if h.floats:
+        return vector_field_floats(space, z, h.grad(z))
+    return ham_vector_field(h, np.array(z)).tolist()
 
 
 def step(
@@ -303,24 +351,30 @@ def step(
     dt: float,
     method: str = "rk4_repair",
 ) -> np.ndarray:
-    """One RK4 step of zdot = Lambda(z) grad h(z), optionally constraint-repaired."""
+    """One RK4 step of zdot = Lambda(z) grad h(z), optionally constraint-repaired.
+
+    Works on Python floats between one tolist() and one np.array; the stage
+    sums keep the order of z + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).
+    """
     if h.space is not space:
         raise DimensionMismatch(f"Hamiltonian lives on {h.space.value}, not {space.value}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if not dt > 0.0:
         raise ValueError(f"dt = {dt} must be positive")
-    z = np.asarray(z, dtype=float)
-    k1 = ham_vector_field(h, z)
-    k2 = ham_vector_field(h, z + 0.5 * dt * k1)
-    k3 = ham_vector_field(h, z + 0.5 * dt * k2)
-    k4 = ham_vector_field(h, z + dt * k3)
-    z1 = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    z = _check_point(space, z).tolist()
+    half = 0.5 * dt
+    k1 = _slope(space, h, z)
+    k2 = _slope(space, h, [a + half * b for a, b in zip(z, k1)])
+    k3 = _slope(space, h, [a + half * b for a, b in zip(z, k2)])
+    k4 = _slope(space, h, [a + dt * b for a, b in zip(z, k3)])
+    sixth = dt / 6.0
+    z1 = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4) for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
     if method == "rk4_repair":
         z1 = _repair(space, z1)
-    if not np.all(np.isfinite(z1)):
+    if not all(map(math.isfinite, z1)):
         raise NonFinite("integration step produced a non-finite state")
-    return z1
+    return np.array(z1)
 
 
 @dataclass
@@ -373,8 +427,8 @@ def simulate(
     n_steps = step_count(T, dt)
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
-    z = np.asarray(z0, dtype=float).copy()
-    ts, zs, mons = [0.0], [z.copy()], []
+    z = np.array(z0, dtype=float)
+    ts, zs, mons = [0.0], [z], []
     k = 0
     try:
         mons.append(_monitors(space, h, z))
@@ -382,7 +436,7 @@ def simulate(
             z = step(space, h, z, dt, method)
             if k % sample_stride == 0 or k == n_steps:
                 ts.append(k * dt)
-                zs.append(z.copy())
+                zs.append(z)
                 mons.append(_monitors(space, h, z))
     except (NonFinite, TooFarFromSO3) as e:
         raise type(e)(f"step {k} of {n_steps} (t = {k * dt:.6g}): {e}") from e

@@ -31,15 +31,16 @@ third-column entry involves third-column entries only.
 Sign convention: trajectories follow zdot_a = Lambda_ab dH/dz_b, so the
 translational block yields the standard xdot = dH/dp, pdot = -dH/dx.
 
-Because the table is this sparse, ham_vector_field evaluates Lambda(z) grad H
+Because the table is this sparse, vector_field_floats evaluates Lambda(z) grad H
 in closed form rather than by forming Lambda(z).  With v standing for nu or
 for each column of R,
 
     xdot = dH/dp,   pdot = -dH/dx,   vdot = dH/dpi x v,
     pidot = dH/dpi x pi + sum_v dH/dv x v.
 
-The integrator calls it at every RK4 stage; the tensors stay the
-independent reference it is tested against.
+The integrator calls it on Python floats at every RK4 stage, and
+ham_vector_field is its ndarray form; the tensors stay the independent
+reference both are tested against.
 """
 
 from __future__ import annotations
@@ -141,12 +142,16 @@ class ScalarField:
     """Function on a chart together with its closed-form gradient.
 
     Every field supplies its own gradient; fd_gradient only checks them.
+    A field with floats=True has a grad that also takes the point as a list
+    of Python floats and returns the gradient as one; the RK4 step then
+    stays on floats (see dynamics.step).
     """
 
     space: SpaceId
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     name: str = ""
+    floats: bool = False
 
     def __call__(self, z: np.ndarray) -> float:
         return float(self.value(z))
@@ -154,33 +159,14 @@ class ScalarField:
     def gradient(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.grad(z), dtype=float)
 
-    def __add__(self, other: "ScalarField") -> "ScalarField":
+    def __mul__(self, other: "ScalarField") -> "ScalarField":
         _same_space(self, other)
         return ScalarField(
             self.space,
-            lambda z: self.value(z) + other.value(z),
-            lambda z: self.gradient(z) + other.gradient(z),
-            name=f"({self.name}+{other.name})",
+            lambda z: self.value(z) * other.value(z),
+            lambda z: self.gradient(z) * other.value(z) + self.value(z) * other.gradient(z),
+            name=f"({self.name}*{other.name})",
         )
-
-    def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            _same_space(self, other)
-            return ScalarField(
-                self.space,
-                lambda z: self.value(z) * other.value(z),
-                lambda z: self.gradient(z) * other.value(z) + self.value(z) * other.gradient(z),
-                name=f"({self.name}*{other.name})",
-            )
-        c = float(other)
-        return ScalarField(
-            self.space,
-            lambda z: c * self.value(z),
-            lambda z: c * self.gradient(z),
-            name=f"({c}*{self.name})",
-        )
-
-    __rmul__ = __mul__
 
 
 def _same_space(f: ScalarField, g: ScalarField) -> None:
@@ -261,29 +247,25 @@ def _field_table(space: SpaceId) -> tuple:
 _FIELD_TABLES = {space: _field_table(space) for space in SpaceId}
 
 
-def ham_vector_field(h: ScalarField, z: np.ndarray) -> np.ndarray:
-    """Chart tangent vector zdot_a = Lambda(z)_ab dH/dz_b, in closed form.
+def vector_field_floats(space: SpaceId, z: list[float], g: list[float]) -> list[float]:
+    """Chart tangent vector zdot_a = Lambda(z)_ab g_b in closed form, with z and
+    the gradient g = dH/dz at z given as lists of Python floats.
 
-    Works on Python floats: at chart dimension 18 or less, per-call numpy
-    overhead would cost more than the arithmetic.
+    At chart dimension 18 or less, per-call numpy overhead would cost more
+    than the arithmetic, so the RK4 step stays on floats and calls this
+    directly; ham_vector_field is its ndarray form.
     """
-    z = _check_point(h.space, z)
-    n, x0, p0, s, vectors = _FIELD_TABLES[h.space]
-    dh = h.gradient(z)
-    if dh.shape != z.shape:
-        raise DimensionMismatch(f"gradient of {h.name or 'field'} has shape {dh.shape}, chart {z.shape}")
-    g = dh.tolist()
-    zl = z.tolist()
+    n, x0, p0, s, vectors = _FIELD_TABLES[space]
     out = [0.0] * n
     w0, w1, w2 = g[s], g[s + 1], g[s + 2]
-    q0, q1, q2 = zl[s], zl[s + 1], zl[s + 2]
+    q0, q1, q2 = z[s], z[s + 1], z[s + 2]
     # pidot = w x pi + sum over vector blocks v of dH/dv x v, with w = dH/dpi
     t0 = w1 * q2 - w2 * q1
     t1 = w2 * q0 - w0 * q2
     t2 = w0 * q1 - w1 * q0
     for a, d in vectors:
         b, c = a + d, a + 2 * d
-        v0, v1, v2 = zl[a], zl[b], zl[c]
+        v0, v1, v2 = z[a], z[b], z[c]
         u0, u1, u2 = g[a], g[b], g[c]
         out[a] = w1 * v2 - w2 * v1
         out[b] = w2 * v0 - w0 * v2
@@ -295,7 +277,17 @@ def ham_vector_field(h: ScalarField, z: np.ndarray) -> np.ndarray:
     if x0 is not None:
         out[x0:x0 + 3] = g[p0:p0 + 3]
         out[p0], out[p0 + 1], out[p0 + 2] = -g[x0], -g[x0 + 1], -g[x0 + 2]
-    return np.array(out)
+    return out
+
+
+def ham_vector_field(h: ScalarField, z: np.ndarray) -> np.ndarray:
+    """Chart tangent vector zdot_a = Lambda(z)_ab dH/dz_b, in closed form
+    (vector_field_floats on ndarrays)."""
+    z = _check_point(h.space, z)
+    dh = h.gradient(z)
+    if dh.shape != z.shape:
+        raise DimensionMismatch(f"gradient of {h.name or 'field'} has shape {dh.shape}, chart {z.shape}")
+    return np.array(vector_field_floats(h.space, z.tolist(), dh.tolist()))
 
 
 def jacobi_residual(space: SpaceId, a: int, b: int, c: int, z: np.ndarray) -> float:

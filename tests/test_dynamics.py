@@ -4,7 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from symtop.algebra3 import exp_so3
+from symtop.checks import PRESET_POTENTIALS
 from symtop.dynamics import (
+    METHODS,
     BodyParams,
     DipolePotential,
     LinearGravity,
@@ -17,7 +20,10 @@ from symtop.dynamics import (
     nu_pi_of,
     reduced_hamiltonian,
     reduced_hamiltonian_field,
+    _hamiltonian_field,
+    _repair,
     simulate,
+    spin_coefficient,
     step,
     step_count,
 )
@@ -30,7 +36,7 @@ from symtop.phase import (
     random_state,
     random_unit,
 )
-from symtop.poisson import ScalarField, fd_gradient
+from symtop.poisson import ScalarField, fd_gradient, structure_matrix
 from symtop.reduction import right_action, section, z_rotation
 
 BP = BodyParams(M=1.0, I1=1.0, I3=0.5)
@@ -339,3 +345,70 @@ def test_nu_pi_of_reads_attitude_column():
     nu, pi = nu_pi_of(SpaceId.CotSE3, flatten(s, SpaceId.CotSE3))
     npt.assert_array_equal(nu, s.R[:, 2])
     npt.assert_array_equal(pi, s.pi)
+
+
+# The start state of the acceptance criteria (tests/test_acceptance.py).
+NU0 = unit([0.2, -0.4, 0.7])
+PI0 = np.array([0.4, 0.3, 0.9])
+X0 = np.array([1.5, 0.0, 0.3])
+P0 = np.array([0.0, 0.15, 0.05])
+
+
+def acceptance_start(space):
+    if space is SpaceId.CotSE3:
+        return flatten(FullState(x=X0, R=section(NU0), p=P0, pi=PI0), space)
+    return flatten(ReducedState(x=X0, p=P0, nu=NU0, pi=PI0), space)
+
+
+def free_attitude_miss(kappa):
+    """Max over samples of |z - oracle|_inf for a free full-chart run of the
+    Hamiltonian with spin coefficient kappa, against the closed-form motion
+    of the true one: x moves uniformly, p and pi are constant, and
+    R(t) = exp_so3(t pi / I1) R0 exp_so3(2 kappa_true <nu, pi> t e3)."""
+    space = SpaceId.CotSE3
+    h = _hamiltonian_field(space, BP, ZeroPotential(), kappa, "H")
+    traj = simulate(space, h, acceptance_start(space), 1e-3, 2.0, sample_stride=100)
+    r0, spin = section(NU0), 2.0 * spin_coefficient(BP) * float(NU0 @ PI0)
+    worst = 0.0
+    for t, z in zip(traj.t, traj.z):
+        r = exp_so3((t / BP.I1) * PI0) @ r0 @ exp_so3(np.array([0.0, 0.0, spin * t]))
+        want = flatten(FullState(x=X0 + t * P0 / BP.M, R=r, p=P0, pi=PI0), space)
+        worst = max(worst, float(np.abs(z - want).max()))
+    return worst
+
+
+def test_full_free_top_attitude_oracle():
+    # The spin term kappa <nu, pi>^2 turns the body about its own axis and
+    # moves nothing on the quotient, so only the full attitude shows it.
+    assert free_attitude_miss(spin_coefficient(BP)) < 1e-12
+
+
+@pytest.mark.parametrize("factor", [-1.0, 0.0], ids=["kappa-negated", "kappa-zero"])
+def test_full_free_top_attitude_oracle_sees_the_spin_term(factor):
+    assert free_attitude_miss(factor * spin_coefficient(BP)) > 0.5
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("name", list(PRESET_POTENTIALS))
+@pytest.mark.parametrize("space", [SpaceId.CotSE3, SpaceId.Reduced], ids=["full", "reduced"])
+def test_step_matches_rk4_on_structure_matrix(space, name, method):
+    # RK4 on Lambda(z) grad h(z) with Lambda from the affine tensors: ties the
+    # float step's stage sums and repair to the tensor certificate.
+    make = full_hamiltonian_field if space is SpaceId.CotSE3 else reduced_hamiltonian_field
+    h = make(BP, PRESET_POTENTIALS[name])
+
+    def slope(z):
+        return structure_matrix(space, z) @ h.gradient(z)
+
+    dt = 1e-3
+    z = ref = acceptance_start(space)
+    for _ in range(100):
+        z = step(space, h, z, dt, method)
+        k1 = slope(ref)
+        k2 = slope(ref + 0.5 * dt * k1)
+        k3 = slope(ref + 0.5 * dt * k2)
+        k4 = slope(ref + dt * k3)
+        ref = ref + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if method == "rk4_repair":
+            ref = np.array(_repair(space, ref.tolist()))
+        assert np.abs(z - ref).max() <= 1e-14 * np.abs(ref).max()
