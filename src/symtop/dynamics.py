@@ -50,7 +50,8 @@ from .phase import (
     SpaceId,
     flatten,
 )
-from .poisson import ScalarField, _check_point, ham_vector_field, vector_field_floats
+from .poisson import ScalarField, _check_point, vector_field_floats
+from .poisson import ham_vector_field  # noqa: F401  (still read as dynamics.ham_vector_field)
 from .reduction import chart_projection, project_full
 
 Float3 = tuple[float, float, float]
@@ -78,7 +79,8 @@ class Potential:
     Implementations supply value / grad_x / grad_nu; gradients are part of
     the production path (finite differences are used only to verify them).
     grad_x and grad_nu take x and nu as any 3-sequences (ndarrays, or the
-    float lists of the RK4 step) and return a triple of Python floats.
+    float lists of the RK4 step) and return a tuple of three Python floats,
+    not an ndarray: wrap it in np.array before doing arithmetic with it.
     """
 
     def value(self, x: Vec3, nu: Vec3, bp: BodyParams) -> float:
@@ -248,7 +250,7 @@ def _hamiltonian_field(
     """|p|^2/(2M) + |pi|^2/(2 I1) + kappa <nu, pi>^2 + V(x, nu) as a chart field
     with analytic gradient, nu read through Layout.axis.  The spin term is
     evaluated only for nonzero kappa.  The gradient takes z as an ndarray or
-    a float list and returns a float list (a floats=True field)."""
+    a float list and returns a float list."""
     lay = LAYOUTS[space]
     sx, sp, snu, spi = lay.x, lay.p, lay.axis, lay.pi
 
@@ -275,7 +277,7 @@ def _hamiltonian_field(
         g[spi] = g_pi
         return g
 
-    return ScalarField(space, value, grad, name=name, floats=True)
+    return ScalarField(space, value, grad, name=name)
 
 
 def reduced_hamiltonian_field(bp: BodyParams, potential: Potential) -> ScalarField:
@@ -337,11 +339,11 @@ def _repair(space: SpaceId, z: list[float]) -> list[float]:
 
 
 def _slope(space: SpaceId, h: ScalarField, z: list[float]) -> list[float]:
-    """Lambda(z) grad h(z) on float lists; a field without a float gradient
-    goes through ham_vector_field."""
-    if h.floats:
-        return vector_field_floats(space, z, h.grad(z))
-    return ham_vector_field(h, np.array(z)).tolist()
+    """Lambda(z) grad h(z) on float lists."""
+    g = _floats(h.grad(z))
+    if len(g) != len(z):
+        raise DimensionMismatch(f"gradient of {h.name or 'field'} has {len(g)} entries, chart {len(z)}")
+    return vector_field_floats(space, z, g)
 
 
 def step(

@@ -142,16 +142,15 @@ class ScalarField:
     """Function on a chart together with its closed-form gradient.
 
     Every field supplies its own gradient; fd_gradient only checks them.
-    A field with floats=True has a grad that also takes the point as a list
-    of Python floats and returns the gradient as one; the RK4 step then
-    stays on floats (see dynamics.step).
+    grad must accept the point as an ndarray or as a sequence of Python
+    floats: the RK4 step calls it on float lists (see dynamics.step).  It
+    may return an ndarray or a float sequence of the chart's length.
     """
 
     space: SpaceId
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     name: str = ""
-    floats: bool = False
 
     def __call__(self, z: np.ndarray) -> float:
         return float(self.value(z))

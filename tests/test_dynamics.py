@@ -38,6 +38,7 @@ from symtop.phase import (
 )
 from symtop.poisson import ScalarField, fd_gradient, structure_matrix
 from symtop.reduction import right_action, section, z_rotation
+from test_acceptance import NU0, P0, PI0, X0, full_start, reduced_start
 
 BP = BodyParams(M=1.0, I1=1.0, I3=0.5)
 
@@ -232,6 +233,9 @@ def test_step_validates_inputs():
         step(SpaceId.Reduced, h, z, -0.1)
     with pytest.raises(ValueError):
         step(SpaceId.Reduced, h, z, 0.1, method="euler")
+    short = ScalarField(SpaceId.Reduced, lambda z: 0.0, lambda z: np.zeros(11))
+    with pytest.raises(DimensionMismatch):
+        step(SpaceId.Reduced, short, z, 0.1)
 
 
 def test_step_raises_on_non_finite():
@@ -347,17 +351,9 @@ def test_nu_pi_of_reads_attitude_column():
     npt.assert_array_equal(pi, s.pi)
 
 
-# The start state of the acceptance criteria (tests/test_acceptance.py).
-NU0 = unit([0.2, -0.4, 0.7])
-PI0 = np.array([0.4, 0.3, 0.9])
-X0 = np.array([1.5, 0.0, 0.3])
-P0 = np.array([0.0, 0.15, 0.05])
-
-
 def acceptance_start(space):
-    if space is SpaceId.CotSE3:
-        return flatten(FullState(x=X0, R=section(NU0), p=P0, pi=PI0), space)
-    return flatten(ReducedState(x=X0, p=P0, nu=NU0, pi=PI0), space)
+    start = full_start() if space is SpaceId.CotSE3 else reduced_start()
+    return flatten(start, space)
 
 
 def free_attitude_miss(kappa):
