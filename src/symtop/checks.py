@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, orbits, poisson, reduction
-from .algebra3 import cross
+from .algebra3 import cross, norm3
 from .phase import (
     LAYOUTS,
     Se3DualPoint,
@@ -244,11 +244,11 @@ def check_gradients(seed: int = 0, points: int = 100) -> list[CheckResult]:
         for _ in range(points):
             x = random_unit(rng) * rng.uniform(0.8, 2.0)
             nu = random_unit(rng)
-            gx = pot.grad_x(x, nu, bp)
-            gn = pot.grad_nu(x, nu, bp)
+            gx = np.array(pot.grad_x(x, nu, bp))
+            gn = np.array(pot.grad_nu(x, nu, bp))
             fx = poisson.fd_gradient(lambda xx: pot.value(xx, nu, bp), x)
             fn = poisson.fd_gradient(lambda nn: pot.value(x, nn, bp), nu)
-            scale = max(np.linalg.norm(gx), np.linalg.norm(gn), 1.0)
+            scale = max(norm3(gx), norm3(gn), 1.0)
             worst = max(
                 worst,
                 float(np.abs(gx - fx).max() / scale),
@@ -265,7 +265,7 @@ def check_gradients(seed: int = 0, points: int = 100) -> list[CheckResult]:
             z = random_chart_point(space, seed + 31 * k)
             g = fld.gradient(z)
             f = poisson.fd_gradient(fld.value, z)
-            scale = max(float(np.linalg.norm(g)), 1.0)
+            scale = max(norm3(g), 1.0)
             worst = max(worst, float(np.abs(g - f).max() / scale))
         out.append(CheckResult(f"gradients/{label}", worst, 1e-5, points))
     return out

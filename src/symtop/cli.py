@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import checks, dynamics, orbits
-from .algebra3 import cross, exp_so3, reorthonormalize, rotation_defect
+from .algebra3 import cross, exp_so3, norm3, reorthonormalize, rotation_defect
 from .errors import NonFinite, TooFarFromSO3
 from .phase import LAYOUTS, FullState, ReducedState, Se3DualPoint, SpaceId, flatten, random_rotation
 
@@ -102,7 +102,7 @@ def parse_potential(node, where: str = "potential") -> dynamics.Potential:
     if kind == "gravity":
         _require_keys(node, {"type", "g", "chi"}, set(), where)
         g = _vec(node["g"], 3, f"{where}.g")
-        if np.linalg.norm(g) == 0.0:
+        if norm3(g) == 0.0:
             raise ConfigError(f"{where}.g must be nonzero")
         return dynamics.LinearGravity(g=g, chi=_finite(node["chi"], f"{where}.chi"))
     if kind == "dipole":
@@ -133,10 +133,10 @@ def _load_rotation(initial: dict) -> np.ndarray:
 
 def _load_nu(initial: dict) -> np.ndarray:
     nu = _vec(initial["nu"], 3, "initial.nu")
-    defect = abs(float(np.linalg.norm(nu)) - 1.0)
+    defect = abs(norm3(nu) - 1.0)
     if defect > ROTATION_LOAD_TOL:
         raise ConfigError(f"initial |nu| deviates from 1 by {defect:.3e} (limit {ROTATION_LOAD_TOL})")
-    return nu / np.linalg.norm(nu)
+    return nu / norm3(nu)
 
 
 class RunConfig:
@@ -306,7 +306,7 @@ def cmd_orbit(args) -> int:
     print(f"sampled {args.count} same-level points via the coadjoint action")
     print(f"worst witness residual: {worst:.3e}  ({'PASS' if worst <= 1e-9 else 'FAIL'} at 1e-9)")
 
-    nh = nu / np.linalg.norm(nu)
+    nh = nu / norm3(nu)
     print(f"magnetic form samples at c2 = {_fmt(level.c2)} (tangent pairs at nu/|nu|):")
     for _ in range(3):
         u = cross(nh, rng.uniform(-1, 1, 3))

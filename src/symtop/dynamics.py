@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra3 import Vec3, exp_so3, orthogonality_defect, reorthonormalize
+from .algebra3 import Vec3, exp_so3, norm3, orthogonality_defect, reorthonormalize
 from .errors import DimensionMismatch, NonFinite, TooFarFromSO3
 from .phase import (
     LAYOUTS,
@@ -115,7 +115,7 @@ class LinearGravity(Potential):
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
-        norm = np.linalg.norm(g)
+        norm = norm3(g)
         if norm == 0.0:
             raise ValueError("gravity vector must be nonzero")
         object.__setattr__(self, "g", g)
@@ -328,7 +328,7 @@ def _repair(space: SpaceId, z: list[float]) -> list[float]:
     lay = LAYOUTS[space]
     if lay.nu is not None:
         nu = z[lay.nu]
-        norm = float(np.linalg.norm(nu))
+        norm = norm3(np.array(nu))
         if norm == 0.0:
             raise NonFinite("nu has zero length; it cannot be renormalized")
         z[lay.nu] = [v / norm for v in nu]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .algebra3 import Mat3, Vec3, cross, require_rotation, rotation_aligning
 from .errors import NotSameLevel, NotTangent, NotUnit, ZeroNu
-from .phase import LAYOUTS, Se3DualPoint, SpaceId
+from .phase import LAYOUTS, Se3DualPoint, SpaceId, _vec3
 from .poisson import ScalarField
 
 
@@ -49,7 +49,7 @@ class SE3Element:
     A: Mat3
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
+        object.__setattr__(self, "a", _vec3(self.a, "a"))
         object.__setattr__(self, "A", require_rotation(self.A))
 
     def compose(self, other: "SE3Element") -> "SE3Element":
@@ -71,13 +71,13 @@ class OrbitLevel:
 
 def casimirs(q: Se3DualPoint) -> OrbitLevel:
     """(|nu|^2, <nu, pi>)."""
-    return OrbitLevel(c1=float(q.nu @ q.nu), c2=float(q.nu @ q.pi))
+    return OrbitLevel(c1=float(q.nu.dot(q.nu)), c2=float(q.nu.dot(q.pi)))
 
 
 def coadjoint(g: SE3Element, q: Se3DualPoint) -> Se3DualPoint:
     """(nu, pi) -> (A nu, a x A nu + A pi)."""
-    anu = g.A @ q.nu
-    return Se3DualPoint(nu=anu, pi=cross(g.a, anu) + g.A @ q.pi)
+    anu = g.A.dot(q.nu)
+    return Se3DualPoint(nu=anu, pi=cross(g.a, anu) + g.A.dot(q.pi))
 
 
 def on_level(q: Se3DualPoint, level: OrbitLevel, tol: float) -> bool:
@@ -105,7 +105,7 @@ def same_orbit_witness(
     if l1.c1 <= tol:
         raise ZeroNu(f"c1 = {l1.c1:.3e} too small for an orbit witness")
     rot = rotation_aligning(q1.nu, q2.nu)
-    d = q2.pi - rot @ q1.pi
+    d = q2.pi - rot.dot(q1.pi)
     a = cross(q2.nu, d) / l1.c1
     return SE3Element(a=a, A=rot)
 
@@ -113,9 +113,9 @@ def same_orbit_witness(
 def witness_residual(g: SE3Element, q1: Se3DualPoint, q2: Se3DualPoint) -> float:
     """max-norm error of coadjoint(g, q1) against q2."""
     image = coadjoint(g, q1)
-    return float(
-        max(np.abs(image.nu - q2.nu).max(), np.abs(image.pi - q2.pi).max())
-    )
+    got = image.nu.tolist() + image.pi.tolist()
+    want = q2.nu.tolist() + q2.pi.tolist()
+    return max([abs(x - y) for x, y in zip(got, want)])
 
 
 def magnetic_form(nu: Vec3, u: Vec3, v: Vec3, c2: float, tol: float = 1e-9) -> float:

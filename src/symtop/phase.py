@@ -25,12 +25,13 @@ Flat layouts (row-major R):
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .algebra3 import Mat3, Vec3, exp_so3, require_rotation
+from .algebra3 import Mat3, Vec3, exp_so3, norm3, require_rotation
 from .errors import DimensionMismatch
 
 
@@ -92,7 +93,8 @@ def _vec3(v, name: str) -> Vec3:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"{name} must have shape (3,), got {a.shape}")
-    if not np.isfinite(a).all():
+    x, y, z = a.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"{name} has non-finite components")
     return a
 
@@ -198,19 +200,20 @@ def unflatten(space: SpaceId, z: np.ndarray) -> State:
     return _STATE_TYPES[space](**{name: z[block].reshape(shape) for name, block, shape in _FIELDS[space]})
 
 
+def _random_turn(rng: np.random.Generator) -> Mat3:
+    """Turn about a uniform random axis by an angle uniform in [0, pi]."""
+    axis = rng.normal(size=3)
+    return exp_so3(axis / norm3(axis) * rng.uniform(0.0, math.pi))
+
+
 def random_rotation(rng: np.random.Generator) -> Mat3:
-    """Generic rotation from a composition of random axis-angle exponentials."""
-    r = np.eye(3)
-    for _ in range(3):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        r = r @ exp_so3(axis * rng.uniform(0.0, np.pi))
-    return r
+    """Generic rotation: the product of three random turns, drawn in order."""
+    return _random_turn(rng).dot(_random_turn(rng)).dot(_random_turn(rng))
 
 
 def random_unit(rng: np.random.Generator) -> Vec3:
     v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+    return v / norm3(v)
 
 
 def _random_component(rng: np.random.Generator) -> Vec3:

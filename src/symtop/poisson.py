@@ -302,9 +302,16 @@ def jacobi_residual(space: SpaceId, a: int, b: int, c: int, z: np.ndarray) -> fl
 
 
 def jacobi_residual_all(space: SpaceId, z: np.ndarray) -> np.ndarray:
-    """Residual tensor over every index triple at once (vectorized)."""
+    """Residual tensor over every index triple at once (vectorized).
+
+    T[a, b, c] = sum_d Lambda[a, d] LIN[b, c, d] is one matrix product with
+    the (n*n, n) view of LIN.  Each LIN[b, c, :] has at most one nonzero
+    entry, +-1, so every sum is one exact product plus exact zeros and the
+    result does not depend on the order BLAS sums in.
+    """
     z = _check_point(space, z)
     lam = structure_matrix(space, z)
     _, lin = structure_tensors(space)
-    t = np.einsum("ad,bcd->abc", lam, lin)
+    n = z.shape[0]
+    t = (lam @ lin.reshape(n * n, n).T).reshape(n, n, n)
     return t + np.transpose(t, (1, 2, 0)) + np.transpose(t, (2, 0, 1))

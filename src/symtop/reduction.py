@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra3 import IDENTITY, Mat3, Vec3, cross, exp_so3, orthogonal_unit
+from .algebra3 import IDENTITY, Mat3, Vec3, cross, exp_so3, norm3, orthogonal_unit
 from .errors import DimensionMismatch
 from .phase import (
     LAYOUTS,
@@ -87,7 +87,7 @@ def section(nu: Vec3) -> Mat3:
     whole sphere.
     """
     nu = np.asarray(nu, dtype=float)
-    n = np.linalg.norm(nu)
+    n = norm3(nu)
     if n == 0.0:
         raise ValueError("cannot build a frame over nu = 0")
     nh = nu / n

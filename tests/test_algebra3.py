@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,10 +8,12 @@ from symtop.algebra3 import (
     cross,
     exp_so3,
     hat,
+    norm3,
     orthogonality_defect,
     orthogonal_unit,
     reorthonormalize,
     rotation_aligning,
+    require_rotation,
     rotation_defect,
     vee,
 )
@@ -201,3 +205,46 @@ def test_orthogonal_unit():
 def test_orthogonality_defect_zero_on_rotations():
     rng = np.random.default_rng(12)
     assert orthogonality_defect(random_rotation(rng)) < 1e-15
+
+
+def non_finite_matrices():
+    """NaN and inf entries, one at a time and everywhere."""
+    one_nan, one_inf, neg_inf = np.eye(3), np.eye(3), np.eye(3)
+    one_nan[0, 0] = np.nan
+    one_inf[1, 2] = np.inf
+    neg_inf[2, 0] = -np.inf
+    return [np.full((3, 3), np.nan), one_nan, one_inf, neg_inf,
+            np.where(np.eye(3) == 1.0, np.inf, 0.0), np.full((3, 3), np.inf)]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_defects_are_nan_on_non_finite_matrices():
+    for m in non_finite_matrices():
+        assert math.isnan(rotation_defect(m))
+    for m in non_finite_matrices()[:-1]:  # M^T M has a NaN entry (a NaN, or 0 * inf)
+        assert math.isnan(orthogonality_defect(m))
+    # an all-inf M gives an all-inf M^T M, whose defect is inf, as np.max has it
+    assert orthogonality_defect(np.full((3, 3), np.inf)) == math.inf
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_non_finite_matrices_are_not_rotations():
+    for m in non_finite_matrices():
+        with pytest.raises(TooFarFromSO3):
+            reorthonormalize(m)
+        with pytest.raises(ValueError, match="rotation defect"):
+            require_rotation(m)
+
+
+def test_norm3_matches_numpy_norm_bytes():
+    rng = np.random.default_rng(14)
+    for _ in range(2000):
+        v = rng.normal(size=3) * 10.0 ** rng.uniform(-150, 150)
+        assert np.float64(norm3(v)).tobytes() == np.linalg.norm(v).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_exp_so3_non_finite_angle_gives_nan():
+    # |v| overflows to inf for finite v, as well as for inf or NaN entries
+    for v in ([1e200, 0.0, 0.0], [np.inf, 0.0, 1.0], [0.0, np.nan, 0.0]):
+        assert np.isnan(exp_so3(v)).all()

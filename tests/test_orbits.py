@@ -241,3 +241,20 @@ def test_hamiltonian_flow_stays_on_level():
         for i in range(len(traj)):
             pt = q(traj.z[i][0:3], traj.z[i][3:6])
             assert on_level(pt, lvl, 1e-8)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_se3_element_rejects_non_finite_rotation():
+    for bad in (np.eye(3) * np.inf, np.full((3, 3), np.nan)):
+        with pytest.raises(ValueError, match="rotation defect"):
+            SE3Element(a=[0, 0, 0], A=bad)
+
+
+@pytest.mark.parametrize("a, match", [
+    ([1.0, 2.0], "shape"),
+    ([0.0, np.nan, 0.0], "non-finite"),
+    ([np.inf, 0.0, 0.0], "non-finite"),
+])
+def test_se3_element_rejects_bad_translation(a, match):
+    with pytest.raises(ValueError, match=match):
+        SE3Element(a=a, A=np.eye(3))

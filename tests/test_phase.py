@@ -154,3 +154,14 @@ def test_unflatten_inverts_flatten(state):
     for name, value in vars(state).items():
         npt.assert_array_equal(getattr(back, name), value)
     npt.assert_array_equal(flatten(back, space), z)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_states_reject_non_finite_rotation(bad):
+    r = np.eye(3)
+    r[0, 1] = bad
+    with pytest.raises(ValueError, match="rotation defect"):
+        CotSO3State(R=np.full((3, 3), bad), pi=[0, 0, 1])
+    with pytest.raises(ValueError, match="rotation defect"):
+        FullState(x=np.zeros(3), R=r, p=np.zeros(3), pi=[0, 0, 1])

@@ -262,6 +262,20 @@ def test_structure_matrix_matches_tensordot_bytes():
                 assert structure_matrix(space, z).tobytes() == reference.tobytes()
 
 
+def test_jacobi_residual_all_matches_einsum_bytes():
+    # the einsum contraction the matrix product replaced, as the reference:
+    # each LIN[b, c, :] has at most one nonzero entry, +-1, so both are exact
+    for space in ALL:
+        _, lin = structure_tensors(space)
+        assert ((lin != 0).sum(axis=2) <= 1).all() and set(np.unique(lin)) <= {-1.0, 0.0, 1.0}
+        for seed in range(20):
+            for scale in 10.0 ** np.arange(-3, 4):
+                z = scale * random_chart_point(space, seed)
+                t = np.einsum("ad,bcd->abc", structure_matrix(space, z), lin)
+                reference = t + np.transpose(t, (1, 2, 0)) + np.transpose(t, (2, 0, 1))
+                assert jacobi_residual_all(space, z).tobytes() == reference.tobytes()
+
+
 def test_leibniz_rule():
     rng = np.random.default_rng(3)
     for space in ALL:
