@@ -5,8 +5,10 @@ rotation defects run on Python floats (see the algebra3 docstring) and must
 return the bits of the numpy expressions they replaced.  The sha256 literals
 were taken from those numpy expressions, with numpy 2.4 and its bundled
 OpenBLAS on x86-64; a BLAS build that rounds or sums in another order gives
-other literals.  The reference tests at the end compare against the same
-numpy expressions run here, so they hold on any build.
+other literals, so the literal tests need that build (CI installs
+numpy==2.4.*).  The reference tests at the end compare against the same
+numpy expressions run here, so they are the portable check and hold on any
+build.
 """
 
 import hashlib
