@@ -16,7 +16,7 @@ Float-native kernel.  The random points the certificates draw pass through
 this module thousands of times per suite, so hat, exp_so3 and the defects
 read their input with one tolist(), do their scalar arithmetic on Python
 floats and build their result array once, returning the same bits as the
-numpy expressions they replaced.  Three kinds of numpy call stay, because a
+numpy expressions they replaced.  Two kinds of numpy call stay, because a
 float rewrite changes the output bits (counts on standard-normal inputs):
 
     dot products and 3x3 products  OpenBLAS rounds with fused multiply-adds:
@@ -26,7 +26,6 @@ float rewrite changes the output bits (counts on standard-normal inputs):
                                    20,000, while norm3 = sqrt(v.dot(v)) is
                                    what np.linalg.norm computes
     np.arctan2                     math.atan2 differed in 7,322 of 100,000
-    np.linalg.inv                  in reorthonormalize's Newton iteration
 
 The products are spelled ndarray.dot: it makes the same BLAS call as @
 (no difference in 40,000 random cases, signed zeros included) without the
@@ -34,7 +33,9 @@ ufunc dispatch, at about a third of the cost for 3x3 operands.  math.sin and
 math.cos agree with np.sin and np.cos bit for bit (100,000 angles in
 [0, 4]), so the Rodrigues coefficients use them.  rotation_defect takes its
 determinant from cofactors, not LU: only a tolerance decision and a .3e
-message read it.
+message read it.  reorthonormalize's Newton update takes M^-T from cofactors
+too, on floats, where np.linalg.inv would cost more than the arithmetic; it
+agrees with the np.linalg.inv iteration to within 1e-15 (tests/test_algebra3.py).
 """
 
 from __future__ import annotations
@@ -180,10 +181,16 @@ def exp_so3(v: Vec3) -> Mat3:
 def reorthonormalize(m: Mat3, max_defect: float = REPAIR_LIMIT) -> Mat3:
     """Nearest rotation to m in the polar-decomposition sense.
 
-    Newton iteration M <- (M + M^-T)/2 converges quadratically to the
-    orthogonal polar factor for matrices near SO(3); it is a fixed point on
-    exact rotations and commutes with right multiplication by a rotation.
-    Raises TooFarFromSO3 when the input defect exceeds max_defect.
+    Newton iteration M <- (M + M^-T)/2 (Higham 1986) converges quadratically
+    to the orthogonal polar factor for matrices near SO(3); it is a fixed
+    point on exact rotations and commutes with right multiplication by a
+    rotation.  A reflection converges to the nearest reflection.  Raises
+    TooFarFromSO3 when the input defect exceeds max_defect; with the default
+    REPAIR_LIMIT = 0.1, M^T M has diagonal entries >= 0.9 and off-diagonal
+    row sums <= 0.2, so by Gershgorin every eigenvalue of M^T M is >= 0.7,
+    |det M| >= 0.7^1.5 and the cofactor inverse never divides by zero; the
+    Newton steps only move the singular values towards 1.  The stop test and
+    the limit read orthogonality_defect.
     """
     m = np.asarray(m, dtype=float)
     d = orthogonality_defect(m)
@@ -193,9 +200,30 @@ def reorthonormalize(m: Mat3, max_defect: float = REPAIR_LIMIT) -> Mat3:
     for _ in range(30):
         if d <= 1e-15:
             break
-        r = 0.5 * (r + np.linalg.inv(r).T)
+        r = _polar_newton_step(r)
         d = orthogonality_defect(r)
     return r
+
+
+def _polar_newton_step(m: Mat3) -> Mat3:
+    """(M + M^-T)/2 on floats, with M^-T = cofactor(M) / det M.
+
+    det M is the first-row cofactor expansion.  Within the default repair
+    limit det M cannot vanish (see reorthonormalize); a larger max_defect
+    can admit a singular M, which raises TooFarFromSO3.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    c00, c01, c02 = e * i - f * h, f * g - d * i, d * h - e * g
+    c10, c11, c12 = c * h - b * i, a * i - c * g, b * g - a * h
+    c20, c21, c22 = b * f - c * e, c * d - a * f, a * e - b * d
+    det = a * c00 + b * c01 + c * c02
+    if det == 0.0:
+        raise TooFarFromSO3("singular matrix has no polar factor")
+    return np.array([
+        0.5 * (a + c00 / det), 0.5 * (b + c01 / det), 0.5 * (c + c02 / det),
+        0.5 * (d + c10 / det), 0.5 * (e + c11 / det), 0.5 * (f + c12 / det),
+        0.5 * (g + c20 / det), 0.5 * (h + c21 / det), 0.5 * (i + c22 / det),
+    ]).reshape(3, 3)
 
 
 def rotation_aligning(a: Vec3, b: Vec3) -> Mat3:

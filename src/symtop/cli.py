@@ -241,8 +241,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _seed(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
+
+
 def cmd_check(args) -> int:
-    results = checks.run_suite(args.suite, seed=args.seed)
+    results = checks.run_suite(args.suite, seed=_seed(args))
     for r in results:
         print(r.line())
     ok = all(r.passed for r in results)
@@ -251,6 +257,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be a positive finite number, got {args.tol!r}")
     cfg = load_config(args.config)
     if cfg.space is not SpaceId.CotSE3:
         raise ConfigError("compare requires a config with space = 'full'")
@@ -276,6 +284,9 @@ def _parse_triple(s: str, name: str) -> np.ndarray:
 
 
 def cmd_orbit(args) -> int:
+    seed = _seed(args)
+    if args.count < 1:
+        raise ConfigError(f"--count must be a positive integer, got {args.count}")
     nu = _parse_triple(args.nu, "nu")
     pi = _parse_triple(args.pi, "pi")
     # The Casimirs' rounding grows with |nu|^2 and |nu||pi|, so the level
@@ -296,7 +307,7 @@ def cmd_orbit(args) -> int:
     level = orbits.casimirs(q0)
     print(f"Casimir level: C1 = {_fmt(level.c1)}, C2 = {_fmt(level.c2)}")
 
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(args.count):
         g = orbits.SE3Element(a=rng.uniform(-1, 1, 3), A=random_rotation(rng))

@@ -25,17 +25,18 @@ constraint drift itself can be measured.
 A step runs on Python floats: one tolist() on the way in, one np.array on
 the way out, and in between the Hamiltonian gradient, the vector field
 (poisson.vector_field_floats), the stage sums and the nu repair work on
-lists, because at chart dimension 18 or less numpy's per-call overhead costs
-more than the arithmetic.  Two 3-term dot products stay on numpy, <nu, pi>
-in the spin term and |nu| in the repair: numpy's dot rounds differently from
-a plain float sum, and keeping it keeps trajectories bit-identical to the
-ndarray form of the same expressions.  R is repaired by
-algebra3.reorthonormalize.
+floats, because at chart dimension 18 or less numpy's per-call overhead
+costs more than the arithmetic.  <nu, pi> in the spin term and |nu| in the
+repair are plain float sums.  R is repaired by algebra3.reorthonormalize,
+whose Newton update also runs on floats.  So the step's arithmetic does not
+depend on whether the BLAS build fuses multiply-adds; only the R repair's
+stop test (algebra3.orthogonality_defect) still reads a BLAS Gram matrix.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -79,7 +80,7 @@ class Potential:
     Implementations supply value / grad_x / grad_nu; gradients are part of
     the production path (finite differences are used only to verify them).
     grad_x and grad_nu take x and nu as any 3-sequences (ndarrays, or the
-    float lists of the RK4 step) and return a tuple of three Python floats,
+    float triples of the RK4 step) and return a tuple of three Python floats,
     not an ndarray: wrap it in np.array before doing arithmetic with it.
     """
 
@@ -124,7 +125,7 @@ class LinearGravity(Potential):
         object.__setattr__(self, "_grad_nu", tuple((self.chi * self._ghat).tolist()))
 
     def value(self, x, nu, bp):
-        return bp.M * float(self.g @ x) + self.chi * float(nu @ self._ghat)
+        return bp.M * float(self.g.dot(x)) + self.chi * float(self._ghat.dot(nu))
 
     def grad_x(self, x, nu, bp):
         m = bp.M
@@ -249,33 +250,41 @@ def _hamiltonian_field(
 ) -> ScalarField:
     """|p|^2/(2M) + |pi|^2/(2 I1) + kappa <nu, pi>^2 + V(x, nu) as a chart field
     with analytic gradient, nu read through Layout.axis.  The spin term is
-    evaluated only for nonzero kappa.  The gradient takes z as an ndarray or
-    a float list and returns a float list."""
+    evaluated only for nonzero kappa.
+
+    The gradient takes z as an ndarray or a float list, reads x, p, nu, pi
+    as twelve floats with one itemgetter and returns a float tuple placed by
+    a second one; both index tables come from the layout, here.  Entries
+    outside those blocks (the first two columns of R) are 0.0.
+    """
     lay = LAYOUTS[space]
     sx, sp, snu, spi = lay.x, lay.p, lay.axis, lay.pi
+    entries = [a for s in (sx, sp, snu, spi) for a in range(lay.dim)[s]]
+    take = operator.itemgetter(*entries)
+    slot = [len(entries)] * lay.dim  # the trailing 0.0 of the values below
+    for k, a in enumerate(entries):
+        slot[a] = k
+    place = operator.itemgetter(*slot)
+    m, i1 = bp.M, bp.I1
 
     def value(z):
         x, p, nu, pi = z[sx], z[sp], z[snu], z[spi]
-        v = float(p @ p) / (2.0 * bp.M) + float(pi @ pi) / (2.0 * bp.I1)
+        v = float(p.dot(p)) / (2.0 * m) + float(pi.dot(pi)) / (2.0 * i1)
         if kappa:
-            v += kappa * float(nu @ pi) ** 2
+            v += kappa * float(nu.dot(pi)) ** 2
         return v + potential.value(x, nu, bp)
 
     def grad(z):
-        z = _floats(z)
-        x, p, nu, pi = z[sx], z[sp], z[snu], z[spi]
-        m, i1 = bp.M, bp.I1
-        g_nu, g_pi = potential.grad_nu(x, nu, bp), [v / i1 for v in pi]
+        x0, x1, x2, p0, p1, p2, n0, n1, n2, q0, q1, q2 = take(_floats(z))
+        x, nu = (x0, x1, x2), (n0, n1, n2)
+        gx0, gx1, gx2 = potential.grad_x(x, nu, bp)
+        gn0, gn1, gn2 = potential.grad_nu(x, nu, bp)
+        gq0, gq1, gq2 = q0 / i1, q1 / i1, q2 / i1
         if kappa:
-            spin = 2.0 * kappa * float(np.dot(nu, pi))
-            g_nu = [a + spin * b for a, b in zip(g_nu, pi)]
-            g_pi = [a + spin * b for a, b in zip(g_pi, nu)]
-        g = [0.0] * lay.dim
-        g[sx] = potential.grad_x(x, nu, bp)
-        g[sp] = [v / m for v in p]
-        g[snu] = g_nu
-        g[spi] = g_pi
-        return g
+            spin = 2.0 * kappa * (n0 * q0 + n1 * q1 + n2 * q2)
+            gn0, gn1, gn2 = gn0 + spin * q0, gn1 + spin * q1, gn2 + spin * q2
+            gq0, gq1, gq2 = gq0 + spin * n0, gq1 + spin * n1, gq2 + spin * n2
+        return place((gx0, gx1, gx2, p0 / m, p1 / m, p2 / m, gn0, gn1, gn2, gq0, gq1, gq2, 0.0))
 
     return ScalarField(space, value, grad, name=name)
 
@@ -327,11 +336,11 @@ def _repair(space: SpaceId, z: list[float]) -> list[float]:
     unit length, R replaced by its nearest rotation."""
     lay = LAYOUTS[space]
     if lay.nu is not None:
-        nu = z[lay.nu]
-        norm = norm3(np.array(nu))
+        n0, n1, n2 = z[lay.nu]
+        norm = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
         if norm == 0.0:
             raise NonFinite("nu has zero length; it cannot be renormalized")
-        z[lay.nu] = [v / norm for v in nu]
+        z[lay.nu] = n0 / norm, n1 / norm, n2 / norm
     if lay.r is not None:
         r = np.array(z[lay.r]).reshape(3, 3)
         z[lay.r] = reorthonormalize(r).ravel().tolist()
@@ -406,7 +415,7 @@ def _monitors(space: SpaceId, h: ScalarField, z: np.ndarray) -> tuple[float, flo
     nu, pi = nu_pi_of(space, z)
     lay = LAYOUTS[space]
     defect = orthogonality_defect(z[lay.r].reshape(3, 3)) if lay.r is not None else 0.0
-    return h(z), float(nu @ nu), float(nu @ pi), float(defect)
+    return h(z), float(nu.dot(nu)), float(nu.dot(pi)), float(defect)
 
 
 def simulate(

@@ -158,6 +158,6 @@ def casimir_fields(space: SpaceId) -> tuple[ScalarField, ScalarField]:
         g[s_pi] = z[s_nu]
         return g
 
-    c1 = ScalarField(space, lambda z: float(z[s_nu] @ z[s_nu]), c1_grad, name="C1")
-    c2 = ScalarField(space, lambda z: float(z[s_nu] @ z[s_pi]), c2_grad, name="C2")
+    c1 = ScalarField(space, lambda z: float(z[s_nu].dot(z[s_nu])), c1_grad, name="C1")
+    c2 = ScalarField(space, lambda z: float(z[s_nu].dot(z[s_pi])), c2_grad, name="C2")
     return c1, c2

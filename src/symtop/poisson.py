@@ -45,6 +45,7 @@ reference both are tested against.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -129,11 +130,14 @@ def fd_gradient(f: Callable[[np.ndarray], float], z: np.ndarray, step: float = 1
     """Central finite-difference gradient; verification oracle only."""
     z = np.asarray(z, dtype=float)
     g = np.zeros_like(z)
-    for a in range(z.size):
-        zp, zm = z.copy(), z.copy()
-        zp[a] += step
-        zm[a] -= step
-        g[a] = (f(zp) - f(zm)) / (2.0 * step)
+    w = z.copy()  # one working copy: each entry is perturbed, then restored
+    for a, za in enumerate(z.tolist()):
+        w[a] = za + step
+        fp = f(w)
+        w[a] = za - step
+        fm = f(w)
+        w[a] = za
+        g[a] = (fp - fm) / (2.0 * step)
     return g
 
 
@@ -246,9 +250,9 @@ def _field_table(space: SpaceId) -> tuple:
 _FIELD_TABLES = {space: _field_table(space) for space in SpaceId}
 
 
-def vector_field_floats(space: SpaceId, z: list[float], g: list[float]) -> list[float]:
+def vector_field_floats(space: SpaceId, z: list[float], g: Sequence[float]) -> list[float]:
     """Chart tangent vector zdot_a = Lambda(z)_ab g_b in closed form, with z and
-    the gradient g = dH/dz at z given as lists of Python floats.
+    the gradient g = dH/dz at z given as sequences of Python floats.
 
     At chart dimension 18 or less, per-call numpy overhead would cost more
     than the arithmetic, so the RK4 step stays on floats and calls this

@@ -248,3 +248,56 @@ def test_exp_so3_non_finite_angle_gives_nan():
     # |v| overflows to inf for finite v, as well as for inf or NaN entries
     for v in ([1e200, 0.0, 0.0], [np.inf, 0.0, 1.0], [0.0, np.nan, 0.0]):
         assert np.isnan(exp_so3(v)).all()
+
+
+def newton_polar_reference(m):
+    """reorthonormalize's iteration with the inverse taken by np.linalg.inv,
+    the form the cofactor inverse replaced; kept here as the reference."""
+    d = orthogonality_defect(m)
+    r = m
+    for _ in range(30):
+        if d <= 1e-15:
+            break
+        r = 0.5 * (r + np.linalg.inv(r).T)
+        d = orthogonality_defect(r)
+    return r
+
+
+def perturbed_matrices(rng, count, flip=False):
+    """Rotations (reflections with flip) plus noise, with orthogonality
+    defects spread log-uniformly from about 1e-16 to 5e-2."""
+    out = []
+    while len(out) < count:
+        m = random_rotation(rng)
+        if flip:
+            m = m @ np.diag([1.0, 1.0, -1.0])
+        m = m + rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-16.5, -1.5)
+        if orthogonality_defect(m) <= 5e-2:
+            out.append(m)
+    return out
+
+
+def test_reorthonormalize_matches_inverse_newton_reference():
+    rng = np.random.default_rng(15)
+    ms = perturbed_matrices(rng, 4000)
+    defects = [orthogonality_defect(m) for m in ms]
+    assert min(defects) < 1e-15 and max(defects) > 1e-2
+    refs = [newton_polar_reference(m) for m in ms]
+    outs = [reorthonormalize(m) for m in ms]
+    assert max(np.abs(o - r).max() for o, r in zip(outs, refs)) <= 1e-15
+    assert max(map(rotation_defect, outs)) <= max(map(rotation_defect, refs))
+
+
+def test_reorthonormalize_keeps_reflections():
+    rng = np.random.default_rng(16)
+    for m in perturbed_matrices(rng, 200, flip=True):
+        r = reorthonormalize(m)
+        assert abs(np.linalg.det(r) + 1.0) < 1e-14
+        assert orthogonality_defect(r) < 1e-14
+        assert np.abs(r - newton_polar_reference(m)).max() <= 1e-15
+
+
+def test_reorthonormalize_singular_matrix_under_a_raised_limit():
+    # defect 1 is admitted by max_defect = 2, but M has no inverse
+    with pytest.raises(TooFarFromSO3, match="singular"):
+        reorthonormalize(np.diag([1.0, 1.0, 0.0]), max_defect=2.0)

@@ -326,6 +326,31 @@ def test_orbit_rejects_bad_vector(capsys, nu, pi, message):
     assert err.startswith(message) and err.count("\n") == 1
 
 
+ORBIT_ARGS = ["orbit", "--nu", "0,0,1", "--pi", "0.1,0.2,0.3"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--suite", "all", "--seed", "-1"], "error: --seed must be a non-negative integer"),
+        (ORBIT_ARGS + ["--seed", "-1"], "error: --seed must be a non-negative integer"),
+        (ORBIT_ARGS + ["--count", "-5"], "error: --count must be a positive integer"),
+        (ORBIT_ARGS + ["--count", "0"], "error: --count must be a positive integer"),
+        (["compare", "--tol", "nan"], "error: --tol must be a positive finite number"),
+        (["compare", "--tol", "inf"], "error: --tol must be a positive finite number"),
+        (["compare", "--tol=-1e-6"], "error: --tol must be a positive finite number"),
+    ],
+    ids=["check-seed", "orbit-seed", "orbit-count-negative", "orbit-count-zero", "tol-nan", "tol-inf", "tol-negative"],
+)
+def test_bad_flag_values_exit_2(tmp_path, capsys, argv, message):
+    if argv[0] == "compare":
+        argv = argv + ["--config", write_config(tmp_path, FREE_TOP_FULL)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "nu, pi", [("1,0,0", "1e8,3,0"), ("1e5,0,0", "0,1,1"), ("1e100,0,0", "0,0,1")]
 )

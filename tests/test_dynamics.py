@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from symtop.dynamics import (
     reduced_hamiltonian,
     reduced_hamiltonian_field,
     _hamiltonian_field,
+    _monitors,
     _repair,
     simulate,
     spin_coefficient,
@@ -29,6 +31,7 @@ from symtop.dynamics import (
 )
 from symtop.errors import DimensionMismatch, NonFinite
 from symtop.phase import (
+    LAYOUTS,
     FullState,
     ReducedState,
     SpaceId,
@@ -185,6 +188,68 @@ def test_hamiltonian_field_gradients_match_fd():
             g = fld.gradient(z)
             fd = fd_gradient(fld.value, z)
             assert np.abs(g - fd).max() / max(np.linalg.norm(g), 1.0) < 1e-5
+
+
+CHARTS = [
+    (SpaceId.CotSE3, full_hamiltonian_field),
+    (SpaceId.Reduced, reduced_hamiltonian_field),
+]
+
+
+def matmul_potential_value(pot, x, nu):
+    """V(x, nu) with every dot product spelled @: the reference for the .dot forms."""
+    if isinstance(pot, SumPotential):
+        return sum(matmul_potential_value(t, x, nu) for t in pot.terms)
+    if isinstance(pot, LinearGravity):
+        return BP.M * float(pot.g @ x) + pot.chi * float(nu @ pot._ghat)
+    return pot.value(x, nu, BP)
+
+
+@pytest.mark.parametrize("space, make", CHARTS, ids=["full", "reduced"])
+def test_hamiltonian_value_matches_matmul_form(space, make):
+    lay = LAYOUTS[space]
+    kappa = spin_coefficient(BP) if space is SpaceId.CotSE3 else 0.0
+    for pot in PRESET_POTENTIALS.values():
+        h = make(BP, pot)
+        for seed in range(20):
+            z = flatten(random_state(space, seed), space)
+            x, p, nu, pi = z[lay.x], z[lay.p], z[lay.axis], z[lay.pi]
+            v = float(p @ p) / (2.0 * BP.M) + float(pi @ pi) / (2.0 * BP.I1)
+            if kappa:
+                v += kappa * float(nu @ pi) ** 2
+            v += matmul_potential_value(pot, x, nu)
+            assert h(z) == v
+            assert _monitors(space, h, z)[:3] == (v, float(nu @ nu), float(nu @ pi))
+
+
+@pytest.mark.parametrize("space, make", CHARTS, ids=["full", "reduced"])
+def test_hamiltonian_gradient_placed_by_layout(space, make):
+    # The reference assembles the gradient the slice way, [0.0] * dim plus
+    # one assignment per block, from the same float expressions.
+    lay = LAYOUTS[space]
+    kappa = spin_coefficient(BP) if space is SpaceId.CotSE3 else 0.0
+    for pot in PRESET_POTENTIALS.values():
+        h = make(BP, pot)
+        for seed in range(10):
+            z = flatten(random_state(space, seed), space)
+            x, p, nu, pi = (z[s].tolist() for s in (lay.x, lay.p, lay.axis, lay.pi))
+            g_nu = list(pot.grad_nu(x, nu, BP))
+            g_pi = [v / BP.I1 for v in pi]
+            if kappa:
+                spin = 2.0 * kappa * (nu[0] * pi[0] + nu[1] * pi[1] + nu[2] * pi[2])
+                g_nu = [a + spin * b for a, b in zip(g_nu, pi)]
+                g_pi = [a + spin * b for a, b in zip(g_pi, nu)]
+            ref = [0.0] * lay.dim
+            ref[lay.x] = pot.grad_x(x, nu, BP)
+            ref[lay.p] = [v / BP.M for v in p]
+            ref[lay.axis] = g_nu
+            ref[lay.pi] = g_pi
+            g = h.grad(z.tolist())
+            assert list(g) == ref and list(h.grad(z)) == ref
+            if lay.r is not None:
+                # the first two columns of R: exact (positive) zeros
+                off_axis = [lay.r_entry(j, k) for j in range(3) for k in range(2)]
+                assert all(math.copysign(1.0, g[a]) == 1.0 and g[a] == 0.0 for a in off_axis)
 
 
 def test_field_values_match_state_functions():

@@ -17,7 +17,7 @@ from symtop.orbits import (
     same_orbit_witness,
     witness_residual,
 )
-from symtop.phase import Se3DualPoint, SpaceId, flatten, random_chart_point, random_rotation, random_unit
+from symtop.phase import LAYOUTS, Se3DualPoint, SpaceId, flatten, random_chart_point, random_rotation, random_unit
 from symtop.poisson import bracket, coordinate, fd_gradient, random_polynomial
 
 
@@ -258,3 +258,13 @@ def test_se3_element_rejects_non_finite_rotation():
 def test_se3_element_rejects_bad_translation(a, match):
     with pytest.raises(ValueError, match=match):
         SE3Element(a=a, A=np.eye(3))
+
+
+def test_casimir_field_values_match_matmul_form():
+    for space in (SpaceId.Se3Dual, SpaceId.Reduced):
+        c1f, c2f = casimir_fields(space)
+        lay = LAYOUTS[space]
+        for k in range(20):
+            z = random_chart_point(space, k)
+            nu, pi = z[lay.nu], z[lay.pi]
+            assert c1f(z) == float(nu @ nu) and c2f(z) == float(nu @ pi)

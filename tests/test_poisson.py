@@ -333,6 +333,33 @@ def test_polynomial_gradients_match_fd():
             assert np.abs(g - fd).max() / scale < 1e-5
 
 
+def two_copy_fd_gradient(f, z, step=1e-6):
+    """fd_gradient's former form, two fresh copies of z per coordinate."""
+    z = np.asarray(z, dtype=float)
+    g = np.zeros_like(z)
+    for a in range(z.size):
+        zp, zm = z.copy(), z.copy()
+        zp[a] += step
+        zm[a] -= step
+        g[a] = (f(zp) - f(zm)) / (2.0 * step)
+    return g
+
+
+def test_fd_gradient_matches_two_copy_form_bytes():
+    rng = np.random.default_rng(6)
+    for space in ALL:
+        f = random_polynomial(space, rng)
+        for seed in range(5):
+            z = random_chart_point(space, seed)
+            before = z.copy()
+            assert fd_gradient(f.value, z).tobytes() == two_copy_fd_gradient(f.value, z).tobytes()
+            npt.assert_array_equal(z, before)  # the caller's point is left alone
+    for space, make in ((SpaceId.Reduced, reduced_hamiltonian_field), (SpaceId.CotSE3, full_hamiltonian_field)):
+        h = make(PRESET_BODY, PRESET_POTENTIALS["gravity+dipole"])
+        z = random_chart_point(space, 7)
+        assert fd_gradient(h.value, z).tobytes() == two_copy_fd_gradient(h.value, z).tobytes()
+
+
 def test_coordinate_names():
     assert coordinate_names(SpaceId.Reduced)[:3] == ["x1", "x2", "x3"]
     assert coordinate_names(SpaceId.CotSO3)[0] == "R11"
