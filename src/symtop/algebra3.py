@@ -61,8 +61,9 @@ IDENTITY = np.eye(3)
 # expansions; avoids 0/0 with no precision loss at double precision.
 _SMALL_ANGLE = 1e-8
 
-# Antisymmetry tolerance for vee(), matching the rotation admission tolerance.
-VEE_TOL = 1e-9
+# Admission tolerance of every invariant: rotation defect, antisymmetry (vee),
+# |nu|^2 - 1 (ReducedState, orbits.magnetic_form) and tangency to the sphere.
+ADMISSION_TOL = 1e-9
 
 # Orthogonality defect beyond which reorthonormalize() refuses to repair.
 REPAIR_LIMIT = 0.1
@@ -86,17 +87,17 @@ def cross(a: Vec3, b: Vec3) -> Vec3:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def vee(m: Mat3, tol: float = VEE_TOL) -> Vec3:
+def vee(m: Mat3) -> Vec3:
     """Inverse of hat: extract v from an antisymmetric matrix.
 
-    Raises NotAntisymmetric if max|M + M^T| exceeds tol.  The returned
-    vector is the average of the two off-diagonal copies, so vee(hat(v))
-    reproduces v exactly.
+    Raises NotAntisymmetric if max|M + M^T| exceeds ADMISSION_TOL.  The
+    returned vector is the average of the two off-diagonal copies, so
+    vee(hat(v)) reproduces v exactly.
     """
     m = np.asarray(m, dtype=float)
     defect = np.abs(m + m.T).max()
-    if defect > tol:
-        raise NotAntisymmetric(f"antisymmetry defect {defect:.3e} exceeds {tol:.1e}")
+    if defect > ADMISSION_TOL:
+        raise NotAntisymmetric(f"antisymmetry defect {defect:.3e} exceeds {ADMISSION_TOL:.1e}")
     return np.array([
         0.5 * (m[2, 1] - m[1, 2]),
         0.5 * (m[0, 2] - m[2, 0]),
@@ -113,16 +114,20 @@ def norm3(v: Vec3) -> float:
     return math.sqrt(v.dot(v))
 
 
+def max_or_nan(values) -> float:
+    """Largest of a non-empty sequence of nonnegative floats; NaN if any is.
+    Python's max drops a NaN that is not its first argument; the sum of
+    nonnegative terms is NaN exactly when one of them is."""
+    return math.nan if math.isnan(sum(values)) else max(values)
+
+
 def orthogonality_defect(m: Mat3) -> float:
     """max|M^T M - I|, zero exactly on orthogonal matrices; NaN if any entry
     of M^T M is NaN."""
     m = np.asarray(m, dtype=float)
     g00, g01, g02, g10, g11, g12, g20, g21, g22 = m.T.dot(m).ravel().tolist()
-    d = (abs(g00 - 1.0), abs(g01), abs(g02), abs(g10), abs(g11 - 1.0),
-         abs(g12), abs(g20), abs(g21), abs(g22 - 1.0))
-    # Python's max skips a NaN that is not its first argument; the sum of
-    # nonnegative terms is NaN exactly when one of them is.
-    return math.nan if math.isnan(sum(d)) else max(d)
+    return max_or_nan((abs(g00 - 1.0), abs(g01), abs(g02), abs(g10), abs(g11 - 1.0),
+                       abs(g12), abs(g20), abs(g21), abs(g22 - 1.0)))
 
 
 def rotation_defect(m: Mat3) -> float:
@@ -137,15 +142,15 @@ def rotation_defect(m: Mat3) -> float:
     return max(orthogonality_defect(m), det_defect)
 
 
-def require_rotation(m: Mat3, tol: float = 1e-9) -> Mat3:
-    """Validate rotation invariants (orthogonal, det +1) and return the
-    matrix; a non-finite matrix is rejected too."""
+def require_rotation(m: Mat3) -> Mat3:
+    """Validate rotation invariants (orthogonal, det +1, within ADMISSION_TOL)
+    and return the matrix; a non-finite matrix is rejected too."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {m.shape}")
     d = rotation_defect(m)
-    if not d <= tol:
-        raise ValueError(f"rotation defect {d:.3e} exceeds admission tolerance {tol:.1e}")
+    if not d <= ADMISSION_TOL:
+        raise ValueError(f"rotation defect {d:.3e} exceeds admission tolerance {ADMISSION_TOL:.1e}")
     return m
 
 
@@ -178,24 +183,24 @@ def exp_so3(v: Vec3) -> Mat3:
     ]).reshape(3, 3)
 
 
-def reorthonormalize(m: Mat3, max_defect: float = REPAIR_LIMIT) -> Mat3:
+def reorthonormalize(m: Mat3) -> Mat3:
     """Nearest rotation to m in the polar-decomposition sense.
 
     Newton iteration M <- (M + M^-T)/2 (Higham 1986) converges quadratically
     to the orthogonal polar factor for matrices near SO(3); it is a fixed
     point on exact rotations and commutes with right multiplication by a
     rotation.  A reflection converges to the nearest reflection.  Raises
-    TooFarFromSO3 when the input defect exceeds max_defect; with the default
-    REPAIR_LIMIT = 0.1, M^T M has diagonal entries >= 0.9 and off-diagonal
-    row sums <= 0.2, so by Gershgorin every eigenvalue of M^T M is >= 0.7,
-    |det M| >= 0.7^1.5 and the cofactor inverse never divides by zero; the
-    Newton steps only move the singular values towards 1.  The stop test and
-    the limit read orthogonality_defect.
+    TooFarFromSO3 when the input defect exceeds REPAIR_LIMIT = 0.1.  Within
+    it M^T M has diagonal entries >= 0.9 and off-diagonal row sums <= 0.2, so
+    by Gershgorin its eigenvalues are >= 0.7 and |det M| >= 0.7^1.5 > 0; each
+    Newton step maps a singular value s to (s + 1/s)/2 >= 1, so the cofactor
+    inverse never divides by zero.  The stop test and the limit read
+    orthogonality_defect.
     """
     m = np.asarray(m, dtype=float)
     d = orthogonality_defect(m)
-    if not d <= max_defect:  # also a NaN or infinite defect
-        raise TooFarFromSO3(f"orthogonality defect {d:.3e} exceeds repair limit {max_defect}")
+    if not d <= REPAIR_LIMIT:  # also a NaN or infinite defect
+        raise TooFarFromSO3(f"orthogonality defect {d:.3e} exceeds repair limit {REPAIR_LIMIT}")
     r = m
     for _ in range(30):
         if d <= 1e-15:
@@ -208,17 +213,14 @@ def reorthonormalize(m: Mat3, max_defect: float = REPAIR_LIMIT) -> Mat3:
 def _polar_newton_step(m: Mat3) -> Mat3:
     """(M + M^-T)/2 on floats, with M^-T = cofactor(M) / det M.
 
-    det M is the first-row cofactor expansion.  Within the default repair
-    limit det M cannot vanish (see reorthonormalize); a larger max_defect
-    can admit a singular M, which raises TooFarFromSO3.
+    det M is the first-row cofactor expansion; it cannot vanish on the
+    matrices reorthonormalize admits (see the Gershgorin bound there).
     """
     (a, b, c), (d, e, f), (g, h, i) = m.tolist()
     c00, c01, c02 = e * i - f * h, f * g - d * i, d * h - e * g
     c10, c11, c12 = c * h - b * i, a * i - c * g, b * g - a * h
     c20, c21, c22 = b * f - c * e, c * d - a * f, a * e - b * d
     det = a * c00 + b * c01 + c * c02
-    if det == 0.0:
-        raise TooFarFromSO3("singular matrix has no polar factor")
     return np.array([
         0.5 * (a + c00 / det), 0.5 * (b + c01 / det), 0.5 * (c + c02 / det),
         0.5 * (d + c10 / det), 0.5 * (e + c11 / det), 0.5 * (f + c12 / det),

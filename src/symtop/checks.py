@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, orbits, poisson, reduction
-from .algebra3 import cross, norm3
+from .algebra3 import cross, max_or_nan, norm3
 from .phase import (
     LAYOUTS,
     Se3DualPoint,
@@ -104,7 +104,7 @@ def check_brackets(seed: int = 0, points_per_space: int = 250) -> list[CheckResu
             diff = np.abs(
                 poisson.structure_matrix(space, z) - oracle_structure_matrix(space, z)
             ).max()
-            worst = max(worst, float(diff))
+            worst = max_or_nan((worst, float(diff)))
         out.append(CheckResult(f"brackets/{space.value}", worst, 0.0, points_per_space))
     return out
 
@@ -116,7 +116,7 @@ def check_jacobi(seed: int = 0, points: int = 100) -> list[CheckResult]:
         worst = 0.0
         for k in range(points):
             z = random_chart_point(space, seed + 104729 * k)
-            worst = max(worst, float(np.abs(poisson.jacobi_residual_all(space, z)).max()))
+            worst = max_or_nan((worst, float(np.abs(poisson.jacobi_residual_all(space, z)).max())))
         out.append(CheckResult(f"jacobi/{space.value}", worst, 1e-10, points))
     return out
 
@@ -130,7 +130,8 @@ def check_poisson_map(seed: int = 0, points: int = 100) -> list[CheckResult]:
         worst = 0.0
         for k in range(points):
             z = random_chart_point(src, seed + 15485863 * k)
-            worst = max(worst, float(np.abs(reduction.poisson_map_residual_all(reduced_space, z)).max()))
+            defect = np.abs(reduction.poisson_map_residual_all(reduced_space, z)).max()
+            worst = max_or_nan((worst, float(defect)))
         out.append(
             CheckResult(f"poisson-map/{src.value}->{reduced_space.value}", worst, 1e-10, points)
         )
@@ -157,7 +158,7 @@ def check_casimirs(seed: int = 0, pairs: int = 1000, fields: int = 100) -> list[
         g = _random_se3(rng)
         before = orbits.casimirs(q)
         after = orbits.casimirs(orbits.coadjoint(g, q))
-        worst = max(worst, abs(after.c1 - before.c1), abs(after.c2 - before.c2))
+        worst = max_or_nan((worst, abs(after.c1 - before.c1), abs(after.c2 - before.c2)))
     res = [CheckResult("casimirs/coadjoint-invariance", worst, 1e-12, pairs)]
 
     c1f, c2f = orbits.casimir_fields(SpaceId.Se3Dual)
@@ -165,7 +166,7 @@ def check_casimirs(seed: int = 0, pairs: int = 1000, fields: int = 100) -> list[
     for k in range(fields):
         f = poisson.random_polynomial(SpaceId.Se3Dual, rng)
         z = random_chart_point(SpaceId.Se3Dual, seed + 2027 * k)
-        worst = max(worst, abs(poisson.bracket(c1f, f, z)), abs(poisson.bracket(c2f, f, z)))
+        worst = max_or_nan((worst, abs(poisson.bracket(c1f, f, z)), abs(poisson.bracket(c2f, f, z))))
     res.append(CheckResult("casimirs/bracket-annihilation", worst, 1e-12, fields))
     return res
 
@@ -197,7 +198,7 @@ def check_orbits(seed: int = 0, pairs: int = 1000) -> list[CheckResult]:
             rng, force_antipodal=(k % 10 == 3), force_aligned=(k % 10 == 7)
         )
         g = orbits.same_orbit_witness(q1, q2)
-        worst = max(worst, orbits.witness_residual(g, q1, q2))
+        worst = max_or_nan((worst, orbits.witness_residual(g, q1, q2)))
     res = [CheckResult("orbits/witness-transitivity", worst, 1e-9, pairs)]
 
     worst_anti, worst_rep, worst_zero = 0.0, 0.0, 0.0
@@ -207,14 +208,14 @@ def check_orbits(seed: int = 0, pairs: int = 1000) -> list[CheckResult]:
         v = cross(nu, rng.uniform(-1, 1, 3))
         c2 = rng.uniform(-2, 2)
         m = orbits.magnetic_form(nu, u, v, c2)
-        worst_anti = max(worst_anti, abs(m + orbits.magnetic_form(nu, v, u, c2)))
+        worst_anti = max_or_nan((worst_anti, abs(m + orbits.magnetic_form(nu, v, u, c2))))
         # shift the representative xi by a multiple of nu and re-evaluate directly
         lam = rng.uniform(-2, 2)
         xi = cross(nu, u) + lam * nu
         eta = cross(nu, v)
         shifted = -c2 * float(cross(xi, eta) @ nu)
-        worst_rep = max(worst_rep, abs(shifted - m))
-        worst_zero = max(worst_zero, abs(orbits.magnetic_form(nu, u, v, 0.0)))
+        worst_rep = max_or_nan((worst_rep, abs(shifted - m)))
+        worst_zero = max_or_nan((worst_zero, abs(orbits.magnetic_form(nu, u, v, 0.0))))
     res.append(CheckResult("orbits/magnetic-antisymmetry", worst_anti, 0.0, 200))
     res.append(CheckResult("orbits/magnetic-representative", worst_rep, 1e-12, 200))
     res.append(CheckResult("orbits/magnetic-zero-level", worst_zero, 0.0, 200))
@@ -249,11 +250,8 @@ def check_gradients(seed: int = 0, points: int = 100) -> list[CheckResult]:
             fx = poisson.fd_gradient(lambda xx: pot.value(xx, nu, bp), x)
             fn = poisson.fd_gradient(lambda nn: pot.value(x, nn, bp), nu)
             scale = max(norm3(gx), norm3(gn), 1.0)
-            worst = max(
-                worst,
-                float(np.abs(gx - fx).max() / scale),
-                float(np.abs(gn - fn).max() / scale),
-            )
+            worst = max_or_nan((worst, float(np.abs(gx - fx).max() / scale),
+                                float(np.abs(gn - fn).max() / scale)))
         out.append(CheckResult(f"gradients/potential-{name}", worst, 1e-5, points))
 
     for label, fld, space in (
@@ -266,7 +264,7 @@ def check_gradients(seed: int = 0, points: int = 100) -> list[CheckResult]:
             g = fld.gradient(z)
             f = poisson.fd_gradient(fld.value, z)
             scale = max(norm3(g), 1.0)
-            worst = max(worst, float(np.abs(g - f).max() / scale))
+            worst = max_or_nan((worst, float(np.abs(g - f).max() / scale)))
         out.append(CheckResult(f"gradients/{label}", worst, 1e-5, points))
     return out
 

@@ -8,9 +8,9 @@ Subcommands:
     orbit    --nu a,b,c --pi a,b,c        Casimir level and orbit report
 
 Configs are strict JSON: unknown keys anywhere are rejected (exit 2), as are
-numbers given as bools or strings, non-finite numbers, non-positive dt/T, a
-T that is not a whole number of steps dt (dynamics.step_count), and initial
-attitudes further than 1e-6 from a proper rotation (orthogonal, det +1).
+numbers given as bools or strings, non-finite numbers, values that BodyParams,
+a potential or dynamics.step_count rejects (reported with the config path),
+and attitudes further than 1e-6 from a rotation (orthogonal, det +1).
 The initial block becomes a ReducedState or FullState, and phase.flatten
 gives its chart vector, so the chart order is known only to phase.  CSV rows
 carry t, x, p, nu, pi, energy, C1, C2 and the attitude orthogonality defect
@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import checks, dynamics, orbits
-from .algebra3 import cross, exp_so3, norm3, reorthonormalize, rotation_defect
+from .algebra3 import cross, exp_so3, max_or_nan, norm3, reorthonormalize, rotation_defect
 from .errors import NonFinite, TooFarFromSO3
 from .phase import LAYOUTS, FullState, ReducedState, Se3DualPoint, SpaceId, flatten, random_rotation
 
@@ -73,13 +73,6 @@ def _finite(v, where: str) -> float:
     return f
 
 
-def _positive(v, where: str) -> float:
-    f = _finite(v, where)
-    if not f > 0:
-        raise ConfigError(f"{where} must be a positive number")
-    return f
-
-
 def _integer(v, where: str) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(f"{where} must be an integer, got {v!r}")
@@ -92,6 +85,15 @@ def _vec(v, n: int, where: str) -> np.ndarray:
     return np.array([_finite(e, f"{where}[{i}]") for i, e in enumerate(v)])
 
 
+def _build(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with a ValueError of the library's own checks
+    turned into a ConfigError that names the config path where."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from None
+
+
 def parse_potential(node, where: str = "potential") -> dynamics.Potential:
     if not isinstance(node, dict) or "type" not in node:
         raise ConfigError(f"{where} must be an object with a 'type' key")
@@ -101,13 +103,12 @@ def parse_potential(node, where: str = "potential") -> dynamics.Potential:
         return dynamics.ZeroPotential()
     if kind == "gravity":
         _require_keys(node, {"type", "g", "chi"}, set(), where)
-        g = _vec(node["g"], 3, f"{where}.g")
-        if norm3(g) == 0.0:
-            raise ConfigError(f"{where}.g must be nonzero")
-        return dynamics.LinearGravity(g=g, chi=_finite(node["chi"], f"{where}.chi"))
+        return _build(where, dynamics.LinearGravity,
+                      g=_vec(node["g"], 3, f"{where}.g"), chi=_finite(node["chi"], f"{where}.chi"))
     if kind == "dipole":
         _require_keys(node, {"type", "m", "mu"}, set(), where)
-        return dynamics.DipolePotential(m=_finite(node["m"], f"{where}.m"), mu=_vec(node["mu"], 3, f"{where}.mu"))
+        return _build(where, dynamics.DipolePotential,
+                      m=_finite(node["m"], f"{where}.m"), mu=_vec(node["mu"], 3, f"{where}.mu"))
     if kind == "sum":
         _require_keys(node, {"type", "terms"}, set(), where)
         if not isinstance(node["terms"], list) or not node["terms"]:
@@ -154,11 +155,8 @@ class RunConfig:
         self.space = SpaceId.CotSE3 if raw["space"] == "full" else SpaceId.Reduced
 
         _require_keys(raw["body"], {"M", "I1", "I3"}, set(), "body")
-        self.body = dynamics.BodyParams(
-            M=_positive(raw["body"]["M"], "body.M"),
-            I1=_positive(raw["body"]["I1"], "body.I1"),
-            I3=_positive(raw["body"]["I3"], "body.I3"),
-        )
+        self.body = _build("body", dynamics.BodyParams,
+                           **{k: _finite(raw["body"][k], f"body.{k}") for k in ("M", "I1", "I3")})
         self.potential = parse_potential(raw["potential"])
 
         initial = raw["initial"]
@@ -180,12 +178,9 @@ class RunConfig:
             )
         self.z0 = flatten(self.state, self.space)
 
-        self.dt = _positive(raw["dt"], "config.dt")
-        self.T = _positive(raw["T"], "config.T")
-        try:
-            dynamics.step_count(self.T, self.dt)
-        except ValueError as e:
-            raise ConfigError(f"config: {e}") from None
+        self.dt = _finite(raw["dt"], "config.dt")
+        self.T = _finite(raw["T"], "config.T")
+        _build("config", dynamics.step_count, self.T, self.dt)
         method = raw.get("method", "rk4_repair")
         if method not in dynamics.METHODS:
             raise ConfigError(f"config.method must be one of {dynamics.METHODS}")
@@ -313,7 +308,7 @@ def cmd_orbit(args) -> int:
         g = orbits.SE3Element(a=rng.uniform(-1, 1, 3), A=random_rotation(rng))
         q = orbits.coadjoint(g, q0)
         w = orbits.same_orbit_witness(q0, q, tol)
-        worst = max(worst, orbits.witness_residual(w, q0, q) / scale)
+        worst = max_or_nan((worst, orbits.witness_residual(w, q0, q) / scale))
     print(f"sampled {args.count} same-level points via the coadjoint action")
     print(f"worst witness residual: {worst:.3e}  ({'PASS' if worst <= 1e-9 else 'FAIL'} at 1e-9)")
 

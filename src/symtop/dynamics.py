@@ -49,9 +49,11 @@ from .phase import (
     FullState,
     ReducedState,
     SpaceId,
+    _vec3,
+    chart_vector,
     flatten,
 )
-from .poisson import ScalarField, _check_point, vector_field_floats
+from .poisson import ScalarField, vector_field_floats
 from .poisson import ham_vector_field  # noqa: F401  (still read as dynamics.ham_vector_field)
 from .reduction import chart_projection, project_full
 
@@ -60,8 +62,8 @@ Float3 = tuple[float, float, float]
 
 @dataclass(frozen=True)
 class BodyParams:
-    """Mass and inertia moments; the two transverse moments are equal by
-    construction, so only I1 is stored."""
+    """Mass and inertia moments, each positive and finite; the two transverse
+    moments are equal by construction, so only I1 is stored."""
 
     M: float
     I1: float
@@ -70,8 +72,8 @@ class BodyParams:
     def __post_init__(self):
         for name in ("M", "I1", "I3"):
             v = getattr(self, name)
-            if not v > 0.0:
-                raise ValueError(f"{name} = {v} must be positive")
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{name} = {v} must be positive and finite")
 
 
 class Potential:
@@ -109,16 +111,18 @@ class ZeroPotential(Potential):
 @dataclass(frozen=True)
 class LinearGravity(Potential):
     """Uniform gravity on the center of mass plus an axis-alignment torque:
-    V = M <g, x> + chi <nu, g/|g|>."""
+    V = M <g, x> + chi <nu, g/|g|>, with g finite and nonzero and chi finite."""
 
     g: Vec3
     chi: float
 
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
+        g = _vec3(self.g, "gravity vector")
         norm = norm3(g)
         if norm == 0.0:
             raise ValueError("gravity vector must be nonzero")
+        if not math.isfinite(self.chi):
+            raise ValueError(f"chi = {self.chi} must be finite")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "_ghat", g / norm)
         object.__setattr__(self, "_g", tuple(g.tolist()))
@@ -161,15 +165,17 @@ class DipolePotential(Potential):
     b(x) = (3 xhat <mu, xhat> - mu) / |x|^3 of a source moment mu at the origin.
 
     Singular at x = 0: below DIPOLE_MIN_RADIUS, or for a non-finite x, every
-    method raises NonFinite.  The gradients work on Python floats, which
-    neither warn nor allocate per operation.
+    method raises NonFinite.  m and mu must be finite.  The gradients work on
+    Python floats, which neither warn nor allocate per operation.
     """
 
     m: float
     mu: Vec3
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
+        if not math.isfinite(self.m):
+            raise ValueError(f"dipole m = {self.m} must be finite")
+        mu = _vec3(self.mu, "dipole mu")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "_mu", tuple(mu.tolist()))
 
@@ -373,7 +379,7 @@ def step(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if not dt > 0.0:
         raise ValueError(f"dt = {dt} must be positive")
-    z = _check_point(space, z).tolist()
+    z = chart_vector(space, z).tolist()
     half = 0.5 * dt
     k1 = _slope(space, h, z)
     k2 = _slope(space, h, [a + half * b for a, b in zip(z, k1)])

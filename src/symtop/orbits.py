@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra3 import Mat3, Vec3, cross, require_rotation, rotation_aligning
+from .algebra3 import ADMISSION_TOL, Mat3, Vec3, cross, max_or_nan, require_rotation, rotation_aligning
 from .errors import NotSameLevel, NotTangent, NotUnit, ZeroNu
 from .phase import LAYOUTS, Se3DualPoint, SpaceId, _vec3
 from .poisson import ScalarField
@@ -97,8 +97,9 @@ def same_orbit_witness(
     a x nu2 = pi2 - A pi1 because the right side is orthogonal to nu2 on a
     common level.
     """
-    l1, l2 = casimirs(q1), casimirs(q2)
-    if abs(l1.c1 - l2.c1) > tol or abs(l1.c2 - l2.c2) > tol:
+    l1 = casimirs(q1)
+    if not on_level(q2, l1, tol):
+        l2 = casimirs(q2)
         raise NotSameLevel(
             f"levels ({l1.c1:.6g}, {l1.c2:.6g}) and ({l2.c1:.6g}, {l2.c2:.6g}) differ beyond {tol:.1e}"
         )
@@ -115,26 +116,27 @@ def witness_residual(g: SE3Element, q1: Se3DualPoint, q2: Se3DualPoint) -> float
     image = coadjoint(g, q1)
     got = image.nu.tolist() + image.pi.tolist()
     want = q2.nu.tolist() + q2.pi.tolist()
-    return max([abs(x - y) for x, y in zip(got, want)])
+    return max_or_nan([abs(x - y) for x, y in zip(got, want)])
 
 
-def magnetic_form(nu: Vec3, u: Vec3, v: Vec3, c2: float, tol: float = 1e-9) -> float:
+def magnetic_form(nu: Vec3, u: Vec3, v: Vec3, c2: float) -> float:
     """Magnetic area term of the orbit symplectic form at nu on tangents u, v.
 
     With representatives xi = nu x u, eta = nu x v (so that xi x nu = u and
     eta x nu = v), returns -c2 <xi x eta, nu>; by a vector identity this
-    equals -c2 <nu, u x v>.
+    equals -c2 <nu, u x v>.  nu must be a unit vector and u, v tangent to
+    the sphere at nu, both within ADMISSION_TOL.
     """
     nu = np.asarray(nu, dtype=float)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     unit_defect = abs(float(nu @ nu) - 1.0)
-    if unit_defect > tol:
-        raise NotUnit(f"|nu|^2 - 1 = {unit_defect:.3e} exceeds {tol:.1e}")
+    if unit_defect > ADMISSION_TOL:
+        raise NotUnit(f"|nu|^2 - 1 = {unit_defect:.3e} exceeds {ADMISSION_TOL:.1e}")
     for w, label in ((u, "u"), (v, "v")):
         t = abs(float(w @ nu))
-        if t > tol:
-            raise NotTangent(f"<{label}, nu> = {t:.3e} exceeds {tol:.1e}")
+        if t > ADMISSION_TOL:
+            raise NotTangent(f"<{label}, nu> = {t:.3e} exceeds {ADMISSION_TOL:.1e}")
     xi = cross(nu, u)
     eta = cross(nu, v)
     return -float(c2) * float(cross(xi, eta) @ nu)

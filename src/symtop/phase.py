@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra3 import Mat3, Vec3, exp_so3, norm3, require_rotation
+from .algebra3 import ADMISSION_TOL, Mat3, Vec3, exp_so3, norm3, require_rotation
 from .errors import DimensionMismatch
 
 
@@ -156,8 +156,8 @@ class ReducedState:
         object.__setattr__(self, "nu", _vec3(self.nu, "nu"))
         object.__setattr__(self, "pi", _vec3(self.pi, "pi"))
         defect = abs(float(self.nu @ self.nu) - 1.0)
-        if defect > 1e-9:
-            raise ValueError(f"|nu|^2 - 1 = {defect:.3e} exceeds 1e-9")
+        if defect > ADMISSION_TOL:
+            raise ValueError(f"|nu|^2 - 1 = {defect:.3e} exceeds {ADMISSION_TOL:.1e}")
 
 
 _STATE_TYPES = {
@@ -179,6 +179,14 @@ _FIELDS = {
 }
 
 
+def chart_vector(space: SpaceId, z) -> np.ndarray:
+    """z as a float array, or DimensionMismatch unless it has the chart's shape."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != (LAYOUTS[space].dim,):
+        raise DimensionMismatch(f"{space.value} chart has dim {LAYOUTS[space].dim}, got shape {z.shape}")
+    return z
+
+
 def flatten(state: State, space: SpaceId) -> np.ndarray:
     """Flat chart vector of a state, per the documented layouts."""
     if not isinstance(state, _STATE_TYPES[space]):
@@ -193,10 +201,7 @@ def flatten(state: State, space: SpaceId) -> np.ndarray:
 
 def unflatten(space: SpaceId, z: np.ndarray) -> State:
     """Exact inverse of flatten; validates the per-type invariants."""
-    z = np.asarray(z, dtype=float)
-    lay = LAYOUTS[space]
-    if z.shape != (lay.dim,):
-        raise DimensionMismatch(f"{space.value} chart has dim {lay.dim}, got shape {z.shape}")
+    z = chart_vector(space, z)
     return _STATE_TYPES[space](**{name: z[block].reshape(shape) for name, block, shape in _FIELDS[space]})
 
 

@@ -53,7 +53,7 @@ import numpy as np
 
 from .algebra3 import EPS
 from .errors import DimensionMismatch
-from .phase import LAYOUTS, SpaceId, dim
+from .phase import LAYOUTS, SpaceId, chart_vector, dim
 
 _TENSORS: dict[SpaceId, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -109,35 +109,31 @@ def structure_tensors(space: SpaceId) -> tuple[np.ndarray, np.ndarray]:
     return _TENSORS[space]
 
 
-def _check_point(space: SpaceId, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.shape != (dim(space),):
-        raise DimensionMismatch(
-            f"{space.value} chart has dim {dim(space)}, got shape {z.shape}"
-        )
-    return z
-
-
 def structure_matrix(space: SpaceId, z: np.ndarray) -> np.ndarray:
     """Antisymmetric matrix of coordinate brackets Lambda(z)[a,b] = {z_a, z_b}(z)."""
-    z = _check_point(space, z)
+    z = chart_vector(space, z)
     lam0, lin = structure_tensors(space)
     n = z.shape[0]
     return lam0 + (lin.reshape(n * n, n) @ z).reshape(n, n)
 
 
-def fd_gradient(f: Callable[[np.ndarray], float], z: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient; verification oracle only."""
+# Step of fd_gradient's central differences.
+FD_STEP = 1e-6
+
+
+def fd_gradient(f: Callable[[np.ndarray], float], z: np.ndarray) -> np.ndarray:
+    """Central finite-difference gradient with step FD_STEP; verification
+    oracle only."""
     z = np.asarray(z, dtype=float)
     g = np.zeros_like(z)
     w = z.copy()  # one working copy: each entry is perturbed, then restored
     for a, za in enumerate(z.tolist()):
-        w[a] = za + step
+        w[a] = za + FD_STEP
         fp = f(w)
-        w[a] = za - step
+        w[a] = za - FD_STEP
         fm = f(w)
         w[a] = za
-        g[a] = (fp - fm) / (2.0 * step)
+        g[a] = (fp - fm) / (2.0 * FD_STEP)
     return g
 
 
@@ -286,7 +282,7 @@ def vector_field_floats(space: SpaceId, z: list[float], g: Sequence[float]) -> l
 def ham_vector_field(h: ScalarField, z: np.ndarray) -> np.ndarray:
     """Chart tangent vector zdot_a = Lambda(z)_ab dH/dz_b, in closed form
     (vector_field_floats on ndarrays)."""
-    z = _check_point(h.space, z)
+    z = chart_vector(h.space, z)
     dh = h.gradient(z)
     if dh.shape != z.shape:
         raise DimensionMismatch(f"gradient of {h.name or 'field'} has shape {dh.shape}, chart {z.shape}")
@@ -299,7 +295,7 @@ def jacobi_residual(space: SpaceId, a: int, b: int, c: int, z: np.ndarray) -> fl
     Coordinate brackets are affine in z, so the nested gradients are the
     exact rows of the linear part; no differencing enters.
     """
-    z = _check_point(space, z)
+    z = chart_vector(space, z)
     lam = structure_matrix(space, z)
     _, lin = structure_tensors(space)
     return float(lam[a] @ lin[b, c] + lam[b] @ lin[c, a] + lam[c] @ lin[a, b])
@@ -313,7 +309,7 @@ def jacobi_residual_all(space: SpaceId, z: np.ndarray) -> np.ndarray:
     entry, +-1, so every sum is one exact product plus exact zeros and the
     result does not depend on the order BLAS sums in.
     """
-    z = _check_point(space, z)
+    z = chart_vector(space, z)
     lam = structure_matrix(space, z)
     _, lin = structure_tensors(space)
     n = z.shape[0]

@@ -42,9 +42,10 @@ from .phase import (
     ReducedState,
     Se3DualPoint,
     SpaceId,
+    chart_vector,
     flatten,
 )
-from .poisson import ScalarField, bracket, structure_matrix
+from .poisson import ScalarField, _same_space, bracket, structure_matrix
 
 
 def z_rotation(theta: float) -> Mat3:
@@ -146,14 +147,9 @@ def pullback(f: ScalarField) -> ScalarField:
 
 def _source_point(src: SpaceId, z) -> np.ndarray:
     """Chart vector of a source-space point given as a state or a vector."""
-    if isinstance(z, FullState):
-        z = flatten(z, SpaceId.CotSE3)
-    elif isinstance(z, CotSO3State):
-        z = flatten(z, SpaceId.CotSO3)
-    z = np.asarray(z, dtype=float)
-    if z.shape != (LAYOUTS[src].dim,):
-        raise DimensionMismatch(f"expected a {src.value} point, got shape {z.shape}")
-    return z
+    if isinstance(z, (FullState, CotSO3State)):
+        z = flatten(z, src)
+    return chart_vector(src, z)
 
 
 def poisson_map_residual(f: ScalarField, g: ScalarField, z) -> float:
@@ -163,8 +159,7 @@ def poisson_map_residual(f: ScalarField, g: ScalarField, z) -> float:
     f and g live on the reduced space (Reduced or Se3Dual); z is a state or
     chart vector of the corresponding source space.
     """
-    if f.space is not g.space:
-        raise DimensionMismatch("fields must live on the same reduced space")
+    _same_space(f, g)
     src, p = chart_projection(f.space)
     z = _source_point(src, z)
     upstairs = bracket(pullback(f), pullback(g), z)

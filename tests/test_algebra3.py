@@ -8,6 +8,7 @@ from symtop.algebra3 import (
     cross,
     exp_so3,
     hat,
+    max_or_nan,
     norm3,
     orthogonality_defect,
     orthogonal_unit,
@@ -297,7 +298,12 @@ def test_reorthonormalize_keeps_reflections():
         assert np.abs(r - newton_polar_reference(m)).max() <= 1e-15
 
 
-def test_reorthonormalize_singular_matrix_under_a_raised_limit():
-    # defect 1 is admitted by max_defect = 2, but M has no inverse
-    with pytest.raises(TooFarFromSO3, match="singular"):
-        reorthonormalize(np.diag([1.0, 1.0, 0.0]), max_defect=2.0)
+def test_max_or_nan_keeps_a_nan_anywhere():
+    assert max_or_nan((0.0, 3.0, 1.0)) == 3.0
+    assert max_or_nan([2.0]) == 2.0
+    assert max_or_nan((0.0, math.inf)) == math.inf
+    for k in range(3):  # Python's max drops a NaN in any place but the first
+        values = [1.0, 2.0, 0.5]
+        values[k] = math.nan
+        assert math.isnan(max_or_nan(values))
+        assert math.isnan(max_or_nan(tuple(values)))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symtop import orbits, poisson, reduction
 from symtop.algebra3 import exp_so3
 from symtop.cli import main
 
@@ -198,9 +199,13 @@ GRAVITY_REDUCED = _with(FREE_TOP_REDUCED, ("potential",), {"type": "gravity", "g
 DIPOLE_REDUCED = _with(FREE_TOP_REDUCED, ("potential",), {"type": "dipole", "m": 0.05, "mu": [0.0, 0.0, 1.0]})
 
 
+SUM_REDUCED = _with(FREE_TOP_REDUCED, ("potential",), {"type": "sum", "terms": [
+    {"type": "zero"}, {"type": "gravity", "g": [0.0, 0.0, 0.0], "chi": 0.3}]})
+
+
 @pytest.mark.parametrize(
-    "cfg",
-    [
+    "cfg, message",
+    [(cfg, "error: ") for cfg in [
         _with(FREE_TOP_REDUCED, ("dt",), True),
         _with(FREE_TOP_REDUCED, ("T",), True),
         _with(FREE_TOP_REDUCED, ("body", "M"), True),
@@ -223,18 +228,29 @@ DIPOLE_REDUCED = _with(FREE_TOP_REDUCED, ("potential",), {"type": "dipole", "m":
         _with(FREE_TOP_REDUCED, ("initial", "p"), [True, 0.0, 0.0]),
         _with(FREE_TOP_REDUCED, ("initial", "pi"), [10**400, 0.0, 0.0]),
         _with(FREE_TOP_REDUCED, ("initial", "x"), {"0": 0.1}),
+    ]] + [
+        # rules the library states; the error names the config path
+        (_with(FREE_TOP_REDUCED, ("body", "M"), 0), "error: body: M = 0.0 must be positive"),
+        (_with(FREE_TOP_REDUCED, ("body", "I3"), -1), "error: body: I3 = -1.0 must be positive"),
+        (_with(FREE_TOP_REDUCED, ("dt",), 0), "error: config: dt = 0.0 must be positive"),
+        (_with(FREE_TOP_REDUCED, ("T",), -1), "error: config: T = -1.0 must be positive"),
+        (_with(GRAVITY_REDUCED, ("potential", "g"), [0, 0, 0]),
+         "error: potential: gravity vector must be nonzero"),
+        (SUM_REDUCED, "error: potential.terms[1]: gravity vector must be nonzero"),
     ],
     ids=[
         "dt-bool", "T-bool", "M-bool", "I1-bool", "I3-bool", "stride-bool", "seed-bool",
         "chi-string", "chi-nan", "chi-inf", "chi-bool", "m-string", "m-nan", "m-huge-int",
         "dt-inf", "T-overflows-steps", "T-not-multiple-of-dt", "T-below-one-step",
         "vector-string", "vector-bool", "vector-huge-int", "vector-object",
+        "M-zero", "I3-negative", "dt-zero", "T-negative", "g-zero", "sum-term-g-zero",
     ],
 )
-def test_simulate_rejects_bad_number(tmp_path, capsys, cfg):
+def test_simulate_rejects_bad_number(tmp_path, capsys, cfg, message):
     code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -248,6 +264,56 @@ def test_check_suite_passes(capsys):
     assert main(["check", "--suite", "brackets", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def _nan_on_second_call(monkeypatch, module, name):
+    """Replace module.name by a wrapper whose second result carries a NaN."""
+    original = getattr(module, name)
+    calls = []
+
+    def planted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(None)
+        if len(calls) != 2:
+            return out
+        if isinstance(out, np.ndarray):
+            out = out.copy()
+            out.flat[-1] = np.nan
+            return out
+        if isinstance(out, orbits.OrbitLevel):
+            return orbits.OrbitLevel(c1=out.c1, c2=np.nan)
+        return np.nan
+
+    monkeypatch.setattr(module, name, planted)
+
+
+@pytest.mark.parametrize(
+    "suite, module, name, line",
+    [
+        ("brackets", poisson, "structure_matrix", "brackets/CotSO3"),
+        ("jacobi", poisson, "jacobi_residual_all", "jacobi/CotSO3"),
+        ("poisson-map", reduction, "poisson_map_residual_all", "poisson-map/CotSE3->Reduced"),
+        ("casimirs", orbits, "casimirs", "casimirs/coadjoint-invariance"),
+        ("casimirs", poisson, "bracket", "casimirs/bracket-annihilation"),
+        ("orbits", orbits, "witness_residual", "orbits/witness-transitivity"),
+        ("orbits", orbits, "magnetic_form", "orbits/magnetic-antisymmetry"),
+        ("gradients", poisson, "fd_gradient", "gradients/potential-zero"),
+    ],
+)
+def test_check_fails_on_a_planted_nan(monkeypatch, capsys, suite, module, name, line):
+    # the NaN comes at the second sample, after a finite residual
+    _nan_on_second_call(monkeypatch, module, name)
+    assert main(["check", "--suite", suite]) == 1
+    out = capsys.readouterr().out
+    row, = (r for r in out.splitlines() if r.startswith(line + " "))
+    assert "max residual       nan" in row and row.endswith("FAIL")
+    assert out.endswith("CHECK FAILURES PRESENT\n")
+
+
+def test_orbit_fails_on_a_planted_nan(monkeypatch, capsys):
+    _nan_on_second_call(monkeypatch, orbits, "witness_residual")
+    assert main(["orbit", "--nu", "0,0,1", "--pi", "0.1,0.2,0.3", "--count", "5"]) == 1
+    assert "worst witness residual: nan  (FAIL at 1e-9)" in capsys.readouterr().out
 
 
 def test_check_deterministic(capsys):

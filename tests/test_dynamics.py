@@ -67,6 +67,27 @@ def test_body_params_validation():
         BodyParams(M=1.0, I1=-1.0, I3=1.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BodyParams(M=math.inf, I1=1.0, I3=1.0),
+        lambda: BodyParams(M=1.0, I1=math.nan, I3=1.0),
+        lambda: BodyParams(M=1.0, I1=1.0, I3=math.inf),
+        lambda: LinearGravity(g=[math.nan, 0.0, 0.0], chi=0.3),
+        lambda: LinearGravity(g=[0.0, 0.0, -math.inf], chi=0.3),
+        lambda: LinearGravity(g=[0.0, 0.0, -1.0], chi=math.nan),
+        lambda: LinearGravity(g=[0.0, 0.0, -1.0], chi=-math.inf),
+        lambda: DipolePotential(m=math.nan, mu=[0.0, 0.0, 1.0]),
+        lambda: DipolePotential(m=math.inf, mu=[0.0, 0.0, 1.0]),
+        lambda: DipolePotential(m=0.05, mu=[0.0, math.nan, 1.0]),
+    ],
+    ids=["M-inf", "I1-nan", "I3-inf", "g-nan", "g-inf", "chi-nan", "chi-inf", "m-nan", "m-inf", "mu-nan"],
+)
+def test_parameters_reject_non_finite_values(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_reduced_hamiltonian_frozen():
     s = ReducedState(
         x=np.zeros(3), p=np.array([2.0, 0, 0]), nu=np.array([0.0, 0, 1]), pi=np.array([0.0, 0, 3])

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtop.algebra3 import exp_so3, rotation_defect
+from symtop.dynamics import BodyParams, ZeroPotential, full_hamiltonian_field, step
 from symtop.errors import DimensionMismatch
 from symtop.phase import (
     LAYOUTS,
@@ -13,12 +14,15 @@ from symtop.phase import (
     ReducedState,
     Se3DualPoint,
     SpaceId,
+    chart_vector,
     dim,
     flatten,
     random_chart_point,
     random_state,
     unflatten,
 )
+from symtop.poisson import structure_matrix
+from symtop.reduction import poisson_map_residual_all
 
 ALL = list(SpaceId)
 
@@ -108,6 +112,23 @@ def test_flatten_type_mismatch():
 def test_unflatten_wrong_length():
     with pytest.raises(DimensionMismatch):
         unflatten(SpaceId.Se3Dual, np.zeros(7))
+
+
+def test_wrong_length_vector_gets_one_message():
+    # every entry point checks a chart vector with phase.chart_vector
+    h = full_hamiltonian_field(BodyParams(M=1.0, I1=1.0, I3=0.5), ZeroPotential())
+    z = np.zeros(17)
+    calls = (
+        lambda: chart_vector(SpaceId.CotSE3, z),
+        lambda: step(SpaceId.CotSE3, h, z, 1e-3),
+        lambda: structure_matrix(SpaceId.CotSE3, z),
+        lambda: unflatten(SpaceId.CotSE3, z),
+        lambda: poisson_map_residual_all(SpaceId.Reduced, z),
+    )
+    for call in calls:
+        with pytest.raises(DimensionMismatch) as e:
+            call()
+        assert str(e.value) == "CotSE3 chart has dim 18, got shape (17,)"
 
 
 def test_reduced_state_rejects_off_sphere_nu():
