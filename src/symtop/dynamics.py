@@ -111,16 +111,19 @@ class ZeroPotential(Potential):
 @dataclass(frozen=True)
 class LinearGravity(Potential):
     """Uniform gravity on the center of mass plus an axis-alignment torque:
-    V = M <g, x> + chi <nu, g/|g|>, with g finite and nonzero and chi finite."""
+    V = M <g, x> + chi <nu, g/|g|>, with g nonzero of finite length and chi finite."""
 
     g: Vec3
     chi: float
 
     def __post_init__(self):
         g = _vec3(self.g, "gravity vector")
-        norm = norm3(g)
+        with np.errstate(over="ignore"):
+            norm = norm3(g)
         if norm == 0.0:
             raise ValueError("gravity vector must be nonzero")
+        if norm == math.inf:
+            raise ValueError("gravity vector length overflows to inf")
         if not math.isfinite(self.chi):
             raise ValueError(f"chi = {self.chi} must be finite")
         object.__setattr__(self, "g", g)

@@ -62,6 +62,14 @@ class Layout:
         column of R (entries R[0,2], R[1,2], R[2,2]) on the attitude charts."""
         return self.nu if self.nu is not None else slice(self.r.start + 2, self.r.stop, 3)
 
+    @cached_property
+    def vectors(self) -> tuple[tuple[int, int], ...]:
+        """(start, stride) of each vector block the bracket couples to pi by
+        {pi_i, v_j} = eps_ijl v_l: the nu block, or each column of R."""
+        if self.nu is not None:
+            return ((self.nu.start, 1),)
+        return tuple((self.r.start + k, 3) for k in range(3))
+
     def r_entry(self, j: int, k: int) -> int:
         """Absolute chart index of R[j,k] (0-based row/column)."""
         if self.r is None:
@@ -99,33 +107,35 @@ def _vec3(v, name: str) -> Vec3:
     return a
 
 
+class _Validated:
+    """Shared admission of the four state types, in field order: R must be a
+    rotation, every other field a finite 3-vector."""
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            v = getattr(self, name)
+            object.__setattr__(self, name, require_rotation(v) if name == "R" else _vec3(v, name))
+
+
 @dataclass(frozen=True)
-class CotSO3State:
+class CotSO3State(_Validated):
     """Point of the rotational phase space: attitude R and spatial angular momentum pi."""
 
     R: Mat3
     pi: Vec3
 
-    def __post_init__(self):
-        object.__setattr__(self, "R", require_rotation(self.R))
-        object.__setattr__(self, "pi", _vec3(self.pi, "pi"))
-
 
 @dataclass(frozen=True)
-class Se3DualPoint:
+class Se3DualPoint(_Validated):
     """General point (nu, pi) of the Euclidean algebra dual; on the unit-sphere
     slice W1 it represents a reduced rotational state."""
 
     nu: Vec3
     pi: Vec3
 
-    def __post_init__(self):
-        object.__setattr__(self, "nu", _vec3(self.nu, "nu"))
-        object.__setattr__(self, "pi", _vec3(self.pi, "pi"))
-
 
 @dataclass(frozen=True)
-class FullState:
+class FullState(_Validated):
     """Rigid-body state in the inertial frame: position x, attitude R,
     linear momentum p, intrinsic angular momentum pi."""
 
@@ -134,15 +144,9 @@ class FullState:
     p: Vec3
     pi: Vec3
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _vec3(self.x, "x"))
-        object.__setattr__(self, "R", require_rotation(self.R))
-        object.__setattr__(self, "p", _vec3(self.p, "p"))
-        object.__setattr__(self, "pi", _vec3(self.pi, "pi"))
-
 
 @dataclass(frozen=True)
-class ReducedState:
+class ReducedState(_Validated):
     """Quotient state (x, p, nu, pi) with nu on the unit sphere."""
 
     x: Vec3
@@ -151,10 +155,7 @@ class ReducedState:
     pi: Vec3
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _vec3(self.x, "x"))
-        object.__setattr__(self, "p", _vec3(self.p, "p"))
-        object.__setattr__(self, "nu", _vec3(self.nu, "nu"))
-        object.__setattr__(self, "pi", _vec3(self.pi, "pi"))
+        super().__post_init__()
         defect = abs(float(self.nu @ self.nu) - 1.0)
         if defect > ADMISSION_TOL:
             raise ValueError(f"|nu|^2 - 1 = {defect:.3e} exceeds {ADMISSION_TOL:.1e}")

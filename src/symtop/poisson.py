@@ -19,14 +19,16 @@ result does not depend on the order BLAS sums in.
 
 Bracket families (all unlisted brackets vanish):
 
-    {x_i, p_j}   = delta_ij          translational block (CotSE3, Reduced)
-    {pi_i, pi_j} = eps_ijl pi_l      angular momentum algebra (all spaces)
-    {pi_i, R_jk} = eps_ijl R_lk      attitude columns (CotSO3, CotSE3)
-    {pi_i, nu_j} = eps_ijl nu_l      body-axis direction (Se3Dual, Reduced)
+    {x_i, p_j}  = delta_ij       translational block (CotSE3, Reduced)
+    {pi_i, v_j} = eps_ijl v_l    v = pi (all spaces), nu (Se3Dual, Reduced)
+                                 or each column of R (CotSO3, CotSE3)
     {nu_i, nu_j} = 0, {R_ij, R_kl} = 0
 
-The R rule couples pi to each matrix column separately: the bracket of a
-third-column entry involves third-column entries only.
+One eps rule covers pi, nu and the columns of R: _build_tensors writes it once
+over pi and the (start, stride) blocks of Layout.vectors.  Each R column is
+coupled separately, so a third-column entry brackets with third-column entries
+only; nu = tau(R) is that column, which is why the projection is Poisson.  The
+tensors and the other per-chart tables below are built at import.
 
 Sign convention: trajectories follow zdot_a = Lambda_ab dH/dz_b, so the
 translational block yields the standard xdot = dH/dp, pdot = -dH/dx.
@@ -51,11 +53,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra3 import EPS
 from .errors import DimensionMismatch
-from .phase import LAYOUTS, SpaceId, chart_vector, dim
-
-_TENSORS: dict[SpaceId, tuple[np.ndarray, np.ndarray]] = {}
+from .phase import LAYOUTS, Layout, SpaceId, chart_vector, dim
 
 
 def _build_tensors(space: SpaceId) -> tuple[np.ndarray, np.ndarray]:
@@ -69,43 +68,24 @@ def _build_tensors(space: SpaceId) -> tuple[np.ndarray, np.ndarray]:
             lam0[lay.x.start + i, lay.p.start + i] = 1.0
             lam0[lay.p.start + i, lay.x.start + i] = -1.0
 
-    # {pi_i, pi_j} = eps_ijl pi_l; looping over all (i, j) fills both orders.
-    for i in range(3):
-        for j in range(3):
-            for l in range(3):
-                if EPS[i, j, l] != 0.0:
-                    lin[lay.pi_entry(i), lay.pi_entry(j), lay.pi_entry(l)] = EPS[i, j, l]
-
-    if lay.r is not None:
-        # {pi_i, R_jk} = eps_ijl R_lk, column by column.
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    for l in range(3):
-                        e = EPS[i, j, l]
-                        if e != 0.0:
-                            a, b, c = lay.pi_entry(i), lay.r_entry(j, k), lay.r_entry(l, k)
-                            lin[a, b, c] = e
-                            lin[b, a, c] = -e
-
-    if lay.nu is not None:
-        # {pi_i, nu_j} = eps_ijl nu_l
-        for i in range(3):
-            for j in range(3):
-                for l in range(3):
-                    e = EPS[i, j, l]
-                    if e != 0.0:
-                        a, b, c = lay.pi_entry(i), lay.nu_entry(j), lay.nu_entry(l)
-                        lin[a, b, c] = e
-                        lin[b, a, c] = -e
+    # {pi_i, v_j} = eps_ijl v_l for v = pi and for each block of lay.vectors,
+    # v_j at chart entry a + d*j.  For cyclic (i, j, l), {pi_i, v_j} = v_l and
+    # {pi_i, v_l} = -v_j; each entry is written in both orders.
+    s = lay.pi.start
+    for a, d in ((s, 1), *lay.vectors):
+        for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            for b, c, e in ((a + d * j, a + d * l, 1.0), (a + d * l, a + d * j, -1.0)):
+                lin[s + i, b, c] = e
+                lin[b, s + i, c] = -e
 
     return lam0, lin
 
 
+_TENSORS = {space: _build_tensors(space) for space in SpaceId}
+
+
 def structure_tensors(space: SpaceId) -> tuple[np.ndarray, np.ndarray]:
-    """Constant and linear parts of Lambda; cached, treat as read-only."""
-    if space not in _TENSORS:
-        _TENSORS[space] = _build_tensors(space)
+    """Constant and linear parts of Lambda, built at import; treat as read-only."""
     return _TENSORS[space]
 
 
@@ -173,22 +153,20 @@ def _same_space(f: ScalarField, g: ScalarField) -> None:
         raise DimensionMismatch(f"fields live on {f.space.value} and {g.space.value}")
 
 
-_COORD_NAMES: dict[SpaceId, list[str]] = {}
+def _coordinate_names(lay: Layout) -> list[str]:
+    names = [""] * lay.dim
+    for label, block in (("x", lay.x), ("p", lay.p), ("nu", lay.nu), ("pi", lay.pi)):
+        if block is not None:
+            names[block] = [f"{label}{i}" for i in (1, 2, 3)]
+    if lay.r is not None:
+        names[lay.r] = [f"R{j}{k}" for j in (1, 2, 3) for k in (1, 2, 3)]
+    return names
+
+
+_COORD_NAMES = {space: _coordinate_names(lay) for space, lay in LAYOUTS.items()}
 
 
 def coordinate_names(space: SpaceId) -> list[str]:
-    if space not in _COORD_NAMES:
-        lay = LAYOUTS[space]
-        names = [""] * lay.dim
-        for block, label in ((lay.x, "x"), (lay.p, "p"), (lay.nu, "nu"), (lay.pi, "pi")):
-            if block is not None:
-                for i in range(3):
-                    names[block.start + i] = f"{label}{i + 1}"
-        if lay.r is not None:
-            for j in range(3):
-                for k in range(3):
-                    names[lay.r_entry(j, k)] = f"R{j + 1}{k + 1}"
-        _COORD_NAMES[space] = names
     return _COORD_NAMES[space]
 
 
@@ -229,21 +207,11 @@ def bracket(f: ScalarField, g: ScalarField, z: np.ndarray) -> float:
     return float(f.gradient(z) @ lam @ g.gradient(z))
 
 
-def _field_table(space: SpaceId) -> tuple:
-    """(dim, x start, p start, pi start, vector blocks) of one chart, where a
-    vector block is the (start, stride) of nu or of one column of R."""
-    lay = LAYOUTS[space]
-    vectors = []
-    if lay.nu is not None:
-        vectors.append((lay.nu.start, 1))
-    if lay.r is not None:
-        vectors += [(lay.r_entry(0, k), 3) for k in range(3)]
-    x0 = lay.x.start if lay.x is not None else None
-    p0 = lay.p.start if lay.p is not None else None
-    return lay.dim, x0, p0, lay.pi.start, tuple(vectors)
-
-
-_FIELD_TABLES = {space: _field_table(space) for space in SpaceId}
+# Per chart: (dim, x start, p start, pi start, Layout.vectors).
+_FIELD_TABLES = {
+    space: (lay.dim, lay.x and lay.x.start, lay.p and lay.p.start, lay.pi.start, lay.vectors)
+    for space, lay in LAYOUTS.items()
+}
 
 
 def vector_field_floats(space: SpaceId, z: list[float], g: Sequence[float]) -> list[float]:
@@ -290,24 +258,21 @@ def ham_vector_field(h: ScalarField, z: np.ndarray) -> np.ndarray:
 
 
 def jacobi_residual(space: SpaceId, a: int, b: int, c: int, z: np.ndarray) -> float:
-    """Cyclic sum {z_a,{z_b,z_c}} + {z_b,{z_c,z_a}} + {z_c,{z_a,z_b}}.
-
-    Coordinate brackets are affine in z, so the nested gradients are the
-    exact rows of the linear part; no differencing enters.
-    """
-    z = chart_vector(space, z)
-    lam = structure_matrix(space, z)
-    _, lin = structure_tensors(space)
-    return float(lam[a] @ lin[b, c] + lam[b] @ lin[c, a] + lam[c] @ lin[a, b])
+    """Cyclic sum {z_a,{z_b,z_c}} + {z_b,{z_c,z_a}} + {z_c,{z_a,z_b}}: one
+    entry of jacobi_residual_all."""
+    return float(jacobi_residual_all(space, z)[a, b, c])
 
 
 def jacobi_residual_all(space: SpaceId, z: np.ndarray) -> np.ndarray:
-    """Residual tensor over every index triple at once (vectorized).
+    """Cyclic sum {z_a,{z_b,z_c}} + {z_b,{z_c,z_a}} + {z_c,{z_a,z_b}} over
+    every index triple at once.
 
-    T[a, b, c] = sum_d Lambda[a, d] LIN[b, c, d] is one matrix product with
-    the (n*n, n) view of LIN.  Each LIN[b, c, :] has at most one nonzero
-    entry, +-1, so every sum is one exact product plus exact zeros and the
-    result does not depend on the order BLAS sums in.
+    Coordinate brackets are affine in z, so the gradient of {z_b, z_c} is the
+    exact row LIN[b, c] and T[a, b, c] = {z_a, {z_b, z_c}} = sum_d Lambda[a, d]
+    LIN[b, c, d]; no differencing enters.  T is one matrix product with the
+    (n*n, n) view of LIN.  Each LIN[b, c, :] has at most one nonzero entry,
+    +-1, so every sum is one exact product plus exact zeros and the result
+    does not depend on the order BLAS sums in.
     """
     z = chart_vector(space, z)
     lam = structure_matrix(space, z)

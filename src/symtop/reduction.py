@@ -97,29 +97,29 @@ def section(nu: Vec3) -> Mat3:
     return np.column_stack([u, v, nh])
 
 
-_PROJECTIONS: dict[SpaceId, tuple[SpaceId, np.ndarray, np.ndarray]] = {}
+def _build_projection(src: SpaceId, dst: SpaceId) -> tuple[SpaceId, np.ndarray, np.ndarray]:
+    dst_lay, src_lay = LAYOUTS[dst], LAYOUTS[src]
+    p = np.zeros((dst_lay.dim, src_lay.dim))
+    for blk in ("x", "p", "axis", "pi"):
+        d, s = getattr(dst_lay, blk), getattr(src_lay, blk)
+        if d is not None:
+            p[d, s] = IDENTITY
+    return src, p, p.argmax(axis=1)
+
+
+_PROJECTIONS = {dst: _build_projection(src, dst) for src, dst in
+                ((SpaceId.CotSE3, SpaceId.Reduced), (SpaceId.CotSO3, SpaceId.Se3Dual))}
 
 
 def _projection(reduced_space: SpaceId) -> tuple[SpaceId, np.ndarray, np.ndarray]:
-    """(source space, P, sel) of the projection onto reduced_space; cached.
+    """(source space, P, sel) of the projection onto reduced_space, built at import.
 
     P has exactly one 1 per row, in column sel[i] for reduced coordinate i.
     """
-    if reduced_space not in _PROJECTIONS:
-        if reduced_space is SpaceId.Reduced:
-            src = SpaceId.CotSE3
-        elif reduced_space is SpaceId.Se3Dual:
-            src = SpaceId.CotSO3
-        else:
-            raise DimensionMismatch(f"{reduced_space.value} is not the image of a projection")
-        dst_lay, src_lay = LAYOUTS[reduced_space], LAYOUTS[src]
-        p = np.zeros((dst_lay.dim, src_lay.dim))
-        for blk in ("x", "p", "axis", "pi"):
-            d, s = getattr(dst_lay, blk), getattr(src_lay, blk)
-            if d is not None:
-                p[d, s] = IDENTITY
-        _PROJECTIONS[reduced_space] = (src, p, p.argmax(axis=1))
-    return _PROJECTIONS[reduced_space]
+    proj = _PROJECTIONS.get(reduced_space)
+    if proj is None:
+        raise DimensionMismatch(f"{reduced_space.value} is not the image of a projection")
+    return proj
 
 
 def chart_projection(reduced_space: SpaceId) -> tuple[SpaceId, np.ndarray]:

@@ -237,6 +237,8 @@ SUM_REDUCED = _with(FREE_TOP_REDUCED, ("potential",), {"type": "sum", "terms": [
         (_with(GRAVITY_REDUCED, ("potential", "g"), [0, 0, 0]),
          "error: potential: gravity vector must be nonzero"),
         (SUM_REDUCED, "error: potential.terms[1]: gravity vector must be nonzero"),
+        (_with(GRAVITY_REDUCED, ("potential", "g"), [0, 0, -1e160]),
+         "error: potential: gravity vector length overflows to inf"),
     ],
     ids=[
         "dt-bool", "T-bool", "M-bool", "I1-bool", "I3-bool", "stride-bool", "seed-bool",
@@ -244,8 +246,10 @@ SUM_REDUCED = _with(FREE_TOP_REDUCED, ("potential",), {"type": "sum", "terms": [
         "dt-inf", "T-overflows-steps", "T-not-multiple-of-dt", "T-below-one-step",
         "vector-string", "vector-bool", "vector-huge-int", "vector-object",
         "M-zero", "I3-negative", "dt-zero", "T-negative", "g-zero", "sum-term-g-zero",
+        "g-length-overflows",
     ],
 )
+@pytest.mark.filterwarnings("error")  # a warning would add a line to the one-line error
 def test_simulate_rejects_bad_number(tmp_path, capsys, cfg, message):
     code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")])
     assert code == 2
@@ -534,6 +538,7 @@ _BAD_POTENTIAL = st.one_of(
     st.tuples(_POTENTIAL, st.text(max_size=2)).map(lambda a: {**a[0], "extra" + a[1]: 0}),
     st.fixed_dictionaries({"type": st.just("sum"), "terms": st.one_of(st.just([]), _JUNK)}),
     st.fixed_dictionaries({"type": st.just("gravity"), "g": st.just([0.0, 0.0, 0.0]), "chi": st.just(0.3)}),
+    st.fixed_dictionaries({"type": st.just("gravity"), "g": st.just([0.0, 0.0, -1e160]), "chi": st.just(0.3)}),
     st.fixed_dictionaries(
         {"type": st.just("gravity"), "g": _BAD_VEC3, "chi": st.one_of(st.floats(-1.0, 1.0), _JUNK)}
     ),

@@ -88,6 +88,15 @@ def test_parameters_reject_non_finite_values(make):
         make()
 
 
+def test_gravity_vector_whose_length_overflows_is_rejected():
+    # |g|^2 overflows above about 1.3e154, which would make g/|g| zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^gravity vector length overflows to inf$"):
+            LinearGravity(g=[0.0, 0.0, -1e160], chi=0.3)
+        assert LinearGravity(g=[0.0, 0.0, -1e150], chi=0.3).grad_nu(None, None, None) == (0.0, 0.0, -0.3)
+
+
 def test_reduced_hamiltonian_frozen():
     s = ReducedState(
         x=np.zeros(3), p=np.array([2.0, 0, 0]), nu=np.array([0.0, 0, 1]), pi=np.array([0.0, 0, 3])

@@ -148,6 +148,11 @@ def test_layout_entry_helpers():
     assert LAYOUTS[SpaceId.Se3Dual].axis == slice(0, 3)
     assert list(range(18))[lay.axis] == [8, 11, 14]
     assert list(range(12))[LAYOUTS[SpaceId.CotSO3].axis] == [2, 5, 8]
+    # Layout.vectors: the (start, stride) blocks the eps rule couples to pi
+    assert lay.vectors == ((6, 3), (7, 3), (8, 3))
+    assert LAYOUTS[SpaceId.CotSO3].vectors == ((0, 3), (1, 3), (2, 3))
+    assert LAYOUTS[SpaceId.Se3Dual].vectors == ((0, 1),)
+    assert LAYOUTS[SpaceId.Reduced].vectors == ((6, 1),)
 
 
 _COMPONENT = st.floats(-1e6, 1e6, allow_nan=False)

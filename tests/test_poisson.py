@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symtop import poisson
 from symtop.algebra3 import EPS, exp_so3
-from symtop.checks import PRESET_BODY, PRESET_POTENTIALS
+from symtop.checks import PRESET_BODY, PRESET_POTENTIALS, check_brackets
 from symtop.dynamics import full_hamiltonian_field, reduced_hamiltonian_field
 from symtop.errors import DimensionMismatch
 from symtop.phase import (
@@ -365,3 +366,52 @@ def test_coordinate_names():
     assert coordinate_names(SpaceId.CotSO3)[0] == "R11"
     assert coordinate(SpaceId.Se3Dual, 3).name == "pi1"
     assert len(coordinate_fields(SpaceId.CotSE3)) == 18
+
+
+def test_structure_tensors_built_once_at_import(monkeypatch):
+    tables = {space: structure_tensors(space) for space in ALL}
+    monkeypatch.setattr(poisson, "_build_tensors", None)  # a rebuild would raise
+    for space in ALL:
+        lam0, lin = structure_tensors(space)
+        assert lam0 is tables[space][0] and lin is tables[space][1]
+
+
+def _bracket_verdicts() -> dict[str, bool]:
+    return {r.name: r.passed for r in check_brackets(seed=0, points_per_space=3)}
+
+
+@pytest.mark.parametrize("space", ALL, ids=lambda s: s.value)
+def test_check_brackets_catches_a_flipped_sign_in_the_shared_rule(monkeypatch, space):
+    lay = LAYOUTS[space]
+    lam0, lin = structure_tensors(space)
+    a, d = lay.vectors[0]
+    # {pi_1, v_2} = v_3 on the first vector block
+    entry = (lay.pi_entry(0), a + d, a + 2 * d)
+    benign = lin.copy()
+    benign[lay.pi_entry(0), a, a] = -0.0  # an exact zero keeps its value
+    monkeypatch.setitem(poisson._TENSORS, space, (lam0, benign))
+    assert all(_bracket_verdicts().values())
+    flipped = lin.copy()
+    assert flipped[entry] == 1.0
+    flipped[entry] = -1.0
+    monkeypatch.setitem(poisson._TENSORS, space, (lam0, flipped))
+    verdicts = _bracket_verdicts()
+    assert not verdicts.pop(f"brackets/{space.value}") and all(verdicts.values())
+
+
+def test_check_brackets_does_not_read_layout_vectors(monkeypatch):
+    # Tensors rebuilt from a wrong Layout.vectors must fail against the literal
+    # oracle, which never reads Layout.vectors.
+    space = SpaceId.CotSE3
+    lay = LAYOUTS[space]
+
+    def rebuild_from(vectors):
+        monkeypatch.setitem(lay.__dict__, "vectors", vectors)
+        monkeypatch.setitem(poisson._TENSORS, space, poisson._build_tensors(space))
+        return _bracket_verdicts()
+
+    # control: the same three columns of R in another order give the same table
+    assert all(rebuild_from(((8, 3), (6, 3), (7, 3))).values())
+    # the rows of R in place of its columns
+    verdicts = rebuild_from(((6, 1), (9, 1), (12, 1)))
+    assert not verdicts.pop("brackets/CotSE3") and all(verdicts.values())
