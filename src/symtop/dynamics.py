@@ -55,7 +55,6 @@ from .phase import (
 )
 from .poisson import ScalarField, vector_field_floats
 from .poisson import ham_vector_field  # noqa: F401  (still read as dynamics.ham_vector_field)
-from .reduction import chart_projection, project_full
 
 Float3 = tuple[float, float, float]
 
@@ -155,9 +154,11 @@ def _floats(v) -> list[float]:
 
 
 def _dipole_r2(x0: float, x1: float, x2: float) -> float:
-    """|x|^2, or NonFinite at the singularity or for a non-finite x."""
+    """|x|^2, or NonFinite at the singularity, for a non-finite x, or on overflow."""
     r2 = x0 * x0 + x1 * x1 + x2 * x2
     if not _DIPOLE_MIN_R2 <= r2 < math.inf:
+        if r2 == math.inf and math.isfinite(x0) and math.isfinite(x1) and math.isfinite(x2):
+            raise NonFinite(f"dipole potential: |x|^2 overflows to inf at x = {[x0, x1, x2]}")
         raise NonFinite(f"dipole potential singular at x = {[x0, x1, x2]} (|x|^2 = {r2:.3e})")
     return r2
 
@@ -262,16 +263,15 @@ def _hamiltonian_field(
     evaluated only for nonzero kappa.
 
     The gradient takes z as an ndarray or a float list, reads x, p, nu, pi
-    as twelve floats with one itemgetter and returns a float tuple placed by
-    a second one; both index tables come from the layout, here.  Entries
-    outside those blocks (the first two columns of R) are 0.0.
+    as twelve floats with one itemgetter over Layout.reduced and returns a
+    float tuple placed by a second one, its inverse.  Entries outside those
+    blocks (the first two columns of R) are 0.0.
     """
     lay = LAYOUTS[space]
     sx, sp, snu, spi = lay.x, lay.p, lay.axis, lay.pi
-    entries = [a for s in (sx, sp, snu, spi) for a in range(lay.dim)[s]]
-    take = operator.itemgetter(*entries)
-    slot = [len(entries)] * lay.dim  # the trailing 0.0 of the values below
-    for k, a in enumerate(entries):
+    take = operator.itemgetter(*lay.reduced)
+    slot = [len(lay.reduced)] * lay.dim  # the trailing 0.0 of the values below
+    for k, a in enumerate(lay.reduced):
         slot[a] = k
     place = operator.itemgetter(*slot)
     m, i1 = bp.M, bp.I1
@@ -280,7 +280,8 @@ def _hamiltonian_field(
         x, p, nu, pi = z[sx], z[sp], z[snu], z[spi]
         v = float(p.dot(p)) / (2.0 * m) + float(pi.dot(pi)) / (2.0 * i1)
         if kappa:
-            v += kappa * float(nu.dot(pi)) ** 2
+            c = float(nu.dot(pi))
+            v += kappa * (c * c)  # float ** raises on overflow; * gives inf
         return v + potential.value(x, nu, bp)
 
     def grad(z):
@@ -421,10 +422,14 @@ def nu_pi_of(space: SpaceId, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _monitors(space: SpaceId, h: ScalarField, z: np.ndarray) -> tuple[float, float, float, float]:
+    """Energy, C1, C2 and the orthogonality defect at z; NonFinite unless all are finite."""
     nu, pi = nu_pi_of(space, z)
     lay = LAYOUTS[space]
     defect = orthogonality_defect(z[lay.r].reshape(3, 3)) if lay.r is not None else 0.0
-    return h(z), float(nu.dot(nu)), float(nu.dot(pi)), float(defect)
+    mons = h(z), float(nu.dot(nu)), float(nu.dot(pi)), float(defect)
+    if not all(map(math.isfinite, mons)):
+        raise NonFinite(f"non-finite monitor (energy, C1, C2, ortho defect) = {mons}")
+    return mons
 
 
 def simulate(
@@ -440,9 +445,10 @@ def simulate(
     (plus the endpoint) with energy/Casimir/orthogonality monitors.
 
     T must be a whole number of steps dt (see step_count).  A NonFinite
-    failure, or a TooFarFromSO3 from a step too large for the repair, is
-    re-raised naming the step that failed and the time it was to reach
-    (step 0: the initial state's monitors).
+    failure (a non-finite state or monitor, or a singular potential), or a
+    TooFarFromSO3 from a step too large for the repair, is re-raised naming
+    the step that failed and the time it was to reach (step 0: the initial
+    state's monitors).  numpy's overflow and invalid warnings are off for the run.
     """
     n_steps = step_count(T, dt)
     if sample_stride < 1:
@@ -451,13 +457,14 @@ def simulate(
     ts, zs, mons = [0.0], [z], []
     k = 0
     try:
-        mons.append(_monitors(space, h, z))
-        for k in range(1, n_steps + 1):
-            z = step(space, h, z, dt, method)
-            if k % sample_stride == 0 or k == n_steps:
-                ts.append(k * dt)
-                zs.append(z)
-                mons.append(_monitors(space, h, z))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mons.append(_monitors(space, h, z))
+            for k in range(1, n_steps + 1):
+                z = step(space, h, z, dt, method)
+                if k % sample_stride == 0 or k == n_steps:
+                    ts.append(k * dt)
+                    zs.append(z)
+                    mons.append(_monitors(space, h, z))
     except (NonFinite, TooFarFromSO3) as e:
         raise type(e)(f"step {k} of {n_steps} (t = {k * dt:.6g}): {e}") from e
     m = np.array(mons)
@@ -501,26 +508,13 @@ def commutation_residual(
     Both sides integrate with identical dt and method; the full side carries
     the <nu, pi>^2 spin term, the reduced side does not, so a small residual
     certifies that dynamics commutes with projection and that the dropped
-    term generates no reduced motion.
+    term generates no reduced motion.  The start and every sample are
+    projected by the same selection, the CotSE3 chart's Layout.reduced.
     """
-    full_traj = simulate(
-        SpaceId.CotSE3,
-        full_hamiltonian_field(bp, potential),
-        flatten(z0, SpaceId.CotSE3),
-        dt,
-        T,
-        method,
-        sample_stride,
-    )
-    red_traj = simulate(
-        SpaceId.Reduced,
-        reduced_hamiltonian_field(bp, potential),
-        flatten(project_full(z0), SpaceId.Reduced),
-        dt,
-        T,
-        method,
-        sample_stride,
-    )
-    _, proj = chart_projection(SpaceId.Reduced)
-    projected = full_traj.z @ proj.T
-    return float(np.abs(projected - red_traj.z).max())
+    sel = list(LAYOUTS[SpaceId.CotSE3].reduced)
+    z = flatten(z0, SpaceId.CotSE3)
+    run = (dt, T, method, sample_stride)
+    full = simulate(SpaceId.CotSE3, full_hamiltonian_field(bp, potential), z, *run)
+    red = simulate(SpaceId.Reduced, reduced_hamiltonian_field(bp, potential), z[sel], *run)
+    with np.errstate(over="ignore"):
+        return float(np.abs(full.z[:, sel] - red.z).max())

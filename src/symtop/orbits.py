@@ -149,10 +149,11 @@ def casimir_fields(space: SpaceId) -> tuple[ScalarField, ScalarField]:
         raise ValueError(f"{space.value} has no nu block; Casimirs live downstairs")
     s_nu, s_pi, n = lay.nu, lay.pi, lay.dim
 
+    # z may be an ndarray or a float list, as ScalarField allows.
     def c1_grad(z, s_nu=s_nu, n=n):
         g = np.zeros(n)
-        g[s_nu] = 2.0 * z[s_nu]
-        return g
+        g[s_nu] = z[s_nu]
+        return 2.0 * g
 
     def c2_grad(z, s_nu=s_nu, s_pi=s_pi, n=n):
         g = np.zeros(n)

@@ -12,7 +12,7 @@ tables are polynomial in matrix entries); the redundancy is resolved by
 constraint-preserving integration, not by a minimal chart.  Every module
 indexes chart vectors through the Layout constants defined here; the body
 axis nu is read through Layout.axis on every chart, as the third column of R
-on the attitude charts.
+on the attitude charts, and Layout.reduced lists the entries of (x, p, nu, pi).
 
 Flat layouts (row-major R):
 
@@ -69,6 +69,14 @@ class Layout:
         if self.nu is not None:
             return ((self.nu.start, 1),)
         return tuple((self.r.start + k, 3) for k in range(3))
+
+    @cached_property
+    def reduced(self) -> tuple[int, ...]:
+        """Chart entries of (x, p, nu, pi), absent blocks skipped and nu read
+        through axis: the reduction (x, R, p, pi) -> (x, p, tau(R), pi) as a
+        selection of entries, and range(dim) on the reduced charts."""
+        blocks = (self.x, self.p, self.axis, self.pi)
+        return tuple(a for s in blocks if s is not None for a in range(self.dim)[s])
 
     def r_entry(self, j: int, k: int) -> int:
         """Absolute chart index of R[j,k] (0-based row/column)."""

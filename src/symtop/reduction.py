@@ -15,8 +15,10 @@ is a complete invariant of the circle action and defines the projections
     project_full: (x, R, p, pi) -> (x, p, nu, pi)   CotSE3  -> Reduced
 
 Both maps are linear in chart coordinates, z -> P z, and P selects entries:
-reduced coordinate i reads source coordinate sel[i].  A linear map is Poisson
-exactly when
+reduced coordinate i reads source coordinate sel[i], with sel the source
+chart's Layout.reduced and P built from it.  tau, tilde_tau and project_full
+stay as the independent, state-level statement of the same maps.  A linear
+map is Poisson exactly when
 
     P Lambda_src(z) P^T = Lambda_dst(P z)
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra3 import IDENTITY, Mat3, Vec3, cross, exp_so3, norm3, orthogonal_unit
+from .algebra3 import Mat3, Vec3, cross, exp_so3, norm3, orthogonal_unit
 from .errors import DimensionMismatch
 from .phase import (
     LAYOUTS,
@@ -97,18 +99,13 @@ def section(nu: Vec3) -> Mat3:
     return np.column_stack([u, v, nh])
 
 
-def _build_projection(src: SpaceId, dst: SpaceId) -> tuple[SpaceId, np.ndarray, np.ndarray]:
-    dst_lay, src_lay = LAYOUTS[dst], LAYOUTS[src]
-    p = np.zeros((dst_lay.dim, src_lay.dim))
-    for blk in ("x", "p", "axis", "pi"):
-        d, s = getattr(dst_lay, blk), getattr(src_lay, blk)
-        if d is not None:
-            p[d, s] = IDENTITY
-    return src, p, p.argmax(axis=1)
+def _build_projection(src: SpaceId) -> tuple[SpaceId, np.ndarray, np.ndarray]:
+    sel = np.array(LAYOUTS[src].reduced)
+    return src, np.eye(LAYOUTS[src].dim)[sel], sel
 
 
-_PROJECTIONS = {dst: _build_projection(src, dst) for src, dst in
-                ((SpaceId.CotSE3, SpaceId.Reduced), (SpaceId.CotSO3, SpaceId.Se3Dual))}
+_PROJECTIONS = {SpaceId.Reduced: _build_projection(SpaceId.CotSE3),
+                SpaceId.Se3Dual: _build_projection(SpaceId.CotSO3)}
 
 
 def _projection(reduced_space: SpaceId) -> tuple[SpaceId, np.ndarray, np.ndarray]:

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from symtop import orbits, poisson, reduction
 from symtop.algebra3 import exp_so3
-from symtop.cli import main
+from symtop.cli import CSV_COLUMNS, main, write_csv
+from symtop.dynamics import Trajectory
+from symtop.phase import LAYOUTS, SpaceId
 
 FREE_TOP_REDUCED = {
     "space": "reduced",
@@ -451,6 +453,61 @@ def test_step_too_large_for_repair_exits_3(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+_DIPOLE_FULL = _with(FREE_TOP_FULL, ("potential",), DIPOLE_REDUCED["potential"])
+
+
+# Finite configs whose first monitors overflow: one error line and exit 3.
+@pytest.mark.filterwarnings("error")  # a warning would add a line to the one-line error
+@pytest.mark.parametrize(
+    "cfg, commands, message",
+    [
+        (_with(FREE_TOP_FULL, ("initial", "pi"), [1e160, 0, 0]), ("simulate", "compare"), "non-finite monitor"),
+        (_with(GRAVITY_REDUCED, ("initial", "p"), [1e160, 0, 0]), ("simulate",), "non-finite monitor"),
+        (_with(_DIPOLE_FULL, ("initial", "x"), [1e155, 0, 0]), ("simulate", "compare"), "|x|^2 overflows"),
+    ],
+    ids=["spin-term", "energy", "dipole-r2"],
+)
+def test_overflowing_monitor_exits_3(tmp_path, capsys, cfg, commands, message):
+    args = ["--config", write_config(tmp_path, cfg)]
+    for command in commands:
+        extra = ["--out", str(tmp_path / "o.csv")] if command == "simulate" else []
+        assert main([command, *args, *extra]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 0 of 500 (t = 0): ") and err.count("\n") == 1, err
+        assert message in err
+
+
+def test_simulate_unwritable_out_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "o.csv")
+    assert main(["simulate", "--config", write_config(tmp_path, FREE_TOP_REDUCED), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --out: ") and err.count("\n") == 1, err
+
+
+# Columns of the (x, p, nu, pi) entries of each chart, written out.
+_CSV_ENTRIES = {
+    SpaceId.Reduced: list(range(12)),
+    SpaceId.CotSE3: [0, 1, 2, 3, 4, 5, 8, 11, 14, 15, 16, 17],
+}
+
+
+@pytest.mark.parametrize("space", list(_CSV_ENTRIES))
+def test_csv_text(tmp_path, space):
+    v = [-0.0, 5e-324, 1e308, -1.5e-300]
+    z = np.resize(v, (2, LAYOUTS[space].dim))  # each row cycles through v
+    a, b = np.array(v[:2]), np.array(v[2:])
+    traj = Trajectory(space, t=a, z=z, energy=b, c1=a[::-1], c2=b[::-1], ortho_defect=a)
+    path = str(tmp_path / "o.csv")
+    write_csv(path, traj)
+    lines = [CSV_COLUMNS] + [
+        ",".join(format(float(v), ".17g") for v in
+                 [traj.t[i], *z[i, _CSV_ENTRIES[space]], traj.energy[i], traj.c1[i], traj.c2[i], traj.ortho_defect[i]])
+        for i in range(2)
+    ]
+    with open(path, "rb") as f:
+        assert f.read() == "".join(line + "\n" for line in lines).encode()
+
+
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path, FREE_TOP_REDUCED)
     out = str(tmp_path / "traj.csv")
@@ -596,3 +653,48 @@ def test_simulate_fuzzed_body_potential_initial(space, body, potential, vectors,
         # a valid config fails only at the dipole's singularity, reported by step and t
         assert _has_dipole(cfg["potential"]), err
         assert re.match(r"error: step \d+ of \d+ \(t = [^)]*\): ", err), err
+
+
+# Every finite float, for the fields whose size the config does not bound.
+_ANY_VEC3 = st.lists(_FINITE, min_size=3, max_size=3)
+_ANY_POTENTIAL = st.recursive(
+    st.one_of(
+        st.fixed_dictionaries({"type": st.just("zero")}),
+        st.fixed_dictionaries({"type": st.just("gravity"), "g": _ANY_VEC3, "chi": st.floats(-1.0, 1.0)}),
+        st.fixed_dictionaries({"type": st.just("dipole"), "m": st.floats(-0.1, 0.1), "mu": _ANY_VEC3}),
+    ),
+    lambda terms: st.fixed_dictionaries(
+        {"type": st.just("sum"), "terms": st.lists(terms, min_size=1, max_size=3)}
+    ),
+    max_leaves=4,
+)
+# (dt, T): whole horizons of 1 to 50 steps, dt up to 10.
+_SHORT = st.tuples(st.floats(1e-3, 10.0), st.integers(1, 50)).map(lambda a: (a[0], a[0] * a[1]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from(["full", "reduced"]),
+    # nonnegative: the other fuzz draws the negative ones
+    st.fixed_dictionaries({"M": _FINITE.map(abs), "I1": _FINITE.map(abs), "I3": _FINITE.map(abs)}),
+    _ANY_POTENTIAL,
+    st.fixed_dictionaries({"x": _ANY_VEC3, "p": _ANY_VEC3, "pi": _ANY_VEC3}),
+    _SHORT,
+)
+def test_simulate_fuzzed_finite_magnitudes(space, body, potential, vectors, horizon):
+    cfg = json.loads(json.dumps(FREE_TOP_FULL if space == "full" else FREE_TOP_REDUCED))
+    cfg["body"], cfg["potential"] = body, potential
+    cfg["initial"].update(vectors)
+    cfg["dt"], cfg["T"] = horizon
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", path, "--out", os.path.join(tmp, "o.csv")])
+    err = err.getvalue()
+    assert code in (0, 2, 3), err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err

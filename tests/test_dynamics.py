@@ -188,18 +188,35 @@ def test_dipole_matches_vector_formula():
 
 
 @pytest.mark.parametrize(
-    "x",
-    [[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 1.0, 0.0], [1e155, 1e155, 0.0]],
+    "x, cause",
+    [([0.0, 0.0, 0.0], "singular"), ([1e-9, 0.0, 0.0], "singular"), ([np.nan, 0.0, 0.0], "singular"),
+     ([np.inf, 1.0, 0.0], "singular"), ([1e155, 1e155, 0.0], "overflows")],
     ids=["origin", "below-floor", "nan", "inf", "square-overflows"],
 )
-def test_dipole_singularity_raises_nonfinite(x):
+def test_dipole_singularity_raises_nonfinite(x, cause):
     pot = DipolePotential(m=0.05, mu=np.array([0.0, 0.0, 1.0]))
     x, nu = np.array(x), np.array([0.0, 0.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for method in (pot.value, pot.grad_x, pot.grad_nu):
-            with pytest.raises(NonFinite, match="dipole"):
+            with pytest.raises(NonFinite, match=f"dipole potential.*{cause}"):
                 method(x, nu, BP)
+
+
+def test_spin_term_overflows_to_inf_not_an_error():
+    s = full_point(reduced_point(pi=(1e160, 0.0, 0.0)))
+    with np.errstate(over="ignore"):
+        assert full_hamiltonian(s, BP, ZeroPotential()) == math.inf
+
+
+def test_simulate_rejects_non_finite_monitor():
+    # finite state, energy |p|^2/(2M) = inf: reported at step 0, without a warning
+    z = flatten(reduced_point(), SpaceId.Reduced)
+    z[3] = 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match=r"step 0 of 10 \(t = 0\): non-finite monitor"):
+            simulate(SpaceId.Reduced, reduced_hamiltonian_field(BP, ZeroPotential()), z, 0.01, 0.1)
 
 
 def test_sum_potential_needs_a_term():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtop.checks import random_same_level_pair
+from symtop.dynamics import step
 from symtop.errors import NotSameLevel, NotTangent, NotUnit, ZeroNu
 from symtop.orbits import (
     OrbitLevel,
@@ -98,6 +99,14 @@ def test_casimir_field_gradients():
         z = random_chart_point(SpaceId.Reduced, k)
         for f in (c1f, c2f):
             assert np.abs(f.gradient(z) - fd_gradient(f.value, z)).max() < 1e-6
+
+
+@pytest.mark.parametrize("space", [SpaceId.Se3Dual, SpaceId.Reduced])
+def test_casimir_flow_is_the_identity(space):
+    # step hands grad a float list; nu x nu and nu x pi + pi x nu are exactly 0
+    z = random_chart_point(space, 4)
+    for f in casimir_fields(space):
+        assert np.array_equal(step(space, f, z, 0.01, method="rk4"), z), f.name
 
 
 def test_witness_same_point():

@@ -153,6 +153,12 @@ def test_layout_entry_helpers():
     assert LAYOUTS[SpaceId.CotSO3].vectors == ((0, 3), (1, 3), (2, 3))
     assert LAYOUTS[SpaceId.Se3Dual].vectors == ((0, 1),)
     assert LAYOUTS[SpaceId.Reduced].vectors == ((6, 1),)
+    # Layout.reduced: the entries of (x, p, nu, pi), the projection as a
+    # selection; on the reduced charts it selects every entry in order
+    assert lay.reduced == (0, 1, 2, 3, 4, 5, 8, 11, 14, 15, 16, 17)
+    assert LAYOUTS[SpaceId.CotSO3].reduced == (2, 5, 8, 9, 10, 11)
+    assert LAYOUTS[SpaceId.Reduced].reduced == tuple(range(12))
+    assert LAYOUTS[SpaceId.Se3Dual].reduced == tuple(range(6))
 
 
 _COMPONENT = st.floats(-1e6, 1e6, allow_nan=False)

@@ -127,6 +127,9 @@ def test_chart_projection_matrices():
     s = random_state(SpaceId.CotSE3, 5)
     _, pm = chart_projection(SpaceId.Reduced)
     npt.assert_array_equal(pm @ flatten(s, SpaceId.CotSE3), flatten(project_full(s), SpaceId.Reduced))
+    s = random_state(SpaceId.CotSO3, 5)
+    _, pm = chart_projection(SpaceId.Se3Dual)
+    npt.assert_array_equal(pm @ flatten(s, SpaceId.CotSO3), flatten(tilde_tau(s), SpaceId.Se3Dual))
 
 
 def test_poisson_map_residual_nu_pi_pair():
