@@ -18,8 +18,10 @@ orthogonality defect (0 for reduced runs), all floats with 17 significant
 digits so downstream tools can round-trip them losslessly.
 
 Exit codes: 0 success / all checks pass, 2 validation error or unwritable
---out, 3 integration failed (a non-finite state or monitor, or a step too
-large for the constraint repair), 1 a check or comparison failed.
+--out (found before the run), 3 integration failed (a non-finite state or
+monitor, or a step too large for the constraint repair), 1 a check or
+comparison failed.  An error is one stderr line: main runs every command with
+numpy's overflow and invalid-value warnings off, so none adds a line.
 """
 
 from __future__ import annotations
@@ -223,15 +225,19 @@ def write_csv(path: str, traj: dynamics.Trajectory) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
+    try:  # before the run, so an unwritable path costs no integration
+        open(args.out, "a", encoding="utf-8").close()  # creates the file, never truncates it
+    except OSError as e:
+        raise ConfigError(f"cannot write --out: {e}") from None
     traj = dynamics.simulate(
         cfg.space, cfg.hamiltonian(), cfg.z0, cfg.dt, cfg.T, cfg.method, cfg.sample_stride
     )
     write_csv(args.out, traj)
     print(f"wrote {len(traj)} samples to {args.out}")
-    with np.errstate(over="ignore"):  # finite monitors far apart may differ by inf
-        print(f"energy drift  max|h - h0|   = {np.abs(traj.energy - traj.energy[0]).max():.3e}")
-        print(f"C1 drift      max|C1 - 1|   = {np.abs(traj.c1 - 1.0).max():.3e}")
-        print(f"C2 drift      max|C2 - C20| = {np.abs(traj.c2 - traj.c2[0]).max():.3e}")
+    # a drift may read inf: finite monitors far apart can differ by inf
+    print(f"energy drift  max|h - h0|   = {np.abs(traj.energy - traj.energy[0]).max():.3e}")
+    print(f"C1 drift      max|C1 - 1|   = {np.abs(traj.c1 - 1.0).max():.3e}")
+    print(f"C2 drift      max|C2 - C20| = {np.abs(traj.c2 - traj.c2[0]).max():.3e}")
     print(f"ortho defect  max           = {traj.ortho_defect.max():.3e}")
     return 0
 
@@ -284,22 +290,20 @@ def cmd_orbit(args) -> int:
         raise ConfigError(f"--count must be a positive integer, got {args.count}")
     nu = _parse_triple(args.nu, "nu")
     pi = _parse_triple(args.pi, "pi")
+    q0 = Se3DualPoint(nu=nu, pi=pi)
+    level = orbits.casimirs(q0)
     # The Casimirs' rounding grows with |nu|^2 and |nu||pi|, so the level
     # match scales its tolerance by s, and the witness residual is judged
     # relative to the size of the input.  For |nu|, |pi| <= 1 both scales are 1.
     norm_nu, norm_pi = math.hypot(*nu), math.hypot(*pi)
-    with np.errstate(over="ignore"):
-        c1 = float(nu @ nu)
-    s = max(1.0, c1, norm_nu * norm_pi)
+    s = max(1.0, level.c1, norm_nu * norm_pi)
     tol = orbits.WITNESS_TOL * s
-    if not (tol < c1 and s < math.inf):
+    if not (tol < level.c1 and s < math.inf):
         raise ConfigError(
             f"orbit report requires {orbits.WITNESS_TOL:g} < |nu|^2/s with s = max(1, |nu|^2, |nu||pi|) < inf"
-            f" (degenerate orbits excluded), got |nu|^2 = {c1:.3e}, s = {s:.3e}"
+            f" (degenerate orbits excluded), got |nu|^2 = {level.c1:.3e}, s = {s:.3e}"
         )
     scale = max(1.0, norm_nu, norm_pi)
-    q0 = Se3DualPoint(nu=nu, pi=pi)
-    level = orbits.casimirs(q0)
     print(f"Casimir level: C1 = {_fmt(level.c1)}, C2 = {_fmt(level.c2)}")
 
     rng = np.random.default_rng(seed)
@@ -359,7 +363,11 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # numpy's over/invalid warnings are off for every command: a warning
+        # would add lines to the one-line error, and each command already
+        # reports a non-finite result as inf or nan, or rejects it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -6,14 +6,14 @@ import re
 import subprocess
 import sys
 import tempfile
-import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symtop import orbits, poisson, reduction
+from symtop import dynamics, orbits, poisson, reduction
 from symtop.algebra3 import exp_so3
 from symtop.cli import CSV_COLUMNS, main, write_csv
 from symtop.dynamics import Trajectory
@@ -93,7 +93,7 @@ def test_csv_bit_stable(tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["simulate", "--config", cfg, "--out", out1]) == 0
     assert main(["simulate", "--config", cfg, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_simulate_malformed_json(tmp_path):
@@ -170,8 +170,7 @@ def test_simulate_nonfinite_exit_code(tmp_path):
     cfg["initial"]["p"] = [-1e155, 0.0, 0.0]
     cfg["T"] = 1.0
     cfg["dt"] = 0.5
-    with np.errstate(all="ignore"):
-        code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")])
+    code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")])
     assert code == 3
 
 
@@ -179,9 +178,7 @@ def test_simulate_dipole_singularity_reports_step(tmp_path, capsys):
     cfg = json.loads(json.dumps(FREE_TOP_REDUCED))
     cfg["potential"] = {"type": "dipole", "m": 0.05, "mu": [0.0, 0.0, 1.0]}
     cfg["initial"]["x"] = [0.0, 0.0, 0.0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")])
+    code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")])
     assert code == 3
     err = capsys.readouterr().err
     assert "step 0 of 500 (t = 0)" in err and "dipole" in err
@@ -203,6 +200,9 @@ DIPOLE_REDUCED = _with(FREE_TOP_REDUCED, ("potential",), {"type": "dipole", "m":
 
 SUM_REDUCED = _with(FREE_TOP_REDUCED, ("potential",), {"type": "sum", "terms": [
     {"type": "zero"}, {"type": "gravity", "g": [0.0, 0.0, 0.0], "chi": 0.3}]})
+
+_ONE_ATTITUDE = "error: initial must give exactly one of 'R' (9 numbers) or 'axis_angle' (3 numbers)"
+_NO_ATTITUDE = {k: v for k, v in FREE_TOP_FULL["initial"].items() if k != "axis_angle"}
 
 
 @pytest.mark.parametrize(
@@ -241,6 +241,16 @@ SUM_REDUCED = _with(FREE_TOP_REDUCED, ("potential",), {"type": "sum", "terms": [
         (SUM_REDUCED, "error: potential.terms[1]: gravity vector must be nonzero"),
         (_with(GRAVITY_REDUCED, ("potential", "g"), [0, 0, -1e160]),
          "error: potential: gravity vector length overflows to inf"),
+        # rules of the config itself
+        (_with(FREE_TOP_REDUCED, ("space",), "half"), "error: config.space must be 'full' or 'reduced'"),
+        (_with(FREE_TOP_REDUCED, ("method",), "euler"), "error: config.method must be one of ('rk4', 'rk4_repair')"),
+        (_with(FREE_TOP_REDUCED, ("sample_stride",), 0), "error: config.sample_stride must be a positive integer"),
+        (_with(FREE_TOP_FULL, ("initial", "R"), [1, 0, 0, 0, 1, 0, 0, 0, 1]), _ONE_ATTITUDE),
+        (_with(FREE_TOP_FULL, ("initial",), _NO_ATTITUDE), _ONE_ATTITUDE),
+        (_with(FREE_TOP_REDUCED, ("body",), 5), "error: body must be an object"),
+        ({k: v for k, v in FREE_TOP_REDUCED.items() if k != "dt"}, "error: config missing keys: ['dt']"),
+        (_with(SUM_REDUCED, ("potential", "terms"), []), "error: potential.terms must be a non-empty list"),
+        (_with(SUM_REDUCED, ("potential", "terms"), 3), "error: potential.terms must be a non-empty list"),
     ],
     ids=[
         "dt-bool", "T-bool", "M-bool", "I1-bool", "I3-bool", "stride-bool", "seed-bool",
@@ -249,9 +259,10 @@ SUM_REDUCED = _with(FREE_TOP_REDUCED, ("potential",), {"type": "sum", "terms": [
         "vector-string", "vector-bool", "vector-huge-int", "vector-object",
         "M-zero", "I3-negative", "dt-zero", "T-negative", "g-zero", "sum-term-g-zero",
         "g-length-overflows",
+        "space-half", "method-euler", "stride-zero", "R-and-axis-angle", "no-attitude", "body-number",
+        "dt-missing", "terms-empty", "terms-number",
     ],
 )
-@pytest.mark.filterwarnings("error")  # a warning would add a line to the one-line error
 def test_simulate_rejects_bad_number(tmp_path, capsys, cfg, message):
     code = main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")])
     assert code == 2
@@ -457,7 +468,6 @@ _DIPOLE_FULL = _with(FREE_TOP_FULL, ("potential",), DIPOLE_REDUCED["potential"])
 
 
 # Finite configs whose first monitors overflow: one error line and exit 3.
-@pytest.mark.filterwarnings("error")  # a warning would add a line to the one-line error
 @pytest.mark.parametrize(
     "cfg, commands, message",
     [
@@ -477,11 +487,56 @@ def test_overflowing_monitor_exits_3(tmp_path, capsys, cfg, commands, message):
         assert message in err
 
 
-def test_simulate_unwritable_out_exits_2(tmp_path, capsys):
+def test_simulate_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    def run(*args):
+        raise AssertionError("simulate ran before --out was found unwritable")
+
+    monkeypatch.setattr(dynamics, "simulate", run)
     out = str(tmp_path / "missing" / "o.csv")
     assert main(["simulate", "--config", write_config(tmp_path, FREE_TOP_REDUCED), "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write --out: ") and err.count("\n") == 1, err
+
+
+def test_simulate_failed_run_keeps_existing_out(tmp_path):
+    out = tmp_path / "o.csv"
+    out.write_bytes(b"earlier,run\n1,2\n")
+    cfg = _with(FREE_TOP_FULL, ("initial", "pi"), [1e160, 0, 0])  # exits 3 at step 0
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    assert out.read_bytes() == b"earlier,run\n1,2\n"
+
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _shipped(name, **initial):
+    """The shipped config name with T = 0.01 and the given initial entries;
+    an R replaces the axis_angle."""
+    cfg = json.loads((_CONFIGS / name).read_text())
+    if "R" in initial:
+        del cfg["initial"]["axis_angle"]
+    cfg["initial"].update(initial)
+    cfg["T"] = 0.01
+    return cfg
+
+
+# Finite entries whose admission check overflows inside numpy: exit 2 with the
+# one-line error, and no numpy warning on the way.
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (_shipped("free_top_full.json", R=[1e155, 0, 0, 0, 1, 0, 0, 0, 1]), "error: initial rotation defect inf"),
+        (_shipped("free_top_full.json", axis_angle=[1e200, 0, 0]), "error: initial rotation defect nan"),
+        (_shipped("gravity_reduced.json", nu=[1e200, 0, 0]), "error: initial |nu| deviates from 1 by inf"),
+    ],
+    ids=["R", "axis-angle", "nu"],
+)
+def test_huge_initial_entry_exits_2(tmp_path, capsys, cfg, message, command):
+    extra = ["--out", str(tmp_path / "o.csv")] if command == "simulate" else []
+    assert main([command, "--config", write_config(tmp_path, cfg), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
 
 
 # Columns of the (x, p, nu, pi) entries of each chart, written out.
@@ -551,14 +606,19 @@ def test_simulate_fuzzed_config_exits_0_or_2(space, r, nu, horizon):
     else:
         cfg["initial"]["nu"] = nu
     cfg["dt"], cfg["T"] = horizon
+    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as f:
             json.dump(cfg, f)
-        with np.errstate(all="ignore"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["simulate", "--config", path, "--out", os.path.join(tmp, "o.csv")])
-            reflected = space == "full" and np.linalg.det(np.reshape(r, (3, 3))) < 0
-    assert code in (0, 2)
+    err = err.getvalue()
+    assert code in (0, 2), err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    with np.errstate(all="ignore"):  # the det of finite entries may overflow
+        reflected = space == "full" and np.linalg.det(np.reshape(r, (3, 3))) < 0
     if reflected:
         assert code == 2  # no rotation has det < 0
 
@@ -691,8 +751,7 @@ def test_simulate_fuzzed_finite_magnitudes(space, body, potential, vectors, hori
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as f:
             json.dump(cfg, f)
-        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["simulate", "--config", path, "--out", os.path.join(tmp, "o.csv")])
     err = err.getvalue()
     assert code in (0, 2, 3), err
