@@ -12,30 +12,25 @@ the dot product, and conjugation by a rotation B to the linear action of B:
 
 Everything here is pure and allocation-light; all other modules build on it.
 
-Float-native kernel.  The random points the certificates draw pass through
-this module thousands of times per suite, so hat, exp_so3 and the defects
-read their input with one tolist(), do their scalar arithmetic on Python
-floats and build their result array once, returning the same bits as the
-numpy expressions they replaced.  Two kinds of numpy call stay, because a
-float rewrite changes the output bits (counts on standard-normal inputs):
+Float-native kernel.  Every 3-vector and 3x3 product here is a fixed-order
+expression on Python floats: each dot product and each matrix entry is summed
+left to right, one IEEE rounding per operation.  hat, exp_so3, the products,
+the defects and the polar repair read their input with one tolist() and build
+their result array once.  So their bits do not depend on the BLAS build or on
+the kernel OpenBLAS picks for the CPU, which rounds with or without fused
+multiply-adds and sums in its own order; and at this size numpy's per-call
+overhead would cost more than the arithmetic.  Only numpy calls that are
+exact in any order stay: the +-1 structure tensors (poisson) and the
+selection matrix P (reduction), and elementwise arithmetic.
 
-    dot products and 3x3 products  OpenBLAS rounds with fused multiply-adds:
-                                   a plain float 3x3 product differed from @
-                                   in 19,467 of 20,000 cases and a float sum
-                                   of squares from np.linalg.norm in 2,205 of
-                                   20,000, while norm3 = sqrt(v.dot(v)) is
-                                   what np.linalg.norm computes
-    np.arctan2                     math.atan2 differed in 7,322 of 100,000
-
-The products are spelled ndarray.dot: it makes the same BLAS call as @
-(no difference in 40,000 random cases, signed zeros included) without the
-ufunc dispatch, at about a third of the cost for 3x3 operands.  math.sin and
-math.cos agree with np.sin and np.cos bit for bit (100,000 angles in
-[0, 4]), so the Rodrigues coefficients use them.  rotation_defect takes its
-determinant from cofactors, not LU: only a tolerance decision and a .3e
-message read it.  reorthonormalize's Newton update takes M^-T from cofactors
-too, on floats, where np.linalg.inv would cost more than the arithmetic; it
-agrees with the np.linalg.inv iteration to within 1e-15 (tests/test_algebra3.py).
+np.arctan2 stays in rotation_aligning: math.atan2 differed from it in 7,322
+of 100,000 cases.  math.sin and math.cos agree with np.sin and np.cos bit for
+bit (100,000 angles in [0, 4]), so the Rodrigues coefficients use them.
+rotation_defect takes its determinant from cofactors, not LU: only a
+tolerance decision and a .3e message read it.  reorthonormalize's Newton
+update takes M^-T from cofactors too, where np.linalg.inv would cost more than
+the arithmetic; it agrees with the np.linalg.inv iteration to within 1e-15
+(tests/test_algebra3.py).
 """
 
 from __future__ import annotations
@@ -106,12 +101,35 @@ def vee(m: Mat3) -> Vec3:
 
 
 def norm3(v: Vec3) -> float:
-    """Euclidean length sqrt(v . v) of a float vector.
+    """Euclidean length sqrt(v . v) of a float 3-vector; an overflowing
+    square gives inf, as a float product does."""
+    v0, v1, v2 = v.tolist()
+    return math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
 
-    np.linalg.norm computes exactly this for a float vector, so the two agree
-    bit for bit; the dot product stays in BLAS (see the module docstring).
-    """
-    return math.sqrt(v.dot(v))
+
+def dot3(a: Vec3, b: Vec3) -> float:
+    """a . b of two float 3-vectors, summed left to right."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return a0 * b0 + a1 * b1 + a2 * b2
+
+
+def matvec3(m: Mat3, v: Vec3) -> Vec3:
+    """m @ v of a 3x3 matrix and a 3-vector, each entry summed left to right."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    v0, v1, v2 = v.tolist()
+    return np.array([a * v0 + b * v1 + c * v2, d * v0 + e * v1 + f * v2, g * v0 + h * v1 + i * v2])
+
+
+def matmul3(m: Mat3, n: Mat3) -> Mat3:
+    """m @ n of two 3x3 matrices, each entry summed left to right."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    (p, q, r), (s, t, u), (v, w, x) = n.tolist()
+    return np.array([
+        a * p + b * s + c * v, a * q + b * t + c * w, a * r + b * u + c * x,
+        d * p + e * s + f * v, d * q + e * t + f * w, d * r + e * u + f * x,
+        g * p + h * s + i * v, g * q + h * t + i * w, g * r + h * u + i * x,
+    ]).reshape(3, 3)
 
 
 def max_or_nan(values) -> float:
@@ -124,22 +142,29 @@ def max_or_nan(values) -> float:
 def orthogonality_defect(m: Mat3) -> float:
     """max|M^T M - I|, zero exactly on orthogonal matrices; NaN if any entry
     of M^T M is NaN."""
-    m = np.asarray(m, dtype=float)
-    g00, g01, g02, g10, g11, g12, g20, g21, g22 = m.T.dot(m).ravel().tolist()
-    return max_or_nan((abs(g00 - 1.0), abs(g01), abs(g02), abs(g10), abs(g11 - 1.0),
-                       abs(g12), abs(g20), abs(g21), abs(g22 - 1.0)))
+    return _gram_defect(*np.asarray(m, dtype=float).ravel().tolist())
+
+
+def _gram_defect(a, b, c, d, e, f, g, h, i) -> float:
+    """orthogonality_defect of the row-major entries of M.  Each Gram entry
+    is a column dot product summed top to bottom, so M^T M is exactly
+    symmetric and its upper triangle holds every distinct entry."""
+    return max_or_nan((
+        abs(a * a + d * d + g * g - 1.0), abs(a * b + d * e + g * h), abs(a * c + d * f + g * i),
+        abs(b * b + e * e + h * h - 1.0), abs(b * c + e * f + h * i), abs(c * c + f * f + i * i - 1.0),
+    ))
 
 
 def rotation_defect(m: Mat3) -> float:
     """Combined admission defect: max of orthogonality defect and |det - 1|;
     NaN if either is NaN."""
-    m = np.asarray(m, dtype=float)
-    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    entries = np.asarray(m, dtype=float).ravel().tolist()
+    a, b, c, d, e, f, g, h, i = entries
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     det_defect = abs(det - 1.0)
     if math.isnan(det_defect):
         return math.nan
-    return max(orthogonality_defect(m), det_defect)
+    return max(_gram_defect(*entries), det_defect)
 
 
 def require_rotation(m: Mat3) -> Mat3:
@@ -160,11 +185,13 @@ def exp_so3(v: Vec3) -> Mat3:
     R = I + (sin t / t) hat(v) + ((1 - cos t)/t^2) hat(v)^2, t = |v|,
     summed entry by entry in the order of the array expression
     (I + a hat(v)) + b hat(v)^2; the 0.0 + term turns a -0.0 off-diagonal
-    product into +0.0 as that sum does.  hat(v)^2 stays a BLAS product (see
-    the module docstring).  A non-finite |v| gives NaN in every entry.
+    product into +0.0 as that sum does.  hat(v)^2 = v v^T - |v|^2 I is
+    written out entry by entry; each entry has the value of the left-to-right
+    float sum in hat(v) @ hat(v), whose other terms are exact zeros.  A
+    non-finite |v| gives NaN in every entry.
     """
-    v = np.asarray(v, dtype=float)
-    t = norm3(v)
+    v0, v1, v2 = np.asarray(v, dtype=float).tolist()
+    t = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
     if t < _SMALL_ANGLE:
         a = 1.0 - t * t / 6.0
         b = 0.5 - t * t / 24.0
@@ -173,13 +200,11 @@ def exp_so3(v: Vec3) -> Mat3:
         b = (1.0 - math.cos(t)) / (t * t)
     else:
         return np.full((3, 3), math.nan)
-    k = hat(v)
-    s00, s01, s02, s10, s11, s12, s20, s21, s22 = k.dot(k).ravel().tolist()
-    v0, v1, v2 = v.tolist()
+    s01, s02, s12 = v0 * v1, v0 * v2, v1 * v2
     return np.array([
-        1.0 + b * s00, (0.0 + a * -v2) + b * s01, (0.0 + a * v1) + b * s02,
-        (0.0 + a * v2) + b * s10, 1.0 + b * s11, (0.0 + a * -v0) + b * s12,
-        (0.0 + a * -v1) + b * s20, (0.0 + a * v0) + b * s21, 1.0 + b * s22,
+        1.0 - b * (v2 * v2 + v1 * v1), (0.0 + a * -v2) + b * s01, (0.0 + a * v1) + b * s02,
+        (0.0 + a * v2) + b * s01, 1.0 - b * (v2 * v2 + v0 * v0), (0.0 + a * -v0) + b * s12,
+        (0.0 + a * -v1) + b * s02, (0.0 + a * v0) + b * s12, 1.0 - b * (v1 * v1 + v0 * v0),
     ]).reshape(3, 3)
 
 
@@ -195,37 +220,37 @@ def reorthonormalize(m: Mat3) -> Mat3:
     by Gershgorin its eigenvalues are >= 0.7 and |det M| >= 0.7^1.5 > 0; each
     Newton step maps a singular value s to (s + 1/s)/2 >= 1, so the cofactor
     inverse never divides by zero.  The stop test and the limit read
-    orthogonality_defect.
+    orthogonality_defect; the iteration runs on the nine entries as floats.
+    A matrix already within 1e-15 of orthogonal is returned as it is.
     """
     m = np.asarray(m, dtype=float)
-    d = orthogonality_defect(m)
+    r = entries = m.ravel().tolist()
+    d = _gram_defect(*r)
     if not d <= REPAIR_LIMIT:  # also a NaN or infinite defect
         raise TooFarFromSO3(f"orthogonality defect {d:.3e} exceeds repair limit {REPAIR_LIMIT}")
-    r = m
     for _ in range(30):
         if d <= 1e-15:
             break
-        r = _polar_newton_step(r)
-        d = orthogonality_defect(r)
-    return r
+        r = _polar_newton_step(*r)
+        d = _gram_defect(*r)
+    return m if r is entries else np.array(r).reshape(3, 3)
 
 
-def _polar_newton_step(m: Mat3) -> Mat3:
-    """(M + M^-T)/2 on floats, with M^-T = cofactor(M) / det M.
+def _polar_newton_step(a, b, c, d, e, f, g, h, i) -> list[float]:
+    """(M + M^-T)/2 of the row-major entries of M, with M^-T = cofactor(M) / det M.
 
     det M is the first-row cofactor expansion; it cannot vanish on the
     matrices reorthonormalize admits (see the Gershgorin bound there).
     """
-    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
     c00, c01, c02 = e * i - f * h, f * g - d * i, d * h - e * g
     c10, c11, c12 = c * h - b * i, a * i - c * g, b * g - a * h
     c20, c21, c22 = b * f - c * e, c * d - a * f, a * e - b * d
     det = a * c00 + b * c01 + c * c02
-    return np.array([
+    return [
         0.5 * (a + c00 / det), 0.5 * (b + c01 / det), 0.5 * (c + c02 / det),
         0.5 * (d + c10 / det), 0.5 * (e + c11 / det), 0.5 * (f + c12 / det),
         0.5 * (g + c20 / det), 0.5 * (h + c21 / det), 0.5 * (i + c22 / det),
-    ]).reshape(3, 3)
+    ]
 
 
 def rotation_aligning(a: Vec3, b: Vec3) -> Mat3:
@@ -242,7 +267,7 @@ def rotation_aligning(a: Vec3, b: Vec3) -> Mat3:
     ah, bh = a / na, b / nb
     axis = cross(ah, bh)
     s = norm3(axis)
-    c = ah.dot(bh)
+    c = dot3(ah, bh)
     if s < 1e-12:
         if c > 0.0:
             return IDENTITY.copy()
@@ -255,6 +280,7 @@ def orthogonal_unit(v: Vec3) -> Vec3:
     """A unit vector orthogonal to v, built from the axis least aligned with v."""
     v = np.asarray(v, dtype=float)
     axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(v)))] = 1.0
-    u = axis - (axis @ v) / (v @ v) * v
+    k = int(np.argmin(np.abs(v)))
+    axis[k] = 1.0
+    u = axis - v[k] / dot3(v, v) * v
     return u / norm3(u)

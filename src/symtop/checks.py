@@ -12,12 +12,13 @@ by the production structure matrices; the two paths must agree exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics, orbits, poisson, reduction
-from .algebra3 import cross, max_or_nan, norm3
+from .algebra3 import cross, dot3, max_or_nan, norm3
 from .phase import (
     LAYOUTS,
     Se3DualPoint,
@@ -177,7 +178,7 @@ def random_same_level_pair(
     """Two random points sharing a Casimir level with c1 = 1."""
     nu1 = random_unit(rng)
     pi1 = rng.uniform(-1, 1, 3)
-    c2 = float(nu1 @ pi1)
+    c2 = dot3(nu1, pi1)
     if force_antipodal:
         nu2 = -nu1
     elif force_aligned:
@@ -185,7 +186,7 @@ def random_same_level_pair(
     else:
         nu2 = random_unit(rng)
     w = rng.uniform(-1, 1, 3)
-    pi2 = c2 * nu2 + (w - float(w @ nu2) * nu2)
+    pi2 = c2 * nu2 + (w - dot3(w, nu2) * nu2)
     return Se3DualPoint(nu=nu1, pi=pi1), Se3DualPoint(nu=nu2, pi=pi2)
 
 
@@ -213,7 +214,7 @@ def check_orbits(seed: int = 0, pairs: int = 1000) -> list[CheckResult]:
         lam = rng.uniform(-2, 2)
         xi = cross(nu, u) + lam * nu
         eta = cross(nu, v)
-        shifted = -c2 * float(cross(xi, eta) @ nu)
+        shifted = -c2 * dot3(cross(xi, eta), nu)
         worst_rep = max_or_nan((worst_rep, abs(shifted - m)))
         worst_zero = max_or_nan((worst_zero, abs(orbits.magnetic_form(nu, u, v, 0.0))))
     res.append(CheckResult("orbits/magnetic-antisymmetry", worst_anti, 0.0, 200))
@@ -263,7 +264,8 @@ def check_gradients(seed: int = 0, points: int = 100) -> list[CheckResult]:
             z = random_chart_point(space, seed + 31 * k)
             g = fld.gradient(z)
             f = poisson.fd_gradient(fld.value, z)
-            scale = max(norm3(g), 1.0)
+            gl = g.tolist()
+            scale = max(math.sqrt(poisson.dot_floats(gl, gl)), 1.0)
             worst = max_or_nan((worst, float(np.abs(g - f).max() / scale)))
         out.append(CheckResult(f"gradients/{label}", worst, 1e-5, points))
     return out

@@ -27,9 +27,11 @@ numpy's overflow and invalid-value warnings off, so none adds a line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -42,6 +44,8 @@ from .phase import LAYOUTS, FullState, ReducedState, Se3DualPoint, SpaceId, flat
 CSV_COLUMNS = (
     "t,x1,x2,x3,p1,p2,p3,nu1,nu2,nu3,pi1,pi2,pi3,energy,C1,C2,ortho_defect"
 )
+# One CSV row: a %.17g field per column, comma-separated.
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS.split(","))) + "\n"
 
 ROTATION_LOAD_TOL = 1e-6
 
@@ -127,7 +131,10 @@ def _load_rotation(initial: dict) -> np.ndarray:
     if "R" in initial:
         r = _vec(initial["R"], 9, "initial.R").reshape(3, 3)
     else:
-        r = exp_so3(_vec(initial["axis_angle"], 3, "initial.axis_angle"))
+        v = _vec(initial["axis_angle"], 3, "initial.axis_angle")
+        if norm3(v) == math.inf:  # exp_so3 would give NaN
+            raise ConfigError("initial.axis_angle length overflows to inf")
+        r = exp_so3(v)
     defect = rotation_defect(r)
     if not defect <= ROTATION_LOAD_TOL:  # also catches a NaN defect
         raise ConfigError(f"initial rotation defect {defect:.3e} exceeds {ROTATION_LOAD_TOL}")
@@ -215,24 +222,43 @@ def _fmt(v: float) -> str:
 def write_csv(path: str, traj: dynamics.Trajectory) -> None:
     """One row per sample: t, the (x, p, nu, pi) entries of Layout.reduced, the monitors."""
     rows = np.column_stack([traj.t, traj.z[:, LAYOUTS[traj.space].reduced],
-                            traj.energy, traj.c1, traj.c2, traj.ortho_defect])
+                            traj.energy, traj.c1, traj.c2, traj.ortho_defect]).tolist()
     try:
         with open(path, "w", encoding="utf-8") as f:
-            np.savetxt(f, rows, fmt="%.17g", delimiter=",", header=CSV_COLUMNS, comments="")
+            f.write(CSV_COLUMNS + "\n")
+            f.writelines(_CSV_ROW % tuple(row) for row in rows)
+    except OSError as e:
+        raise ConfigError(f"cannot write --out: {e}") from None
+
+
+def _probe_out(path: str) -> bool:
+    """Check that path can be written, before the run, so an unwritable path
+    costs no integration.  Never truncates an existing file; returns whether
+    the probe created the file."""
+    try:
+        try:
+            open(path, "x", encoding="utf-8").close()
+            return True
+        except FileExistsError:
+            open(path, "a", encoding="utf-8").close()
+            return False
     except OSError as e:
         raise ConfigError(f"cannot write --out: {e}") from None
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    try:  # before the run, so an unwritable path costs no integration
-        open(args.out, "a", encoding="utf-8").close()  # creates the file, never truncates it
-    except OSError as e:
-        raise ConfigError(f"cannot write --out: {e}") from None
-    traj = dynamics.simulate(
-        cfg.space, cfg.hamiltonian(), cfg.z0, cfg.dt, cfg.T, cfg.method, cfg.sample_stride
-    )
-    write_csv(args.out, traj)
+    created = _probe_out(args.out)
+    try:
+        traj = dynamics.simulate(
+            cfg.space, cfg.hamiltonian(), cfg.z0, cfg.dt, cfg.T, cfg.method, cfg.sample_stride
+        )
+        write_csv(args.out, traj)
+    except BaseException:
+        if created:  # a failed run leaves no file of its own behind
+            with contextlib.suppress(OSError):
+                os.remove(args.out)
+        raise
     print(f"wrote {len(traj)} samples to {args.out}")
     # a drift may read inf: finite monitors far apart can differ by inf
     print(f"energy drift  max|h - h0|   = {np.abs(traj.energy - traj.energy[0]).max():.3e}")

@@ -28,9 +28,9 @@ the way out, and in between the Hamiltonian gradient, the vector field
 floats, because at chart dimension 18 or less numpy's per-call overhead
 costs more than the arithmetic.  <nu, pi> in the spin term and |nu| in the
 repair are plain float sums.  R is repaired by algebra3.reorthonormalize,
-whose Newton update also runs on floats.  So the step's arithmetic does not
-depend on whether the BLAS build fuses multiply-adds; only the R repair's
-stop test (algebra3.orthogonality_defect) still reads a BLAS Gram matrix.
+whose Newton update and stop test also run on floats.  The Hamiltonian value
+and the monitors are fixed-order float sums too, so no output of a run
+depends on the BLAS build or kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra3 import Vec3, exp_so3, norm3, orthogonality_defect, reorthonormalize
+from .algebra3 import Vec3, exp_so3, matvec3, norm3, orthogonality_defect, reorthonormalize
 from .errors import DimensionMismatch, NonFinite, TooFarFromSO3
 from .phase import (
     LAYOUTS,
@@ -53,7 +53,7 @@ from .phase import (
     chart_vector,
     flatten,
 )
-from .poisson import ScalarField, vector_field_floats
+from .poisson import ScalarField, _floats, vector_field_floats
 from .poisson import ham_vector_field  # noqa: F401  (still read as dynamics.ham_vector_field)
 
 Float3 = tuple[float, float, float]
@@ -80,9 +80,10 @@ class Potential:
 
     Implementations supply value / grad_x / grad_nu; gradients are part of
     the production path (finite differences are used only to verify them).
-    grad_x and grad_nu take x and nu as any 3-sequences (ndarrays, or the
-    float triples of the RK4 step) and return a tuple of three Python floats,
-    not an ndarray: wrap it in np.array before doing arithmetic with it.
+    All three take x and nu as any 3-sequences (ndarrays, or the float
+    triples the Hamiltonian passes).  grad_x and grad_nu return a tuple of
+    three Python floats, not an ndarray: wrap it in np.array before doing
+    arithmetic with it.
     """
 
     def value(self, x: Vec3, nu: Vec3, bp: BodyParams) -> float:
@@ -117,21 +118,25 @@ class LinearGravity(Potential):
 
     def __post_init__(self):
         g = _vec3(self.g, "gravity vector")
-        with np.errstate(over="ignore"):
-            norm = norm3(g)
+        norm = norm3(g)
         if norm == 0.0:
             raise ValueError("gravity vector must be nonzero")
         if norm == math.inf:
             raise ValueError("gravity vector length overflows to inf")
         if not math.isfinite(self.chi):
             raise ValueError(f"chi = {self.chi} must be finite")
+        ghat = g / norm
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "_ghat", g / norm)
         object.__setattr__(self, "_g", tuple(g.tolist()))
-        object.__setattr__(self, "_grad_nu", tuple((self.chi * self._ghat).tolist()))
+        object.__setattr__(self, "_ghat", tuple(ghat.tolist()))
+        object.__setattr__(self, "_grad_nu", tuple((self.chi * ghat).tolist()))
 
     def value(self, x, nu, bp):
-        return bp.M * float(self.g.dot(x)) + self.chi * float(self._ghat.dot(nu))
+        x0, x1, x2 = _floats(x)
+        n0, n1, n2 = _floats(nu)
+        g0, g1, g2 = self._g
+        h0, h1, h2 = self._ghat
+        return bp.M * (g0 * x0 + g1 * x1 + g2 * x2) + self.chi * (h0 * n0 + h1 * n1 + h2 * n2)
 
     def grad_x(self, x, nu, bp):
         m = bp.M
@@ -146,11 +151,6 @@ class LinearGravity(Potential):
 # where 1/|x|^7 underflows, so no division below can be by zero.
 DIPOLE_MIN_RADIUS = 1e-8
 _DIPOLE_MIN_R2 = DIPOLE_MIN_RADIUS**2
-
-
-def _floats(v) -> list[float]:
-    """A vector as Python floats; sequences other than ndarrays pass as they are."""
-    return v.tolist() if isinstance(v, np.ndarray) else v
 
 
 def _dipole_r2(x0: float, x1: float, x2: float) -> float:
@@ -231,7 +231,10 @@ class SumPotential(Potential):
             raise ValueError("SumPotential needs at least one term")
 
     def value(self, x, nu, bp):
-        return sum(t.value(x, nu, bp) for t in self.terms)
+        v = 0.0  # a loop, not sum(): Python 3.12's sum of floats compensates
+        for t in self.terms:
+            v += t.value(x, nu, bp)
+        return v
 
     def grad_x(self, x, nu, bp):
         return _sum3([t.grad_x(x, nu, bp) for t in self.terms])
@@ -262,13 +265,13 @@ def _hamiltonian_field(
     with analytic gradient, nu read through Layout.axis.  The spin term is
     evaluated only for nonzero kappa.
 
-    The gradient takes z as an ndarray or a float list, reads x, p, nu, pi
-    as twelve floats with one itemgetter over Layout.reduced and returns a
-    float tuple placed by a second one, its inverse.  Entries outside those
-    blocks (the first two columns of R) are 0.0.
+    The value and the gradient take z as an ndarray or a float list and read
+    x, p, nu, pi as twelve floats with one itemgetter over Layout.reduced;
+    the value sums each square and <nu, pi> left to right.  The gradient
+    returns a float tuple placed by a second itemgetter, the first's inverse.
+    Entries outside those blocks (the first two columns of R) are 0.0.
     """
     lay = LAYOUTS[space]
-    sx, sp, snu, spi = lay.x, lay.p, lay.axis, lay.pi
     take = operator.itemgetter(*lay.reduced)
     slot = [len(lay.reduced)] * lay.dim  # the trailing 0.0 of the values below
     for k, a in enumerate(lay.reduced):
@@ -277,12 +280,12 @@ def _hamiltonian_field(
     m, i1 = bp.M, bp.I1
 
     def value(z):
-        x, p, nu, pi = z[sx], z[sp], z[snu], z[spi]
-        v = float(p.dot(p)) / (2.0 * m) + float(pi.dot(pi)) / (2.0 * i1)
+        x0, x1, x2, p0, p1, p2, n0, n1, n2, q0, q1, q2 = take(_floats(z))
+        v = (p0 * p0 + p1 * p1 + p2 * p2) / (2.0 * m) + (q0 * q0 + q1 * q1 + q2 * q2) / (2.0 * i1)
         if kappa:
-            c = float(nu.dot(pi))
+            c = n0 * q0 + n1 * q1 + n2 * q2
             v += kappa * (c * c)  # float ** raises on overflow; * gives inf
-        return v + potential.value(x, nu, bp)
+        return v + potential.value((x0, x1, x2), (n0, n1, n2), bp)
 
     def grad(z):
         x0, x1, x2, p0, p1, p2, n0, n1, n2, q0, q1, q2 = take(_floats(z))
@@ -353,7 +356,9 @@ def _repair(space: SpaceId, z: list[float]) -> list[float]:
         z[lay.nu] = n0 / norm, n1 / norm, n2 / norm
     if lay.r is not None:
         r = np.array(z[lay.r]).reshape(3, 3)
-        z[lay.r] = reorthonormalize(r).ravel().tolist()
+        repaired = reorthonormalize(r)
+        if repaired is not r:  # r itself when it needed no repair
+            z[lay.r] = repaired.ravel().tolist()
     return z
 
 
@@ -422,11 +427,14 @@ def nu_pi_of(space: SpaceId, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _monitors(space: SpaceId, h: ScalarField, z: np.ndarray) -> tuple[float, float, float, float]:
-    """Energy, C1, C2 and the orthogonality defect at z; NonFinite unless all are finite."""
-    nu, pi = nu_pi_of(space, z)
+    """Energy, C1 = |nu|^2, C2 = <nu, pi> and the orthogonality defect at z,
+    the Casimirs summed left to right; NonFinite unless all are finite."""
     lay = LAYOUTS[space]
+    zl = z.tolist()
+    n0, n1, n2 = zl[lay.axis]
+    q0, q1, q2 = zl[lay.pi]
     defect = orthogonality_defect(z[lay.r].reshape(3, 3)) if lay.r is not None else 0.0
-    mons = h(z), float(nu.dot(nu)), float(nu.dot(pi)), float(defect)
+    mons = h(z), n0 * n0 + n1 * n1 + n2 * n2, n0 * q0 + n1 * q1 + n2 * q2, defect
     if not all(map(math.isfinite, mons)):
         raise NonFinite(f"non-finite monitor (energy, C1, C2, ortho defect) = {mons}")
     return mons
@@ -448,7 +456,7 @@ def simulate(
     failure (a non-finite state or monitor, or a singular potential), or a
     TooFarFromSO3 from a step too large for the repair, is re-raised naming
     the step that failed and the time it was to reach (step 0: the initial
-    state's monitors).  numpy's overflow and invalid warnings are off for the run.
+    state's monitors).
     """
     n_steps = step_count(T, dt)
     if sample_stride < 1:
@@ -457,14 +465,13 @@ def simulate(
     ts, zs, mons = [0.0], [z], []
     k = 0
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mons.append(_monitors(space, h, z))
-            for k in range(1, n_steps + 1):
-                z = step(space, h, z, dt, method)
-                if k % sample_stride == 0 or k == n_steps:
-                    ts.append(k * dt)
-                    zs.append(z)
-                    mons.append(_monitors(space, h, z))
+        mons.append(_monitors(space, h, z))
+        for k in range(1, n_steps + 1):
+            z = step(space, h, z, dt, method)
+            if k % sample_stride == 0 or k == n_steps:
+                ts.append(k * dt)
+                zs.append(z)
+                mons.append(_monitors(space, h, z))
     except (NonFinite, TooFarFromSO3) as e:
         raise type(e)(f"step {k} of {n_steps} (t = {k * dt:.6g}): {e}") from e
     m = np.array(mons)
@@ -489,7 +496,7 @@ def free_top_analytic(s0: ReducedState, t: float, bp: BodyParams) -> ReducedStat
     return ReducedState(
         x=s0.x + t * s0.p / bp.M,
         p=s0.p,
-        nu=exp_so3((t / bp.I1) * s0.pi) @ s0.nu,
+        nu=matvec3(exp_so3((t / bp.I1) * s0.pi), s0.nu),
         pi=s0.pi,
     )
 

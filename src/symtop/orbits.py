@@ -30,7 +30,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra3 import ADMISSION_TOL, Mat3, Vec3, cross, max_or_nan, require_rotation, rotation_aligning
+from .algebra3 import (
+    ADMISSION_TOL,
+    Mat3,
+    Vec3,
+    cross,
+    dot3,
+    matmul3,
+    matvec3,
+    max_or_nan,
+    require_rotation,
+    rotation_aligning,
+)
 from .errors import NotSameLevel, NotTangent, NotUnit, ZeroNu
 from .phase import LAYOUTS, Se3DualPoint, SpaceId, _vec3
 from .poisson import ScalarField
@@ -54,7 +65,7 @@ class SE3Element:
 
     def compose(self, other: "SE3Element") -> "SE3Element":
         """Group product (a1, A1)(a2, A2) = (a1 + A1 a2, A1 A2)."""
-        return SE3Element(a=self.a + self.A @ other.a, A=self.A @ other.A)
+        return SE3Element(a=self.a + matvec3(self.A, other.a), A=matmul3(self.A, other.A))
 
 
 @dataclass(frozen=True)
@@ -71,13 +82,13 @@ class OrbitLevel:
 
 def casimirs(q: Se3DualPoint) -> OrbitLevel:
     """(|nu|^2, <nu, pi>)."""
-    return OrbitLevel(c1=float(q.nu.dot(q.nu)), c2=float(q.nu.dot(q.pi)))
+    return OrbitLevel(c1=dot3(q.nu, q.nu), c2=dot3(q.nu, q.pi))
 
 
 def coadjoint(g: SE3Element, q: Se3DualPoint) -> Se3DualPoint:
     """(nu, pi) -> (A nu, a x A nu + A pi)."""
-    anu = g.A.dot(q.nu)
-    return Se3DualPoint(nu=anu, pi=cross(g.a, anu) + g.A.dot(q.pi))
+    anu = matvec3(g.A, q.nu)
+    return Se3DualPoint(nu=anu, pi=cross(g.a, anu) + matvec3(g.A, q.pi))
 
 
 def on_level(q: Se3DualPoint, level: OrbitLevel, tol: float) -> bool:
@@ -106,7 +117,7 @@ def same_orbit_witness(
     if l1.c1 <= tol:
         raise ZeroNu(f"c1 = {l1.c1:.3e} too small for an orbit witness")
     rot = rotation_aligning(q1.nu, q2.nu)
-    d = q2.pi - rot.dot(q1.pi)
+    d = q2.pi - matvec3(rot, q1.pi)
     a = cross(q2.nu, d) / l1.c1
     return SE3Element(a=a, A=rot)
 
@@ -130,16 +141,16 @@ def magnetic_form(nu: Vec3, u: Vec3, v: Vec3, c2: float) -> float:
     nu = np.asarray(nu, dtype=float)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    unit_defect = abs(float(nu @ nu) - 1.0)
+    unit_defect = abs(dot3(nu, nu) - 1.0)
     if unit_defect > ADMISSION_TOL:
         raise NotUnit(f"|nu|^2 - 1 = {unit_defect:.3e} exceeds {ADMISSION_TOL:.1e}")
     for w, label in ((u, "u"), (v, "v")):
-        t = abs(float(w @ nu))
+        t = abs(dot3(w, nu))
         if t > ADMISSION_TOL:
             raise NotTangent(f"<{label}, nu> = {t:.3e} exceeds {ADMISSION_TOL:.1e}")
     xi = cross(nu, u)
     eta = cross(nu, v)
-    return -float(c2) * float(cross(xi, eta) @ nu)
+    return -float(c2) * dot3(cross(xi, eta), nu)
 
 
 def casimir_fields(space: SpaceId) -> tuple[ScalarField, ScalarField]:

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra3 import ADMISSION_TOL, Mat3, Vec3, exp_so3, norm3, require_rotation
+from .algebra3 import ADMISSION_TOL, Mat3, Vec3, dot3, exp_so3, matmul3, norm3, require_rotation
 from .errors import DimensionMismatch
 
 
@@ -40,6 +40,11 @@ class SpaceId(enum.Enum):
     Se3Dual = "Se3Dual"
     CotSE3 = "CotSE3"
     Reduced = "Reduced"
+
+    # Enum hashes a member through a Python-level __hash__, and every
+    # LAYOUTS[space] lookup pays for it; members are singletons compared by
+    # identity, so the identity hash is consistent with their equality.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,7 @@ class ReducedState(_Validated):
 
     def __post_init__(self):
         super().__post_init__()
-        defect = abs(float(self.nu @ self.nu) - 1.0)
+        defect = abs(dot3(self.nu, self.nu) - 1.0)
         if defect > ADMISSION_TOL:
             raise ValueError(f"|nu|^2 - 1 = {defect:.3e} exceeds {ADMISSION_TOL:.1e}")
 
@@ -221,8 +226,9 @@ def _random_turn(rng: np.random.Generator) -> Mat3:
 
 
 def random_rotation(rng: np.random.Generator) -> Mat3:
-    """Generic rotation: the product of three random turns, drawn in order."""
-    return _random_turn(rng).dot(_random_turn(rng)).dot(_random_turn(rng))
+    """Generic rotation: the product (A B) C of three random turns, drawn in order."""
+    a, b, c = _random_turn(rng), _random_turn(rng), _random_turn(rng)
+    return matmul3(matmul3(a, b), c)
 
 
 def random_unit(rng: np.random.Generator) -> Vec3:

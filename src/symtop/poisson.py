@@ -101,6 +101,11 @@ def structure_matrix(space: SpaceId, z: np.ndarray) -> np.ndarray:
 FD_STEP = 1e-6
 
 
+def _floats(v) -> list[float]:
+    """A vector as Python floats; sequences other than ndarrays pass as they are."""
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
+
 def fd_gradient(f: Callable[[np.ndarray], float], z: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient with step FD_STEP; verification
     oracle only."""
@@ -185,26 +190,40 @@ def coordinate_fields(space: SpaceId) -> list[ScalarField]:
     return [coordinate(space, a) for a in range(dim(space))]
 
 
+def dot_floats(a: Sequence[float], b: Sequence[float]) -> float:
+    """a . b of two float sequences, summed left to right."""
+    s = 0.0
+    for x, y in zip(a, b):
+        s += x * y
+    return s
+
+
 def random_polynomial(space: SpaceId, rng: np.random.Generator, scale: float = 0.5) -> ScalarField:
-    """Random quadratic with exact gradient, for property tests."""
+    """Random quadratic c + a . z + z . Q z / 2 with exact gradient a + Q z,
+    for property tests; every dot product is a left-to-right float sum."""
     n = dim(space)
     c = rng.uniform(-scale, scale)
     a = rng.uniform(-scale, scale, n)
     q = rng.uniform(-scale, scale, (n, n))
-    q = 0.5 * (q + q.T)
-    return ScalarField(
-        space,
-        lambda z: c + a @ z + 0.5 * z @ q @ z,
-        lambda z: a + q @ z,
-        name="poly",
-    )
+    a, q = a.tolist(), (0.5 * (q + q.T)).tolist()
+
+    def qz(z):
+        return [dot_floats(row, z) for row in q]
+
+    def value(z):
+        z = _floats(z)
+        return c + dot_floats(a, z) + 0.5 * dot_floats(z, qz(z))
+
+    return ScalarField(space, value, lambda z: [x + y for x, y in zip(a, qz(_floats(z)))], name="poly")
 
 
 def bracket(f: ScalarField, g: ScalarField, z: np.ndarray) -> float:
-    """{F, G}(z) = grad F . Lambda(z) . grad G."""
+    """{F, G}(z) = grad F . (Lambda(z) grad G), each dot product a
+    left-to-right float sum."""
     _same_space(f, g)
-    lam = structure_matrix(f.space, z)
-    return float(f.gradient(z) @ lam @ g.gradient(z))
+    lam = structure_matrix(f.space, z).tolist()
+    dg = g.gradient(z).tolist()
+    return dot_floats(f.gradient(z).tolist(), [dot_floats(row, dg) for row in lam])
 
 
 # Per chart: (dim, x start, p start, pi start, Layout.vectors).

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra3 import Mat3, Vec3, cross, exp_so3, norm3, orthogonal_unit
+from .algebra3 import Mat3, Vec3, cross, exp_so3, matmul3, norm3, orthogonal_unit
 from .errors import DimensionMismatch
 from .phase import (
     LAYOUTS,
@@ -76,9 +76,9 @@ def right_action(b: Mat3, s: FullState | CotSO3State):
     """Right translation of the attitude, R -> R B; all momenta unchanged."""
     b = np.asarray(b, dtype=float)
     if isinstance(s, FullState):
-        return FullState(x=s.x, R=s.R @ b, p=s.p, pi=s.pi)
+        return FullState(x=s.x, R=matmul3(s.R, b), p=s.p, pi=s.pi)
     if isinstance(s, CotSO3State):
-        return CotSO3State(R=s.R @ b, pi=s.pi)
+        return CotSO3State(R=matmul3(s.R, b), pi=s.pi)
     raise DimensionMismatch(f"right_action expects a full or rotational state, got {type(s).__name__}")
 
 

@@ -527,7 +527,7 @@ def _shipped(name, **initial):
     "cfg, message",
     [
         (_shipped("free_top_full.json", R=[1e155, 0, 0, 0, 1, 0, 0, 0, 1]), "error: initial rotation defect inf"),
-        (_shipped("free_top_full.json", axis_angle=[1e200, 0, 0]), "error: initial rotation defect nan"),
+        (_shipped("free_top_full.json", axis_angle=[1e200, 0, 0]), "error: initial.axis_angle length overflows to inf"),
         (_shipped("gravity_reduced.json", nu=[1e200, 0, 0]), "error: initial |nu| deviates from 1 by inf"),
     ],
     ids=["R", "axis-angle", "nu"],
@@ -537,6 +537,37 @@ def test_huge_initial_entry_exits_2(tmp_path, capsys, cfg, message, command):
     assert main([command, "--config", write_config(tmp_path, cfg), *extra]) == 2
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1, err
+
+
+def test_simulate_failed_run_leaves_no_new_out(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    cfg = _shipped("free_top_full.json", pi=[1e160, 0, 0])  # exits 3 at step 0
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 0 of 10 ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+# OpenBLAS picks its kernel from the CPU at run time, and OPENBLAS_CORETYPE
+# forces one in a single process.  Nehalem and Prescott run on any x86-64 CPU
+# and round without fused multiply-adds.  No BLAS call reaches a CSV field.
+@pytest.mark.parametrize("name", ["dipole_full.json", "gravity_reduced.json"])
+def test_csv_bytes_do_not_depend_on_the_openblas_kernel(tmp_path, name):
+    cfg = json.loads((_CONFIGS / name).read_text())
+    cfg["T"] = 0.1
+    path = write_config(tmp_path, cfg)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    csvs = []
+    for core in (None, "Nehalem", "Prescott"):
+        out = tmp_path / f"{core}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "symtop.cli", "simulate", "--config", path, "--out", str(out)],
+            env=env if core is None else {**env, "OPENBLAS_CORETYPE": core},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        csvs.append(out.read_bytes())
+    assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
 
 
 # Columns of the (x, p, nu, pi) entries of each chart, written out.

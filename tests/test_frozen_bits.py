@@ -1,17 +1,18 @@
 """Bit-exact regression of the float-native 3-vector / 3x3 kernel.
 
 The random points of the certificates, the Rodrigues exponential and the
-rotation defects run on Python floats (see the algebra3 docstring) and must
-return the bits of the numpy expressions they replaced.  The sha256 literals
-were taken from those numpy expressions, with numpy 2.4 and its bundled
-OpenBLAS on x86-64; a BLAS build that rounds or sums in another order gives
-other literals, so the literal tests need that build (CI installs
-numpy==2.4.*).  The reference tests at the end compare against the same
-numpy expressions run here, so they are the portable check and hold on any
-build.
+rotation defects run on Python floats (see the algebra3 docstring): every
+dot product and matrix entry is summed left to right, with no BLAS call.
+So the sha256 literals hold on any OpenBLAS kernel (SkylakeX, Haswell,
+Nehalem, Prescott, ...) and any BLAS build.  They still depend on numpy's
+random generator, on math.sin and math.cos, and on the x86-64 double
+arithmetic that IEEE 754 fixes; CI installs numpy==2.4.*.  The reference
+tests at the end compare against the array expressions with each product
+spelled as an explicit left-to-right float sum here.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from symtop.algebra3 import exp_so3, hat, orthogonality_defect, rotation_defect
 from symtop.phase import SpaceId, random_chart_point, random_rotation
 from symtop.reduction import z_rotation
 
-CHART_POINTS_SHA256 = "b930b996e8a9e35ec179859882ed415876d705e267a083656ee40adcad8cce8c"
-EXP_SO3_SHA256 = "4701554fc1cf8838549ae85d375f9e4fe0b64385a0fd68a24564d48729b469e8"
-ORTHOGONALITY_DEFECT_SHA256 = "7f377368aaae30439cf92cc526176b663cbc8fd5a11014a8aa8276e0dc6674a8"
+CHART_POINTS_SHA256 = "bbf86a31716761c88e7e4aae3cdd0b043a66ac822f98fe06b47c9b9edde3cb3f"
+EXP_SO3_SHA256 = "51bc7b1674b615be0cda479c175c179e438792f8d62abcc75d3f84e666cf037f"
+ORTHOGONALITY_DEFECT_SHA256 = "3da227ab731a795e7d87bb5ef23452a4c59521d8b7540315c8eddb278be03c64"
 ROTATION_DEFECT_SHA256 = "937216b1210687aa4a072034a03858f8c76512470974d2f3fa66ef77c47fee8c"
 
 
@@ -91,38 +92,57 @@ def test_rotation_defect_at_message_precision():
     assert digest == ROTATION_DEFECT_SHA256
 
 
-def exp_so3_numpy(v):
-    """The array expression exp_so3 replaced."""
-    t = float(np.linalg.norm(v))
+def matmul_left_to_right(a, b):
+    """a @ b with each entry summed over the inner index in order."""
+    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
+    out = np.empty((len(a), len(b[0])))
+    for i, row in enumerate(a):
+        for j in range(len(b[0])):
+            s = row[0] * b[0][j]
+            for k in range(1, len(b)):
+                s += row[k] * b[k][j]
+            out[i, j] = s
+    return out
+
+
+def norm_left_to_right(v):
+    v0, v1, v2 = np.asarray(v).tolist()
+    return math.sqrt((v0 * v0 + v1 * v1) + v2 * v2)
+
+
+def exp_so3_reference(v):
+    """The Rodrigues array expression, products summed left to right."""
+    t = norm_left_to_right(v)
     k = hat(v)
     if t < 1e-8:
         a, b = 1.0 - t * t / 6.0, 0.5 - t * t / 24.0
     else:
         a, b = np.sin(t) / t, (1.0 - np.cos(t)) / (t * t)
-    return np.eye(3) + a * k + b * (k @ k)
+    return np.eye(3) + a * k + b * matmul_left_to_right(k, k)
 
 
-def random_rotation_numpy(rng):
-    r = np.eye(3)
+def random_rotation_reference(rng):
+    turns = []
     for _ in range(3):
         axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        r = r @ exp_so3_numpy(axis * rng.uniform(0.0, np.pi))
-    return r
+        axis /= norm_left_to_right(axis)
+        turns.append(exp_so3_reference(axis * rng.uniform(0.0, np.pi)))
+    return matmul_left_to_right(matmul_left_to_right(turns[0], turns[1]), turns[2])
 
 
 def test_exp_so3_matches_array_expression():
     for v in exp_inputs():
-        assert exp_so3(v).tobytes() == exp_so3_numpy(v).tobytes()
+        assert exp_so3(v).tobytes() == exp_so3_reference(v).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_random_rotation_matches_array_expression(seed):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(200):
-        assert random_rotation(rng).tobytes() == random_rotation_numpy(ref).tobytes()
+        assert random_rotation(rng).tobytes() == random_rotation_reference(ref).tobytes()
 
 
 def test_orthogonality_defect_matches_array_expression():
     for m in perturbed_rotations(-16.0):
-        assert orthogonality_defect(m) == float(np.abs(m.T @ m - np.eye(3)).max())
+        gram = matmul_left_to_right(m.T, m)
+        assert orthogonality_defect(m) == float(np.abs(gram - np.eye(3)).max())

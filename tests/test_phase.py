@@ -188,7 +188,6 @@ def test_unflatten_inverts_flatten(state):
     npt.assert_array_equal(flatten(back, space), z)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_states_reject_non_finite_rotation(bad):
     r = np.eye(3)
