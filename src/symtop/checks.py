@@ -19,14 +19,7 @@ import numpy as np
 
 from . import dynamics, orbits, poisson, reduction
 from .algebra3 import cross, dot3, max_or_nan, norm3
-from .phase import (
-    LAYOUTS,
-    Se3DualPoint,
-    SpaceId,
-    random_chart_point,
-    random_rotation,
-    random_unit,
-)
+from .phase import LAYOUTS, Se3DualPoint, SpaceId, random_chart_point, random_unit
 
 ALL_SPACES = (SpaceId.CotSO3, SpaceId.Se3Dual, SpaceId.CotSE3, SpaceId.Reduced)
 
@@ -95,31 +88,38 @@ def oracle_structure_matrix(space: SpaceId, z: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _worst(residuals) -> float:
+    """A suite's worst residual: the largest of residuals, NaN if any is NaN,
+    0.0 when there are none."""
+    return max_or_nan([0.0, *residuals])
+
+
+def _chart_points(space: SpaceId, seed: int, stride: int, count: int):
+    """The seeded chart points random_chart_point(space, seed + stride * k),
+    k < count, of a per-chart suite."""
+    return (random_chart_point(space, seed + stride * k) for k in range(count))
+
+
 def check_brackets(seed: int = 0, points_per_space: int = 250) -> list[CheckResult]:
     """Production structure matrices vs the literal oracle; exact equality."""
-    out = []
-    for space in ALL_SPACES:
-        worst = 0.0
-        for k in range(points_per_space):
-            z = random_chart_point(space, seed + 7919 * k)
-            diff = np.abs(
-                poisson.structure_matrix(space, z) - oracle_structure_matrix(space, z)
-            ).max()
-            worst = max_or_nan((worst, float(diff)))
-        out.append(CheckResult(f"brackets/{space.value}", worst, 0.0, points_per_space))
-    return out
+    return [
+        CheckResult(f"brackets/{space.value}", _worst(
+            float(np.abs(poisson.structure_matrix(space, z) - oracle_structure_matrix(space, z)).max())
+            for z in _chart_points(space, seed, 7919, points_per_space)
+        ), 0.0, points_per_space)
+        for space in ALL_SPACES
+    ]
 
 
 def check_jacobi(seed: int = 0, points: int = 100) -> list[CheckResult]:
     """Cyclic Jacobi residual over every coordinate triple, all four charts."""
-    out = []
-    for space in ALL_SPACES:
-        worst = 0.0
-        for k in range(points):
-            z = random_chart_point(space, seed + 104729 * k)
-            worst = max_or_nan((worst, float(np.abs(poisson.jacobi_residual_all(space, z)).max())))
-        out.append(CheckResult(f"jacobi/{space.value}", worst, 1e-10, points))
-    return out
+    return [
+        CheckResult(f"jacobi/{space.value}", _worst(
+            float(np.abs(poisson.jacobi_residual_all(space, z)).max())
+            for z in _chart_points(space, seed, 104729, points)
+        ), 1e-10, points)
+        for space in ALL_SPACES
+    ]
 
 
 def check_poisson_map(seed: int = 0, points: int = 100) -> list[CheckResult]:
@@ -128,19 +128,14 @@ def check_poisson_map(seed: int = 0, points: int = 100) -> list[CheckResult]:
     out = []
     for reduced_space in (SpaceId.Reduced, SpaceId.Se3Dual):
         src, _ = reduction.chart_projection(reduced_space)
-        worst = 0.0
-        for k in range(points):
-            z = random_chart_point(src, seed + 15485863 * k)
-            defect = np.abs(reduction.poisson_map_residual_all(reduced_space, z)).max()
-            worst = max_or_nan((worst, float(defect)))
+        worst = _worst(
+            float(np.abs(reduction.poisson_map_residual_all(reduced_space, z)).max())
+            for z in _chart_points(src, seed, 15485863, points)
+        )
         out.append(
             CheckResult(f"poisson-map/{src.value}->{reduced_space.value}", worst, 1e-10, points)
         )
     return out
-
-
-def _random_se3(rng: np.random.Generator) -> orbits.SE3Element:
-    return orbits.SE3Element(a=rng.uniform(-1, 1, 3), A=random_rotation(rng))
 
 
 def _random_dual_point(rng: np.random.Generator) -> Se3DualPoint:
@@ -149,25 +144,29 @@ def _random_dual_point(rng: np.random.Generator) -> Se3DualPoint:
     )
 
 
+def _coadjoint_drift(rng: np.random.Generator) -> tuple[float, float]:
+    """|change of C1| and |change of C2| under a random group element at a random point."""
+    q = _random_dual_point(rng)
+    g = orbits.random_se3(rng)
+    before = orbits.casimirs(q)
+    after = orbits.casimirs(orbits.coadjoint(g, q))
+    return abs(after.c1 - before.c1), abs(after.c2 - before.c2)
+
+
 def check_casimirs(seed: int = 0, pairs: int = 1000, fields: int = 100) -> list[CheckResult]:
     """Coadjoint invariance of both Casimirs, and vanishing brackets with
     random polynomial fields."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(pairs):
-        q = _random_dual_point(rng)
-        g = _random_se3(rng)
-        before = orbits.casimirs(q)
-        after = orbits.casimirs(orbits.coadjoint(g, q))
-        worst = max_or_nan((worst, abs(after.c1 - before.c1), abs(after.c2 - before.c2)))
+    worst = _worst(d for _ in range(pairs) for d in _coadjoint_drift(rng))
     res = [CheckResult("casimirs/coadjoint-invariance", worst, 1e-12, pairs)]
 
     c1f, c2f = orbits.casimir_fields(SpaceId.Se3Dual)
-    worst = 0.0
-    for k in range(fields):
-        f = poisson.random_polynomial(SpaceId.Se3Dual, rng)
-        z = random_chart_point(SpaceId.Se3Dual, seed + 2027 * k)
-        worst = max_or_nan((worst, abs(poisson.bracket(c1f, f, z)), abs(poisson.bracket(c2f, f, z))))
+    polys = [poisson.random_polynomial(SpaceId.Se3Dual, rng) for _ in range(fields)]
+    worst = _worst(
+        abs(poisson.bracket(c, f, z))
+        for f, z in zip(polys, _chart_points(SpaceId.Se3Dual, seed, 2027, fields))
+        for c in (c1f, c2f)
+    )
     res.append(CheckResult("casimirs/bracket-annihilation", worst, 1e-12, fields))
     return res
 
@@ -193,34 +192,38 @@ def random_same_level_pair(
 def check_orbits(seed: int = 0, pairs: int = 1000) -> list[CheckResult]:
     """Constructive transitivity on joint levels, and magnetic-form identities."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for k in range(pairs):
-        q1, q2 = random_same_level_pair(
-            rng, force_antipodal=(k % 10 == 3), force_aligned=(k % 10 == 7)
-        )
-        g = orbits.same_orbit_witness(q1, q2)
-        worst = max_or_nan((worst, orbits.witness_residual(g, q1, q2)))
+    worst = _worst(_pair_residual(rng, k) for k in range(pairs))
     res = [CheckResult("orbits/witness-transitivity", worst, 1e-9, pairs)]
 
-    worst_anti, worst_rep, worst_zero = 0.0, 0.0, 0.0
-    for _ in range(200):
-        nu = random_unit(rng)
-        u = cross(nu, rng.uniform(-1, 1, 3))
-        v = cross(nu, rng.uniform(-1, 1, 3))
-        c2 = rng.uniform(-2, 2)
-        m = orbits.magnetic_form(nu, u, v, c2)
-        worst_anti = max_or_nan((worst_anti, abs(m + orbits.magnetic_form(nu, v, u, c2))))
-        # shift the representative xi by a multiple of nu and re-evaluate directly
-        lam = rng.uniform(-2, 2)
-        xi = cross(nu, u) + lam * nu
-        eta = cross(nu, v)
-        shifted = -c2 * dot3(cross(xi, eta), nu)
-        worst_rep = max_or_nan((worst_rep, abs(shifted - m)))
-        worst_zero = max_or_nan((worst_zero, abs(orbits.magnetic_form(nu, u, v, 0.0))))
-    res.append(CheckResult("orbits/magnetic-antisymmetry", worst_anti, 0.0, 200))
-    res.append(CheckResult("orbits/magnetic-representative", worst_rep, 1e-12, 200))
-    res.append(CheckResult("orbits/magnetic-zero-level", worst_zero, 0.0, 200))
+    anti, rep, zero = zip(*(_magnetic_residuals(rng) for _ in range(200)))
+    res.append(CheckResult("orbits/magnetic-antisymmetry", _worst(anti), 0.0, 200))
+    res.append(CheckResult("orbits/magnetic-representative", _worst(rep), 1e-12, 200))
+    res.append(CheckResult("orbits/magnetic-zero-level", _worst(zero), 0.0, 200))
     return res
+
+
+def _pair_residual(rng: np.random.Generator, k: int) -> float:
+    """Witness residual of the k-th same-level pair: every tenth pair from
+    k = 3 has antipodal axes, and every tenth from k = 7 equal axes."""
+    q1, q2 = random_same_level_pair(rng, force_antipodal=(k % 10 == 3), force_aligned=(k % 10 == 7))
+    return orbits.witness_residual(orbits.same_orbit_witness(q1, q2), q1, q2)
+
+
+def _magnetic_residuals(rng: np.random.Generator) -> tuple[float, float, float]:
+    """Antisymmetry, representative-shift and zero-level residuals of the
+    magnetic form at one random (nu, u, v, c2)."""
+    nu = random_unit(rng)
+    u = orbits.random_tangent(rng, nu)
+    v = orbits.random_tangent(rng, nu)
+    c2 = rng.uniform(-2, 2)
+    m = orbits.magnetic_form(nu, u, v, c2)
+    anti = abs(m + orbits.magnetic_form(nu, v, u, c2))
+    # shift the representative xi by a multiple of nu and re-evaluate directly
+    lam = rng.uniform(-2, 2)
+    xi = cross(nu, u) + lam * nu
+    eta = cross(nu, v)
+    shifted = -c2 * dot3(cross(xi, eta), nu)
+    return anti, abs(shifted - m), abs(orbits.magnetic_form(nu, u, v, 0.0))
 
 
 PRESET_POTENTIALS: dict[str, dynamics.Potential] = {
@@ -242,33 +245,39 @@ def check_gradients(seed: int = 0, points: int = 100) -> list[CheckResult]:
     bp = PRESET_BODY
     out = []
     for name, pot in PRESET_POTENTIALS.items():
-        worst = 0.0
-        for _ in range(points):
-            x = random_unit(rng) * rng.uniform(0.8, 2.0)
-            nu = random_unit(rng)
-            gx = np.array(pot.grad_x(x, nu, bp))
-            gn = np.array(pot.grad_nu(x, nu, bp))
-            fx = poisson.fd_gradient(lambda xx: pot.value(xx, nu, bp), x)
-            fn = poisson.fd_gradient(lambda nn: pot.value(x, nn, bp), nu)
-            scale = max(norm3(gx), norm3(gn), 1.0)
-            worst = max_or_nan((worst, float(np.abs(gx - fx).max() / scale),
-                                float(np.abs(gn - fn).max() / scale)))
+        worst = _worst(d for _ in range(points) for d in _potential_gradient_errors(rng, pot))
         out.append(CheckResult(f"gradients/potential-{name}", worst, 1e-5, points))
 
     for label, fld, space in (
         ("reduced-hamiltonian", dynamics.reduced_hamiltonian_field(bp, PRESET_POTENTIALS["gravity"]), SpaceId.Reduced),
         ("full-hamiltonian", dynamics.full_hamiltonian_field(bp, PRESET_POTENTIALS["gravity"]), SpaceId.CotSE3),
     ):
-        worst = 0.0
-        for k in range(points):
-            z = random_chart_point(space, seed + 31 * k)
-            g = fld.gradient(z)
-            f = poisson.fd_gradient(fld.value, z)
-            gl = g.tolist()
-            scale = max(math.sqrt(poisson.dot_floats(gl, gl)), 1.0)
-            worst = max_or_nan((worst, float(np.abs(g - f).max() / scale)))
+        worst = _worst(_field_gradient_error(fld, z) for z in _chart_points(space, seed, 31, points))
         out.append(CheckResult(f"gradients/{label}", worst, 1e-5, points))
     return out
+
+
+def _potential_gradient_errors(rng: np.random.Generator, pot: dynamics.Potential) -> tuple[float, float]:
+    """Largest finite-difference error of grad_x and of grad_nu at a random
+    (x, nu), each relative to max(|grad_x|, |grad_nu|, 1)."""
+    bp = PRESET_BODY
+    x = random_unit(rng) * rng.uniform(0.8, 2.0)
+    nu = random_unit(rng)
+    gx = np.array(pot.grad_x(x, nu, bp))
+    gn = np.array(pot.grad_nu(x, nu, bp))
+    fx = poisson.fd_gradient(lambda xx: pot.value(xx, nu, bp), x)
+    fn = poisson.fd_gradient(lambda nn: pot.value(x, nn, bp), nu)
+    scale = max(norm3(gx), norm3(gn), 1.0)
+    return float(np.abs(gx - fx).max() / scale), float(np.abs(gn - fn).max() / scale)
+
+
+def _field_gradient_error(fld: poisson.ScalarField, z: np.ndarray) -> float:
+    """Largest finite-difference error of a field's gradient at z, relative to max(|gradient|, 1)."""
+    g = fld.gradient(z)
+    f = poisson.fd_gradient(fld.value, z)
+    gl = g.tolist()
+    scale = max(math.sqrt(poisson.dot_floats(gl, gl)), 1.0)
+    return float(np.abs(g - f).max() / scale)
 
 
 SUITES = {

@@ -10,8 +10,8 @@ Subcommands:
 Configs are strict JSON: unknown keys anywhere are rejected (exit 2), as are
 numbers given as bools or strings, non-finite numbers, values that BodyParams,
 a potential or dynamics.step_count rejects (reported with the config path),
-and attitudes further than 1e-6 from a rotation (orthogonal, det +1).
-The initial block becomes a ReducedState or FullState, and phase.flatten
+and attitudes further than 1e-6 from a rotation (orthogonal, det +1), as is
+a file that is not UTF-8 or nests deeper than Python can recurse.  The initial block becomes a ReducedState or FullState, and phase.flatten
 gives its chart vector, so the chart order is known only to phase.  CSV rows
 carry t, x, p, nu, pi (phase.Layout.reduced), energy, C1, C2 and the attitude
 orthogonality defect (0 for reduced runs), all floats with 17 significant
@@ -37,9 +37,9 @@ import sys
 import numpy as np
 
 from . import checks, dynamics, orbits
-from .algebra3 import cross, exp_so3, max_or_nan, norm3, reorthonormalize, rotation_defect
+from .algebra3 import exp_so3, max_or_nan, norm3, reorthonormalize, rotation_defect
 from .errors import NonFinite, TooFarFromSO3
-from .phase import LAYOUTS, FullState, ReducedState, Se3DualPoint, SpaceId, flatten, random_rotation
+from .phase import LAYOUTS, FullState, ReducedState, Se3DualPoint, SpaceId, flatten
 
 CSV_COLUMNS = (
     "t,x1,x2,x3,p1,p2,p3,nu1,nu2,nu3,pi1,pi2,pi3,energy,C1,C2,ortho_defect"
@@ -207,12 +207,17 @@ class RunConfig:
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
+            text = f.read()
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config is not valid UTF-8: {e}") from None
+    try:
+        return RunConfig(json.loads(text))
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
-    return RunConfig(raw)
+    except RecursionError:  # json.loads and parse_potential recurse once per level
+        raise ConfigError("config nests too deeply") from None
 
 
 def _fmt(v: float) -> str:
@@ -318,35 +323,34 @@ def cmd_orbit(args) -> int:
     pi = _parse_triple(args.pi, "pi")
     q0 = Se3DualPoint(nu=nu, pi=pi)
     level = orbits.casimirs(q0)
-    # The Casimirs' rounding grows with |nu|^2 and |nu||pi|, so the level
-    # match scales its tolerance by s, and the witness residual is judged
-    # relative to the size of the input.  For |nu|, |pi| <= 1 both scales are 1.
-    norm_nu, norm_pi = math.hypot(*nu), math.hypot(*pi)
-    s = max(1.0, level.c1, norm_nu * norm_pi)
-    tol = orbits.WITNESS_TOL * s
-    if not (tol < level.c1 and s < math.inf):
+    # The witness matches levels within tol = WITNESS_TOL * s, and tol < C1
+    # keeps q0 off the degenerate orbits.  For the draws below, |nu x d| in
+    # the witness translation stays below (sqrt(3) + 2) s, so 8 s < inf
+    # keeps it finite.
+    tol = orbits.witness_tol(q0, level)
+    s = tol / orbits.WITNESS_TOL
+    if not (tol < level.c1 and 8.0 * s < math.inf):
         raise ConfigError(
-            f"orbit report requires {orbits.WITNESS_TOL:g} < |nu|^2/s with s = max(1, |nu|^2, |nu||pi|) < inf"
+            f"orbit report requires {orbits.WITNESS_TOL:g} < |nu|^2/s and 8 s < inf with s = max(1, |nu|^2, |nu||pi|)"
             f" (degenerate orbits excluded), got |nu|^2 = {level.c1:.3e}, s = {s:.3e}"
         )
-    scale = max(1.0, norm_nu, norm_pi)
+    # the witness residual is judged relative to the size of the input
+    scale = max(1.0, math.hypot(*nu), math.hypot(*pi))
     print(f"Casimir level: C1 = {_fmt(level.c1)}, C2 = {_fmt(level.c2)}")
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(args.count):
-        g = orbits.SE3Element(a=rng.uniform(-1, 1, 3), A=random_rotation(rng))
-        q = orbits.coadjoint(g, q0)
-        w = orbits.same_orbit_witness(q0, q, tol)
-        worst = max_or_nan((worst, orbits.witness_residual(w, q0, q) / scale))
+    images = (orbits.coadjoint(orbits.random_se3(rng), q0) for _ in range(args.count))
+    worst = max_or_nan(
+        [orbits.witness_residual(orbits.same_orbit_witness(q0, q), q0, q) / scale for q in images]
+    )
     print(f"sampled {args.count} same-level points via the coadjoint action")
     print(f"worst witness residual: {worst:.3e}  ({'PASS' if worst <= 1e-9 else 'FAIL'} at 1e-9)")
 
     nh = nu / norm3(nu)
     print(f"magnetic form samples at c2 = {_fmt(level.c2)} (tangent pairs at nu/|nu|):")
     for _ in range(3):
-        u = cross(nh, rng.uniform(-1, 1, 3))
-        v = cross(nh, rng.uniform(-1, 1, 3))
+        u = orbits.random_tangent(rng, nh)
+        v = orbits.random_tangent(rng, nh)
         print(f"  B(u, v) = {_fmt(orbits.magnetic_form(nh, u, v, level.c2))}")
     return 0 if worst <= 1e-9 else 1
 

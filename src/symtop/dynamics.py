@@ -362,6 +362,11 @@ def _repair(space: SpaceId, z: list[float]) -> list[float]:
     return z
 
 
+def _require_field_on(space: SpaceId, h: ScalarField) -> None:
+    if h.space is not space:
+        raise DimensionMismatch(f"Hamiltonian lives on {h.space.value}, not {space.value}")
+
+
 def _slope(space: SpaceId, h: ScalarField, z: list[float]) -> list[float]:
     """Lambda(z) grad h(z) on float lists."""
     g = _floats(h.grad(z))
@@ -382,8 +387,7 @@ def step(
     Works on Python floats between one tolist() and one np.array; the stage
     sums keep the order of z + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).
     """
-    if h.space is not space:
-        raise DimensionMismatch(f"Hamiltonian lives on {h.space.value}, not {space.value}")
+    _require_field_on(space, h)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if not dt > 0.0:
@@ -452,7 +456,8 @@ def simulate(
     """Integrate from t = 0 to T, recording every sample_stride-th step
     (plus the endpoint) with energy/Casimir/orthogonality monitors.
 
-    T must be a whole number of steps dt (see step_count).  A NonFinite
+    T must be a whole number of steps dt (see step_count), h must live on
+    space and z0 have the chart's shape (DimensionMismatch).  A NonFinite
     failure (a non-finite state or monitor, or a singular potential), or a
     TooFarFromSO3 from a step too large for the repair, is re-raised naming
     the step that failed and the time it was to reach (step 0: the initial
@@ -461,7 +466,8 @@ def simulate(
     n_steps = step_count(T, dt)
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
-    z = np.array(z0, dtype=float)
+    _require_field_on(space, h)
+    z = chart_vector(space, z0)
     ts, zs, mons = [0.0], [z], []
     k = 0
     try:

@@ -26,6 +26,7 @@ to nu; independence from that choice is certified separately).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +44,11 @@ from .algebra3 import (
     rotation_aligning,
 )
 from .errors import NotSameLevel, NotTangent, NotUnit, ZeroNu
-from .phase import LAYOUTS, Se3DualPoint, SpaceId, _vec3
-from .poisson import ScalarField
+from .phase import LAYOUTS, Se3DualPoint, SpaceId, _vec3, random_rotation
+from .poisson import ScalarField, _floats
 
 
-# Default level-match tolerance of same_orbit_witness; c1 at or below it
-# counts as nu = 0.
+# Level-match tolerance of same_orbit_witness at unit scale; see witness_tol.
 WITNESS_TOL = 1e-9
 
 
@@ -66,6 +66,16 @@ class SE3Element:
     def compose(self, other: "SE3Element") -> "SE3Element":
         """Group product (a1, A1)(a2, A2) = (a1 + A1 a2, A1 A2)."""
         return SE3Element(a=self.a + matvec3(self.A, other.a), A=matmul3(self.A, other.A))
+
+
+def random_se3(rng: np.random.Generator) -> SE3Element:
+    """Random group element: a uniform in [-1, 1]^3, then A = random_rotation."""
+    return SE3Element(a=rng.uniform(-1, 1, 3), A=random_rotation(rng))
+
+
+def random_tangent(rng: np.random.Generator, nu: Vec3) -> Vec3:
+    """nu x w for w uniform in [-1, 1]^3: a random vector orthogonal to nu."""
+    return cross(nu, rng.uniform(-1, 1, 3))
 
 
 @dataclass(frozen=True)
@@ -97,18 +107,28 @@ def on_level(q: Se3DualPoint, level: OrbitLevel, tol: float) -> bool:
     return abs(c.c1 - level.c1) <= tol and abs(c.c2 - level.c2) <= tol
 
 
-def same_orbit_witness(
-    q1: Se3DualPoint, q2: Se3DualPoint, tol: float = WITNESS_TOL
-) -> SE3Element:
+def witness_tol(q: Se3DualPoint, level: OrbitLevel) -> float:
+    """Level-match tolerance of same_orbit_witness at q, whose Casimirs are
+    level: WITNESS_TOL * s with s = max(1, C1, |nu||pi|).
+
+    The Casimirs' rounding grows with |nu|^2 and |nu||pi|, so the tolerance
+    scales with s; for |nu|, |pi| <= 1 it is WITNESS_TOL.  C1 at or below it
+    counts as nu = 0.
+    """
+    return WITNESS_TOL * max(1.0, level.c1, math.hypot(*q.nu.tolist()) * math.hypot(*q.pi.tolist()))
+
+
+def same_orbit_witness(q1: Se3DualPoint, q2: Se3DualPoint) -> SE3Element:
     """Group element (a, A) with coadjoint((a, A), q1) = q2.
 
-    Requires the two points to share a Casimir level with c1 > 0.  A is any
-    rotation taking nu1 to nu2 (half-turn fallback for antipodal axes); the
-    translation is then forced:  a = nu2 x (pi2 - A pi1) / c1, which solves
-    a x nu2 = pi2 - A pi1 because the right side is orthogonal to nu2 on a
-    common level.
+    Requires the two points to share a Casimir level with c1 > 0, both within
+    witness_tol at q1.  A is any rotation taking nu1 to nu2 (half-turn
+    fallback for antipodal axes); the translation is then forced:
+    a = nu2 x (pi2 - A pi1) / c1, which solves a x nu2 = pi2 - A pi1 because
+    the right side is orthogonal to nu2 on a common level.
     """
     l1 = casimirs(q1)
+    tol = witness_tol(q1, l1)
     if not on_level(q2, l1, tol):
         l2 = casimirs(q2)
         raise NotSameLevel(
@@ -160,7 +180,18 @@ def casimir_fields(space: SpaceId) -> tuple[ScalarField, ScalarField]:
         raise ValueError(f"{space.value} has no nu block; Casimirs live downstairs")
     s_nu, s_pi, n = lay.nu, lay.pi, lay.dim
 
-    # z may be an ndarray or a float list, as ScalarField allows.
+    # z may be an ndarray or a float list, as ScalarField allows.  The values
+    # are the left-to-right sums of casimirs.
+    def c1_value(z, s_nu=s_nu):
+        n0, n1, n2 = _floats(z)[s_nu]
+        return n0 * n0 + n1 * n1 + n2 * n2
+
+    def c2_value(z, s_nu=s_nu, s_pi=s_pi):
+        zl = _floats(z)
+        n0, n1, n2 = zl[s_nu]
+        q0, q1, q2 = zl[s_pi]
+        return n0 * q0 + n1 * q1 + n2 * q2
+
     def c1_grad(z, s_nu=s_nu, n=n):
         g = np.zeros(n)
         g[s_nu] = z[s_nu]
@@ -172,6 +203,5 @@ def casimir_fields(space: SpaceId) -> tuple[ScalarField, ScalarField]:
         g[s_pi] = z[s_nu]
         return g
 
-    c1 = ScalarField(space, lambda z: float(z[s_nu].dot(z[s_nu])), c1_grad, name="C1")
-    c2 = ScalarField(space, lambda z: float(z[s_nu].dot(z[s_pi])), c2_grad, name="C2")
-    return c1, c2
+    return (ScalarField(space, c1_value, c1_grad, name="C1"),
+            ScalarField(space, c2_value, c2_grad, name="C2"))

@@ -111,6 +111,27 @@ def test_simulate_rejects_zero_horizon(tmp_path):
     assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
 
+_NESTED_SUM = '{"type": "sum", "terms": [' * 495 + '{"type": "zero"}' + "]}" * 495
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"[" * 100_000, "error: config nests too deeply"),
+        (json.dumps(FREE_TOP_REDUCED).replace('{"type": "zero"}', _NESTED_SUM).encode(), "error: config nests too deeply"),
+        (b"\xff{", "error: config is not valid UTF-8"),
+    ],
+    ids=["brackets-100000", "sum-495", "not-utf8"],
+)
+def test_simulate_unreadable_config_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_simulate_rejects_unknown_key(tmp_path):
     # "seed" is not a config key: nothing would read it.
     for extra in ({"extra": 1}, {"seed": 0}):
@@ -397,16 +418,35 @@ def test_orbit_rejects_malformed_vector():
         ("1e200,0,0", "0,0,1", "error: orbit report requires 1e-09 < |nu|^2"),
         ("1e150,0,0", "1e200,0,0", "error: orbit report requires 1e-09 < |nu|^2"),
         ("1,0,0", "1e10,0,0", "error: orbit report requires 1e-09 < |nu|^2"),
+        # s = 1e308 is finite, but nu x d in the witness translation is not
+        ("0,1e154,0", "0,0,1e154", "error: orbit report requires 1e-09 < |nu|^2"),
     ],
     ids=[
         "nu-nan", "pi-inf", "nu-overflows", "nu-below-witness-tol", "nu-squared-overflows",
-        "scale-overflows", "nu-below-scaled-tol",
+        "scale-overflows", "nu-below-scaled-tol", "witness-translation-overflows",
     ],
 )
 def test_orbit_rejects_bad_vector(capsys, nu, pi, message):
     assert main(["orbit", "--nu", nu, "--pi", pi]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(message) and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+_FINITE3 = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_FINITE3, _FINITE3)
+def test_orbit_fuzzed_finite_vectors_exit_0_or_2(nu, pi):
+    # "--nu=..." because argparse would read a leading "-" as an option
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["orbit", f"--nu={','.join(map(repr, nu))}", f"--pi={','.join(map(repr, pi))}", "--count", "5"])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), out + err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1 and out == "", err
 
 
 ORBIT_ARGS = ["orbit", "--nu", "0,0,1", "--pi", "0.1,0.2,0.3"]

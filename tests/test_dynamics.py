@@ -403,6 +403,17 @@ def test_simulate_rejects_bad_horizon():
 
 
 @pytest.mark.parametrize(
+    "field, shape",
+    [(reduced_hamiltonian_field, (11,)), (reduced_hamiltonian_field, (12, 1)), (full_hamiltonian_field, (12,))],
+    ids=["z0-length-11", "z0-column", "full-chart-field"],
+)
+def test_simulate_checks_its_inputs_before_step_0(field, shape):
+    z0 = np.resize(flatten(reduced_point(), SpaceId.Reduced), shape)
+    with pytest.raises(DimensionMismatch):
+        simulate(SpaceId.Reduced, field(BP, ZeroPotential()), z0, 0.01, 0.1)
+
+
+@pytest.mark.parametrize(
     "T, dt, n",
     [(1.0, 0.25, 4), (10.0, 1e-3, 10000), (0.03, 1e-3, 30), (0.5, 0.5, 1), (1.0 + 5e-10, 0.25, 4)],
 )

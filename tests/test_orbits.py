@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,8 +17,10 @@ from symtop.orbits import (
     coadjoint,
     magnetic_form,
     on_level,
+    random_se3,
     same_orbit_witness,
     witness_residual,
+    witness_tol,
 )
 from symtop.phase import LAYOUTS, Se3DualPoint, SpaceId, flatten, random_chart_point, random_rotation, random_unit
 from symtop.poisson import bracket, coordinate, fd_gradient, random_polynomial
@@ -141,6 +145,20 @@ def test_witness_random_pairs_including_degenerate():
         )
         g = same_orbit_witness(q1, q2)
         assert witness_residual(g, q1, q2) < 1e-9
+
+
+@pytest.mark.parametrize("nu, pi", [([1, 0, 0], [1e8, 3, 0]), ([1e5, 0, 0], [0, 1, 1]), ([1e100, 0, 0], [0, 0, 1])])
+def test_witness_scales_its_tolerance_with_the_point(nu, pi):
+    # the Casimirs of a coadjoint image round at the size of the input, so an
+    # absolute 1e-9 would call these levels different
+    q1 = q(nu, pi)
+    scale = max(1.0, math.hypot(*nu), math.hypot(*pi))
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        q2 = coadjoint(random_se3(rng), q1)
+        assert witness_residual(same_orbit_witness(q1, q2), q1, q2) <= 1e-9 * scale
+    level = casimirs(q1)
+    assert witness_tol(q1, level) == 1e-9 * max(1.0, level.c1, math.hypot(*nu) * math.hypot(*pi))
 
 
 def test_witness_rejects_different_levels():
@@ -269,11 +287,13 @@ def test_se3_element_rejects_bad_translation(a, match):
         SE3Element(a=a, A=np.eye(3))
 
 
-def test_casimir_field_values_match_matmul_form():
+def test_casimir_field_values_match_casimirs():
+    # the same left-to-right sums, so the same bits, on an ndarray or a float list
     for space in (SpaceId.Se3Dual, SpaceId.Reduced):
         c1f, c2f = casimir_fields(space)
         lay = LAYOUTS[space]
         for k in range(20):
             z = random_chart_point(space, k)
-            nu, pi = z[lay.nu], z[lay.pi]
-            assert c1f(z) == float(nu @ nu) and c2f(z) == float(nu @ pi)
+            level = casimirs(Se3DualPoint(nu=z[lay.nu], pi=z[lay.pi]))
+            for point in (z, z.tolist()):
+                assert c1f(point) == level.c1 and c2f(point) == level.c2
