@@ -1,8 +1,10 @@
 """Bit-exact regression of the float-native 3-vector / 3x3 kernel.
 
-The random points of the certificates, the Rodrigues exponential and the
-rotation defects run on Python floats (see the algebra3 docstring): every
-dot product and matrix entry is summed left to right, with no BLAS call.
+The random points of the certificates, the Rodrigues exponential, the
+rotation defects and the certificate composites (the coadjoint action, the
+orbit witness, rotation_aligning and the same-level and SE(3) samplers) run
+on Python floats (see the algebra3 docstring): every dot product and matrix
+entry is summed left to right, with no BLAS call.
 So the sha256 literals hold on any OpenBLAS kernel (SkylakeX, Haswell,
 Nehalem, Prescott, ...) and any BLAS build.  They still depend on numpy's
 random generator, on math.sin and math.cos, and on the x86-64 double
@@ -17,14 +19,21 @@ import math
 import numpy as np
 import pytest
 
-from symtop.algebra3 import exp_so3, hat, orthogonality_defect, rotation_defect
-from symtop.phase import SpaceId, random_chart_point, random_rotation
+from symtop.algebra3 import exp_so3, hat, orthogonal_unit, orthogonality_defect, rotation_aligning, rotation_defect
+from symtop.checks import random_same_level_pair
+from symtop.orbits import casimirs, coadjoint, random_se3, same_orbit_witness
+from symtop.phase import Se3DualPoint, SpaceId, random_chart_point, random_rotation
 from symtop.reduction import z_rotation
 
 CHART_POINTS_SHA256 = "bbf86a31716761c88e7e4aae3cdd0b043a66ac822f98fe06b47c9b9edde3cb3f"
 EXP_SO3_SHA256 = "51bc7b1674b615be0cda479c175c179e438792f8d62abcc75d3f84e666cf037f"
 ORTHOGONALITY_DEFECT_SHA256 = "3da227ab731a795e7d87bb5ef23452a4c59521d8b7540315c8eddb278be03c64"
 ROTATION_DEFECT_SHA256 = "937216b1210687aa4a072034a03858f8c76512470974d2f3fa66ef77c47fee8c"
+COADJOINT_SHA256 = "5d17a4700d091069d673bef5410bcab761f717932920dab5c7be053d8f28e282"
+WITNESS_SHA256 = "c559b5b1a1125c620557c18cf689ce6cbe037f5131ff496748cc6df2a7a0c742"
+ROTATION_ALIGNING_SHA256 = "b63c1a5f81c4ed20e867760d1fe0b28f1d7e59800fee1a2b2fd908001dc24899"
+SAME_LEVEL_PAIRS_SHA256 = "225c483229683026742a8164af994ab10dee73cf162ba1337121ed94393e14dd"
+RANDOM_SE3_SHA256 = "46fef8fa6f61e839083ad9beebec1dcb03e31311aefe014606ed17df4c895f45"
 
 
 def exp_inputs():
@@ -59,6 +68,44 @@ def perturbed_rotations(smallest: float):
         yield random_rotation(rng) + rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(smallest, -1.0)
 
 
+def dual_points():
+    """Random points (nu, pi), with |nu| in [0.5, 1.5] and pi in [-1, 1]^3."""
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        nu = rng.normal(size=3)
+        yield Se3DualPoint(nu=nu / norm_left_to_right(nu) * rng.uniform(0.5, 1.5), pi=rng.uniform(-1, 1, 3))
+
+
+def same_level_pairs(seed=5, count=300):
+    """random_same_level_pair in its three modes: antipodal axes on every
+    tenth pair from k = 3, equal axes on every tenth from k = 7."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        yield random_same_level_pair(rng, force_antipodal=(k % 10 == 3), force_aligned=(k % 10 == 7))
+
+
+def aligning_inputs():
+    """(a, b) pairs: generic, aligned and antipodal up to scale, and b turned
+    from a or from -a by angles whose sine lands just above and just below
+    the 1e-12 switch of rotation_aligning."""
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        yield rng.normal(size=3) * rng.uniform(0.1, 10.0), rng.normal(size=3) * rng.uniform(0.1, 10.0)
+    for _ in range(20):
+        a = rng.normal(size=3)
+        yield a, a * rng.uniform(0.1, 10.0)
+        yield a, -a * rng.uniform(0.1, 10.0)
+    yield np.eye(3)[0], np.eye(3)[0]
+    yield np.eye(3)[2], -np.eye(3)[2]
+    for factor in (0.5, 0.9, 0.999, 0.99999, 1.00001, 1.001, 1.1, 2.0):
+        theta = 1e-12 * factor
+        for _ in range(5):
+            a = rng.normal(size=3)
+            turn = exp_so3(orthogonal_unit(a) * theta)
+            for sign in (1.0, -1.0):
+                yield a, sign * matmul_left_to_right(turn, a[:, None])[:, 0] * rng.uniform(0.5, 2.0)
+
+
 def sha256(chunks) -> str:
     h = hashlib.sha256()
     for chunk in chunks:
@@ -90,6 +137,36 @@ def test_rotation_defect_at_message_precision():
     # .3e message, which agree from defects of 1e-9 up.
     digest = sha256(f"{rotation_defect(m):.3e}".encode() for m in perturbed_rotations(-9.0))
     assert digest == ROTATION_DEFECT_SHA256
+
+
+def test_coadjoint_bits():
+    rng = np.random.default_rng(8)
+    images = [coadjoint(random_se3(rng), q) for q in dual_points()]
+    assert sha256(b.tobytes() for im in images for b in (im.nu, im.pi)) == COADJOINT_SHA256
+
+
+def test_same_orbit_witness_bits():
+    witnesses = [same_orbit_witness(q1, q2) for q1, q2 in same_level_pairs()]
+    assert sha256(b.tobytes() for g in witnesses for b in (g.a, g.A)) == WITNESS_SHA256
+
+
+def test_rotation_aligning_bits():
+    pairs = list(aligning_inputs())
+    # both sides of the 1e-12 switch, near an aligned and an antipodal axis
+    s = [norm_left_to_right(np.cross(a / norm_left_to_right(a), b / norm_left_to_right(b))) for a, b in pairs]
+    assert sum(0.0 < x < 1e-12 for x in s) >= 20 and sum(1e-12 < x < 1e-11 for x in s) >= 20
+    assert sha256(rotation_aligning(a, b).tobytes() for a, b in pairs) == ROTATION_ALIGNING_SHA256
+
+
+def test_random_same_level_pair_bits():
+    digest = sha256(b.tobytes() for pair in same_level_pairs() for q in pair for b in (q.nu, q.pi))
+    assert digest == SAME_LEVEL_PAIRS_SHA256
+
+
+def test_random_se3_bits():
+    rng = np.random.default_rng(13)
+    elements = [random_se3(rng) for _ in range(300)]
+    assert sha256(b.tobytes() for g in elements for b in (g.a, g.A)) == RANDOM_SE3_SHA256
 
 
 def matmul_left_to_right(a, b):
@@ -146,3 +223,101 @@ def test_orthogonality_defect_matches_array_expression():
     for m in perturbed_rotations(-16.0):
         gram = matmul_left_to_right(m.T, m)
         assert orthogonality_defect(m) == float(np.abs(gram - np.eye(3)).max())
+
+
+def dot_left_to_right(a, b):
+    a0, a1, a2 = np.asarray(a).tolist()
+    b0, b1, b2 = np.asarray(b).tolist()
+    return (a0 * b0 + a1 * b1) + a2 * b2
+
+
+def matvec_left_to_right(m, v):
+    return matmul_left_to_right(m, np.asarray(v)[:, None])[:, 0]
+
+
+def coadjoint_reference(g, q):
+    """(A nu, a x A nu + A pi); numpy's cross is the same six products and
+    three differences as algebra3.cross."""
+    anu = matvec_left_to_right(g.A, q.nu)
+    return anu, np.cross(g.a, anu) + matvec_left_to_right(g.A, q.pi)
+
+
+def orthogonal_unit_reference(v):
+    axis = np.zeros(3)
+    k = int(np.argmin(np.abs(v)))
+    axis[k] = 1.0
+    u = axis - v[k] / dot_left_to_right(v, v) * v
+    return u / norm_left_to_right(u)
+
+
+def rotation_aligning_reference(a, b):
+    ah, bh = a / norm_left_to_right(a), b / norm_left_to_right(b)
+    axis = np.cross(ah, bh)
+    s, c = norm_left_to_right(axis), dot_left_to_right(ah, bh)
+    if s < 1e-12:
+        return np.eye(3) if c > 0.0 else exp_so3_reference(np.pi * orthogonal_unit_reference(ah))
+    return exp_so3_reference(np.arctan2(s, c) * axis / s)
+
+
+def witness_reference(q1, q2):
+    rot = rotation_aligning_reference(q1.nu, q2.nu)
+    d = q2.pi - matvec_left_to_right(rot, q1.pi)
+    return np.cross(q2.nu, d) / dot_left_to_right(q1.nu, q1.nu), rot
+
+
+def same_level_pair_reference(rng, force_antipodal, force_aligned):
+    nu1 = rng.normal(size=3)
+    nu1 = nu1 / norm_left_to_right(nu1)
+    pi1 = rng.uniform(-1, 1, 3)
+    c2 = dot_left_to_right(nu1, pi1)
+    if force_antipodal:
+        nu2 = -nu1
+    elif force_aligned:
+        nu2 = nu1.copy()
+    else:
+        nu2 = rng.normal(size=3)
+        nu2 = nu2 / norm_left_to_right(nu2)
+    w = rng.uniform(-1, 1, 3)
+    pi2 = c2 * nu2 + (w - dot_left_to_right(w, nu2) * nu2)
+    return nu1, pi1, nu2, pi2
+
+
+def test_coadjoint_matches_array_expression():
+    rng = np.random.default_rng(8)
+    for q in dual_points():
+        g = random_se3(rng)
+        image = coadjoint(g, q)
+        nu, pi = coadjoint_reference(g, q)
+        assert image.nu.tobytes() == nu.tobytes() and image.pi.tobytes() == pi.tobytes()
+
+
+def test_rotation_aligning_matches_array_expression():
+    for a, b in aligning_inputs():
+        assert rotation_aligning(a, b).tobytes() == rotation_aligning_reference(a, b).tobytes()
+
+
+def test_same_orbit_witness_matches_array_expression():
+    for q1, q2 in same_level_pairs():
+        g = same_orbit_witness(q1, q2)
+        a, rot = witness_reference(q1, q2)
+        assert g.a.tobytes() == a.tobytes() and g.A.tobytes() == rot.tobytes()
+        assert casimirs(q1).c1 == dot_left_to_right(q1.nu, q1.nu)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_same_level_pair_matches_array_expression(seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k in range(300):
+        mode = {"force_antipodal": k % 10 == 3, "force_aligned": k % 10 == 7}
+        q1, q2 = random_same_level_pair(rng, **mode)
+        got = b"".join(v.tobytes() for v in (q1.nu, q1.pi, q2.nu, q2.pi))
+        assert got == b"".join(v.tobytes() for v in same_level_pair_reference(ref, **mode))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_se3_matches_array_expression(seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(200):
+        g = random_se3(rng)
+        a = ref.uniform(-1, 1, 3)
+        assert g.a.tobytes() == a.tobytes() and g.A.tobytes() == random_rotation_reference(ref).tobytes()
