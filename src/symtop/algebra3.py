@@ -14,14 +14,17 @@ Everything here is pure and allocation-light; all other modules build on it.
 
 Float-native kernel.  Every 3-vector and 3x3 product here is a fixed-order
 expression on Python floats: each dot product and each matrix entry is summed
-left to right, one IEEE rounding per operation.  hat, exp_so3, the products,
-the defects and the polar repair read their input with one tolist() and build
-their result array once.  So their bits do not depend on the BLAS build or on
-the kernel OpenBLAS picks for the CPU, which rounds with or without fused
-multiply-adds and sums in its own order; and at this size numpy's per-call
-overhead would cost more than the arithmetic.  Only numpy calls that are
-exact in any order stay: the +-1 structure tensors (poisson) and the
-selection matrix P (reduction), and elementwise arithmetic.
+left to right, one IEEE rounding per operation.  So no bit depends on the
+BLAS build or on the kernel OpenBLAS picks for the CPU, which rounds with or
+without fused multiply-adds and sums in its own order; and at this size
+numpy's per-call overhead would cost more than the arithmetic.  Each formula
+has one home, a private kernel on floats (_cross, _matvec, _matmul,
+_rodrigues, _aligning, _polar, ...); a public function wraps it with one
+tolist() in and one array out, and the composites elsewhere (random
+rotations, coadjoint action, orbit witness, RK4 repair) call the kernels, so
+they too convert once in and once out.  Only numpy calls that are exact in
+any order stay: the +-1 structure tensors (poisson) and the selection matrix
+P (reduction), and elementwise arithmetic.
 
 np.arctan2 stays in rotation_aligning: math.atan2 differed from it in 7,322
 of 100,000 cases.  math.sin and math.cos agree with np.sin and np.cos bit for
@@ -71,15 +74,15 @@ def hat(v: Vec3) -> Mat3:
 
 
 def cross(a: Vec3, b: Vec3) -> Vec3:
-    """a x b of two float 3-vectors.
+    """a x b of two float 3-vectors."""
+    return np.array(_cross(a.tolist(), b.tolist()))
 
-    The same IEEE products and differences as numpy's cross, on Python
-    floats: numpy's cross spends far longer on axis handling than on the
-    six products.
-    """
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+def _cross(a, b) -> list[float]:
+    """a x b of float triples: numpy's cross's products and differences."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
 def vee(m: Mat3) -> Vec3:
@@ -103,33 +106,50 @@ def vee(m: Mat3) -> Vec3:
 def norm3(v: Vec3) -> float:
     """Euclidean length sqrt(v . v) of a float 3-vector; an overflowing
     square gives inf, as a float product does."""
-    v0, v1, v2 = v.tolist()
+    return _norm(*v.tolist())
+
+
+def _norm(v0: float, v1: float, v2: float) -> float:
     return math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
 
 
 def dot3(a: Vec3, b: Vec3) -> float:
     """a . b of two float 3-vectors, summed left to right."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
+    return _dot(a.tolist(), b.tolist())
+
+
+def _dot(a, b) -> float:
+    a0, a1, a2 = a
+    b0, b1, b2 = b
     return a0 * b0 + a1 * b1 + a2 * b2
 
 
 def matvec3(m: Mat3, v: Vec3) -> Vec3:
     """m @ v of a 3x3 matrix and a 3-vector, each entry summed left to right."""
-    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
-    v0, v1, v2 = v.tolist()
-    return np.array([a * v0 + b * v1 + c * v2, d * v0 + e * v1 + f * v2, g * v0 + h * v1 + i * v2])
+    return np.array(_matvec(m.ravel().tolist(), v.tolist()))
+
+
+def _matvec(m, v) -> list[float]:
+    """matvec3 of the nine row-major entries of m and a float triple."""
+    a, b, c, d, e, f, g, h, i = m
+    v0, v1, v2 = v
+    return [a * v0 + b * v1 + c * v2, d * v0 + e * v1 + f * v2, g * v0 + h * v1 + i * v2]
 
 
 def matmul3(m: Mat3, n: Mat3) -> Mat3:
     """m @ n of two 3x3 matrices, each entry summed left to right."""
-    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
-    (p, q, r), (s, t, u), (v, w, x) = n.tolist()
-    return np.array([
+    return np.array(_matmul(m.ravel().tolist(), n.ravel().tolist())).reshape(3, 3)
+
+
+def _matmul(m, n) -> list[float]:
+    """matmul3 of two matrices given by their nine row-major entries."""
+    a, b, c, d, e, f, g, h, i = m
+    p, q, r, s, t, u, v, w, x = n
+    return [
         a * p + b * s + c * v, a * q + b * t + c * w, a * r + b * u + c * x,
         d * p + e * s + f * v, d * q + e * t + f * w, d * r + e * u + f * x,
         g * p + h * s + i * v, g * q + h * t + i * w, g * r + h * u + i * x,
-    ]).reshape(3, 3)
+    ]
 
 
 def max_or_nan(values) -> float:
@@ -190,8 +210,12 @@ def exp_so3(v: Vec3) -> Mat3:
     float sum in hat(v) @ hat(v), whose other terms are exact zeros.  A
     non-finite |v| gives NaN in every entry.
     """
-    v0, v1, v2 = np.asarray(v, dtype=float).tolist()
-    t = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+    return np.array(_rodrigues(*np.asarray(v, dtype=float).tolist())).reshape(3, 3)
+
+
+def _rodrigues(v0: float, v1: float, v2: float) -> list[float]:
+    """exp_so3 of the axis-angle (v0, v1, v2) as nine row-major entries."""
+    t = _norm(v0, v1, v2)
     if t < _SMALL_ANGLE:
         a = 1.0 - t * t / 6.0
         b = 0.5 - t * t / 24.0
@@ -199,13 +223,13 @@ def exp_so3(v: Vec3) -> Mat3:
         a = math.sin(t) / t
         b = (1.0 - math.cos(t)) / (t * t)
     else:
-        return np.full((3, 3), math.nan)
+        return [math.nan] * 9
     s01, s02, s12 = v0 * v1, v0 * v2, v1 * v2
-    return np.array([
+    return [
         1.0 - b * (v2 * v2 + v1 * v1), (0.0 + a * -v2) + b * s01, (0.0 + a * v1) + b * s02,
         (0.0 + a * v2) + b * s01, 1.0 - b * (v2 * v2 + v0 * v0), (0.0 + a * -v0) + b * s12,
         (0.0 + a * -v1) + b * s02, (0.0 + a * v0) + b * s12, 1.0 - b * (v1 * v1 + v0 * v0),
-    ]).reshape(3, 3)
+    ]
 
 
 def reorthonormalize(m: Mat3) -> Mat3:
@@ -224,7 +248,13 @@ def reorthonormalize(m: Mat3) -> Mat3:
     A matrix already within 1e-15 of orthogonal is returned as it is.
     """
     m = np.asarray(m, dtype=float)
-    r = entries = m.ravel().tolist()
+    entries = m.ravel().tolist()
+    r = _polar(entries)
+    return m if r is entries else np.array(r).reshape(3, 3)
+
+
+def _polar(r: list[float]) -> list[float]:
+    """reorthonormalize of the nine row-major entries r, or r itself."""
     d = _gram_defect(*r)
     if not d <= REPAIR_LIMIT:  # also a NaN or infinite defect
         raise TooFarFromSO3(f"orthogonality defect {d:.3e} exceeds repair limit {REPAIR_LIMIT}")
@@ -233,7 +263,7 @@ def reorthonormalize(m: Mat3) -> Mat3:
             break
         r = _polar_newton_step(*r)
         d = _gram_defect(*r)
-    return m if r is entries else np.array(r).reshape(3, 3)
+    return r
 
 
 def _polar_newton_step(a, b, c, d, e, f, g, h, i) -> list[float]:
@@ -259,28 +289,34 @@ def rotation_aligning(a: Vec3, b: Vec3) -> Mat3:
     Rotates about a x b; falls back to the identity for aligned inputs and
     to a half-turn about any axis orthogonal to a for antipodal inputs.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    na, nb = norm3(a), norm3(b)
+    a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
+    return np.array(_aligning(a, b)).reshape(3, 3)
+
+
+def _aligning(a, b) -> list[float]:
+    """rotation_aligning of two float triples as nine row-major entries."""
+    na, nb = _norm(*a), _norm(*b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("cannot align a zero vector")
-    ah, bh = a / na, b / nb
-    axis = cross(ah, bh)
-    s = norm3(axis)
-    c = dot3(ah, bh)
+    ah, bh = [x / na for x in a], [x / nb for x in b]
+    x0, x1, x2 = _cross(ah, bh)
+    s = _norm(x0, x1, x2)
     if s < 1e-12:
-        if c > 0.0:
-            return IDENTITY.copy()
-        return exp_so3(math.pi * orthogonal_unit(ah))
-    angle = float(np.arctan2(s, c))
-    return exp_so3(angle * axis / s)
+        if _dot(ah, bh) > 0.0:
+            return [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+        return _rodrigues(*[math.pi * x for x in _orthogonal_unit(ah)])
+    angle = float(np.arctan2(s, _dot(ah, bh)))
+    return _rodrigues((angle * x0) / s, (angle * x1) / s, (angle * x2) / s)
 
 
 def orthogonal_unit(v: Vec3) -> Vec3:
     """A unit vector orthogonal to v, built from the axis least aligned with v."""
-    v = np.asarray(v, dtype=float)
-    axis = np.zeros(3)
-    k = int(np.argmin(np.abs(v)))
-    axis[k] = 1.0
-    u = axis - v[k] / dot3(v, v) * v
-    return u / norm3(u)
+    return np.array(_orthogonal_unit(np.asarray(v, dtype=float).tolist()))
+
+
+def _orthogonal_unit(v) -> list[float]:
+    k = min(range(3), key=lambda i: abs(v[i]))  # the first smallest, as np.argmin
+    f = v[k] / _dot(v, v)
+    u = [float(i == k) - f * x for i, x in enumerate(v)]
+    n = _norm(*u)
+    return [x / n for x in u]

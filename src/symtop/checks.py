@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, orbits, poisson, reduction
-from .algebra3 import cross, dot3, max_or_nan, norm3
+from .algebra3 import _dot, cross, dot3, max_or_nan, norm3
 from .phase import LAYOUTS, Se3DualPoint, SpaceId, random_chart_point, random_unit
 
 ALL_SPACES = (SpaceId.CotSO3, SpaceId.Se3Dual, SpaceId.CotSE3, SpaceId.Reduced)
@@ -177,16 +177,18 @@ def random_same_level_pair(
     """Two random points sharing a Casimir level with c1 = 1."""
     nu1 = random_unit(rng)
     pi1 = rng.uniform(-1, 1, 3)
-    c2 = dot3(nu1, pi1)
+    n1 = nu1.tolist()
+    c2 = _dot(n1, pi1.tolist())
     if force_antipodal:
-        nu2 = -nu1
+        n2 = [-x for x in n1]
     elif force_aligned:
-        nu2 = nu1.copy()
+        n2 = n1
     else:
-        nu2 = random_unit(rng)
-    w = rng.uniform(-1, 1, 3)
-    pi2 = c2 * nu2 + (w - dot3(w, nu2) * nu2)
-    return Se3DualPoint(nu=nu1, pi=pi1), Se3DualPoint(nu=nu2, pi=pi2)
+        n2 = random_unit(rng).tolist()
+    w = rng.uniform(-1, 1, 3).tolist()
+    wn = _dot(w, n2)
+    pi2 = [c2 * x + (y - wn * x) for x, y in zip(n2, w)]
+    return Se3DualPoint(nu=nu1, pi=pi1), Se3DualPoint(nu=np.array(n2), pi=np.array(pi2))
 
 
 def check_orbits(seed: int = 0, pairs: int = 1000) -> list[CheckResult]:

@@ -22,15 +22,16 @@ R (attitude charts) after each step, keeping trajectories on the constraint
 manifold without a full Lie-group integrator.  Plain "rk4" is kept so the
 constraint drift itself can be measured.
 
-A step runs on Python floats: one tolist() on the way in, one np.array on
-the way out, and in between the Hamiltonian gradient, the vector field
-(poisson.vector_field_floats), the stage sums and the nu repair work on
-floats, because at chart dimension 18 or less numpy's per-call overhead
-costs more than the arithmetic.  <nu, pi> in the spin term and |nu| in the
-repair are plain float sums.  R is repaired by algebra3.reorthonormalize,
-whose Newton update and stop test also run on floats.  The Hamiltonian value
-and the monitors are fixed-order float sums too, so no output of a run
-depends on the BLAS build or kernel.
+A step runs on Python floats: the Hamiltonian gradient, the vector field
+(poisson.vector_field_floats), the stage sums and the repair work on floats,
+because at chart dimension 18 or less numpy's per-call overhead costs more
+than the arithmetic.  <nu, pi> in the spin term and |nu| in the repair are
+plain float sums; R is repaired by algebra3's polar kernel, whose Newton
+update and stop test also run on floats.  simulate carries the state from
+step to step as a float list, reads the monitors off it, and builds arrays
+only from the samples it keeps.  The Hamiltonian value and the monitors are
+fixed-order float sums too, so no output of a run depends on the BLAS build
+or kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra3 import Vec3, exp_so3, matvec3, norm3, orthogonality_defect, reorthonormalize
+from .algebra3 import Vec3, _gram_defect, _polar, exp_so3, matvec3, norm3
 from .errors import DimensionMismatch, NonFinite, TooFarFromSO3
 from .phase import (
     LAYOUTS,
@@ -355,10 +356,7 @@ def _repair(space: SpaceId, z: list[float]) -> list[float]:
             raise NonFinite("nu has zero length; it cannot be renormalized")
         z[lay.nu] = n0 / norm, n1 / norm, n2 / norm
     if lay.r is not None:
-        r = np.array(z[lay.r]).reshape(3, 3)
-        repaired = reorthonormalize(r)
-        if repaired is not r:  # r itself when it needed no repair
-            z[lay.r] = repaired.ravel().tolist()
+        z[lay.r] = _polar(z[lay.r])
     return z
 
 
@@ -381,18 +379,22 @@ def step(
     z: np.ndarray,
     dt: float,
     method: str = "rk4_repair",
-) -> np.ndarray:
+) -> np.ndarray | list[float]:
     """One RK4 step of zdot = Lambda(z) grad h(z), optionally constraint-repaired.
 
-    Works on Python floats between one tolist() and one np.array; the stage
-    sums keep the order of z + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).
+    z is a float list of the chart's length, which gives a float list back,
+    or an array, which is read with one tolist() and gives an array back.
+    The stage sums keep the order of z + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).
     """
     _require_field_on(space, h)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if not dt > 0.0:
         raise ValueError(f"dt = {dt} must be positive")
-    z = chart_vector(space, z).tolist()
+    as_list = isinstance(z, list)
+    if as_list and len(z) != LAYOUTS[space].dim:
+        raise DimensionMismatch(f"{space.value} chart has dim {LAYOUTS[space].dim}, got {len(z)} floats")
+    z = z if as_list else chart_vector(space, z).tolist()
     half = 0.5 * dt
     k1 = _slope(space, h, z)
     k2 = _slope(space, h, [a + half * b for a, b in zip(z, k1)])
@@ -404,7 +406,7 @@ def step(
         z1 = _repair(space, z1)
     if not all(map(math.isfinite, z1)):
         raise NonFinite("integration step produced a non-finite state")
-    return np.array(z1)
+    return z1 if as_list else np.array(z1)
 
 
 @dataclass
@@ -430,14 +432,13 @@ def nu_pi_of(space: SpaceId, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z[lay.axis], z[lay.pi]
 
 
-def _monitors(space: SpaceId, h: ScalarField, z: np.ndarray) -> tuple[float, float, float, float]:
-    """Energy, C1 = |nu|^2, C2 = <nu, pi> and the orthogonality defect at z,
-    the Casimirs summed left to right; NonFinite unless all are finite."""
+def _monitors(space: SpaceId, h: ScalarField, z: list[float]) -> tuple[float, float, float, float]:
+    """Energy, C1 = |nu|^2, C2 = <nu, pi> and the orthogonality defect of the float
+    list z, the Casimirs summed left to right; NonFinite unless all are finite."""
     lay = LAYOUTS[space]
-    zl = z.tolist()
-    n0, n1, n2 = zl[lay.axis]
-    q0, q1, q2 = zl[lay.pi]
-    defect = orthogonality_defect(z[lay.r].reshape(3, 3)) if lay.r is not None else 0.0
+    n0, n1, n2 = z[lay.axis]
+    q0, q1, q2 = z[lay.pi]
+    defect = _gram_defect(*z[lay.r]) if lay.r is not None else 0.0
     mons = h(z), n0 * n0 + n1 * n1 + n2 * n2, n0 * q0 + n1 * q1 + n2 * q2, defect
     if not all(map(math.isfinite, mons)):
         raise NonFinite(f"non-finite monitor (energy, C1, C2, ortho defect) = {mons}")
@@ -467,7 +468,7 @@ def simulate(
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     _require_field_on(space, h)
-    z = chart_vector(space, z0)
+    z = chart_vector(space, z0).tolist()
     ts, zs, mons = [0.0], [z], []
     k = 0
     try:

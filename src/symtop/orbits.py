@@ -35,13 +35,15 @@ from .algebra3 import (
     ADMISSION_TOL,
     Mat3,
     Vec3,
+    _aligning,
+    _cross,
+    _matvec,
     cross,
     dot3,
     matmul3,
     matvec3,
     max_or_nan,
     require_rotation,
-    rotation_aligning,
 )
 from .errors import NotSameLevel, NotTangent, NotUnit, ZeroNu
 from .phase import LAYOUTS, Se3DualPoint, SpaceId, _vec3, random_rotation
@@ -97,8 +99,10 @@ def casimirs(q: Se3DualPoint) -> OrbitLevel:
 
 def coadjoint(g: SE3Element, q: Se3DualPoint) -> Se3DualPoint:
     """(nu, pi) -> (A nu, a x A nu + A pi)."""
-    anu = matvec3(g.A, q.nu)
-    return Se3DualPoint(nu=anu, pi=cross(g.a, anu) + matvec3(g.A, q.pi))
+    rot = g.A.ravel().tolist()
+    anu = _matvec(rot, q.nu.tolist())
+    pi = [x + y for x, y in zip(_cross(g.a.tolist(), anu), _matvec(rot, q.pi.tolist()))]
+    return Se3DualPoint(nu=np.array(anu), pi=np.array(pi))
 
 
 def on_level(q: Se3DualPoint, level: OrbitLevel, tol: float) -> bool:
@@ -136,10 +140,11 @@ def same_orbit_witness(q1: Se3DualPoint, q2: Se3DualPoint) -> SE3Element:
         )
     if l1.c1 <= tol:
         raise ZeroNu(f"c1 = {l1.c1:.3e} too small for an orbit witness")
-    rot = rotation_aligning(q1.nu, q2.nu)
-    d = q2.pi - matvec3(rot, q1.pi)
-    a = cross(q2.nu, d) / l1.c1
-    return SE3Element(a=a, A=rot)
+    nu2 = q2.nu.tolist()
+    rot = _aligning(q1.nu.tolist(), nu2)
+    d = [x - y for x, y in zip(q2.pi.tolist(), _matvec(rot, q1.pi.tolist()))]
+    c1 = l1.c1
+    return SE3Element(a=np.array([x / c1 for x in _cross(nu2, d)]), A=np.array(rot).reshape(3, 3))
 
 
 def witness_residual(g: SE3Element, q1: Se3DualPoint, q2: Se3DualPoint) -> float:

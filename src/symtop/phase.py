@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra3 import ADMISSION_TOL, Mat3, Vec3, dot3, exp_so3, matmul3, norm3, require_rotation
+from .algebra3 import ADMISSION_TOL, Mat3, Vec3, _matmul, _norm, _rodrigues, dot3, norm3, require_rotation
 from .errors import DimensionMismatch
 
 
@@ -219,16 +219,19 @@ def unflatten(space: SpaceId, z: np.ndarray) -> State:
     return _STATE_TYPES[space](**{name: z[block].reshape(shape) for name, block, shape in _FIELDS[space]})
 
 
-def _random_turn(rng: np.random.Generator) -> Mat3:
-    """Turn about a uniform random axis by an angle uniform in [0, pi]."""
-    axis = rng.normal(size=3)
-    return exp_so3(axis / norm3(axis) * rng.uniform(0.0, math.pi))
+def _random_turn(rng: np.random.Generator) -> list[float]:
+    """Row-major entries of exp_so3(axis / |axis| * angle) for a uniform random
+    axis, then an angle uniform in [0, pi]."""
+    a0, a1, a2 = rng.normal(size=3).tolist()
+    n = _norm(a0, a1, a2)
+    t = rng.uniform(0.0, math.pi)
+    return _rodrigues((a0 / n) * t, (a1 / n) * t, (a2 / n) * t)
 
 
 def random_rotation(rng: np.random.Generator) -> Mat3:
     """Generic rotation: the product (A B) C of three random turns, drawn in order."""
     a, b, c = _random_turn(rng), _random_turn(rng), _random_turn(rng)
-    return matmul3(matmul3(a, b), c)
+    return np.array(_matmul(_matmul(a, b), c)).reshape(3, 3)
 
 
 def random_unit(rng: np.random.Generator) -> Vec3:

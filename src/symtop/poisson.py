@@ -127,9 +127,10 @@ class ScalarField:
     """Function on a chart together with its closed-form gradient.
 
     Every field supplies its own gradient; fd_gradient only checks them.
-    grad must accept the point as an ndarray or as a sequence of Python
-    floats: the RK4 step calls it on float lists (see dynamics.step).  It
-    may return an ndarray or a float sequence of the chart's length.
+    value and grad must accept the point as an ndarray or as a list of
+    Python floats: the RK4 step calls grad, and simulate's monitors call
+    value, on float lists (see dynamics.step).  grad may return an ndarray
+    or a float sequence of the chart's length.
     """
 
     space: SpaceId

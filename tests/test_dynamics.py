@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from symtop.algebra3 import exp_so3
+from symtop.algebra3 import exp_so3, orthogonality_defect
 from symtop.checks import PRESET_POTENTIALS
 from symtop.dynamics import (
     METHODS,
@@ -29,17 +29,19 @@ from symtop.dynamics import (
     step_count,
 )
 from symtop.errors import DimensionMismatch, NonFinite
+from symtop.orbits import casimir_fields
 from symtop.phase import (
     LAYOUTS,
     FullState,
     ReducedState,
     SpaceId,
     flatten,
+    random_chart_point,
     random_state,
     random_unit,
 )
-from symtop.poisson import ScalarField, fd_gradient, structure_matrix
-from symtop.reduction import right_action, section, z_rotation
+from symtop.poisson import ScalarField, coordinate, fd_gradient, random_polynomial, structure_matrix
+from symtop.reduction import pullback, right_action, section, z_rotation
 from test_acceptance import NU0, P0, PI0, X0, full_start, reduced_start
 
 BP = BodyParams(M=1.0, I1=1.0, I3=0.5)
@@ -272,7 +274,7 @@ def test_hamiltonian_value_matches_fixed_order_form(space, make):
                 v += kappa * (c * c)
             v += fixed_order_potential_value(pot, x, nu)
             assert h(z) == v
-            assert _monitors(space, h, z)[:3] == (v, dot_left_to_right(nu, nu), dot_left_to_right(nu, pi))
+            assert _monitors(space, h, z.tolist())[:3] == (v, dot_left_to_right(nu, nu), dot_left_to_right(nu, pi))
 
 
 @pytest.mark.parametrize("space, make", CHARTS, ids=["full", "reduced"])
@@ -577,3 +579,78 @@ def test_momentum_map_catches_a_planted_dipole_defect(monkeypatch, space, defect
     else:
         monkeypatch.setattr(DipolePotential, "grad_nu", lambda *a: (0.0, 0.0, 0.0))
     assert momentum_drift(space, *MOMENTUM_CASES["dipole"]) > MOMENTUM_TOL
+
+
+def fields_on(space):
+    """Hamiltonians of every preset on the charts that have one, and a random
+    quadratic on every chart."""
+    fields = [random_polynomial(space, np.random.default_rng(5), scale=0.3)]
+    make = {SpaceId.CotSE3: full_hamiltonian_field, SpaceId.Reduced: reduced_hamiltonian_field}.get(space)
+    if make is not None:
+        fields += [make(BP, pot) for pot in PRESET_POTENTIALS.values()]
+    return fields
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("space", list(SpaceId), ids=lambda s: s.value)
+def test_step_on_a_float_list_matches_step_on_an_array(space, method):
+    for h in fields_on(space):
+        for seed in range(5):
+            z = random_chart_point(space, seed)
+            got = step(space, h, z.tolist(), 0.05, method)
+            assert type(got) is list and all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == step(space, h, z, 0.05, method).tobytes()
+
+
+@pytest.mark.parametrize("space", list(SpaceId), ids=lambda s: s.value)
+def test_step_rejects_a_float_list_of_the_wrong_length(space):
+    h = fields_on(space)[0]
+    z = random_chart_point(space, 0).tolist()
+    for bad in (z[:-1], z + [0.0], []):
+        with pytest.raises(DimensionMismatch):
+            step(space, h, bad, 0.05)
+
+
+def reference_run(space, h, z0, dt, T, method, stride):
+    """simulate as a loop of ndarray steps with the monitors read off arrays:
+    t, z, energy, C1, C2 and the orthogonality defect of every sample."""
+    lay = LAYOUTS[space]
+    n = step_count(T, dt)
+    z, rows = z0, []
+    for k in range(n + 1):
+        if k:
+            z = step(space, h, z, dt, method)
+        if k % stride == 0 or k == n:
+            nu, pi = z[lay.axis], z[lay.pi]
+            ortho = orthogonality_defect(z[lay.r].reshape(3, 3)) if lay.r is not None else 0.0
+            rows.append((k * dt, z, h(z), dot_left_to_right(nu, nu), dot_left_to_right(nu, pi), ortho))
+    return [np.array(column) for column in zip(*rows)]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("space", list(SpaceId), ids=lambda s: s.value)
+def test_simulate_matches_a_loop_of_array_steps(space, method):
+    for h in fields_on(space):
+        z0 = random_chart_point(space, 3)
+        traj = simulate(space, h, z0, 0.01, 0.3, method, 7)
+        got = (traj.t, traj.z, traj.energy, traj.c1, traj.c2, traj.ortho_defect)
+        for a, b in zip(got, reference_run(space, h, z0, 0.01, 0.3, method, 7)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), h.name
+
+
+@pytest.mark.parametrize("space", list(SpaceId), ids=lambda s: s.value)
+def test_every_field_builder_accepts_a_float_list(space):
+    # simulate's monitors call value, and the RK4 step calls grad, on float
+    # lists: each builder must give the bits it gives on the array.
+    fields = fields_on(space) + [coordinate(space, a) for a in range(LAYOUTS[space].dim)]
+    if LAYOUTS[space].nu is not None:
+        fields += casimir_fields(space)
+    fields += [f * g for f in fields[:3] for g in fields[:3]]
+    if LAYOUTS[space].r is not None:  # pull-backs of the fields of the chart below
+        below = SpaceId.Reduced if space is SpaceId.CotSE3 else SpaceId.Se3Dual
+        fields += [pullback(f) for f in fields_on(below) + list(casimir_fields(below))]
+    for f in fields:
+        for seed in range(3):
+            z = random_chart_point(space, seed)
+            assert f(z.tolist()) == f(z) and type(f(z.tolist())) is float, f.name
+            assert np.asarray(f.grad(z.tolist()), dtype=float).tobytes() == f.gradient(z).tobytes(), f.name
