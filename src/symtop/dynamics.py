@@ -376,7 +376,7 @@ def _slope(space: SpaceId, h: ScalarField, z: list[float]) -> list[float]:
 def step(
     space: SpaceId,
     h: ScalarField,
-    z: np.ndarray,
+    z: np.ndarray | list[float],
     dt: float,
     method: str = "rk4_repair",
 ) -> np.ndarray | list[float]:
