@@ -249,13 +249,15 @@ _DRAWS = {"R": random_rotation, "nu": random_unit}
 def random_state(space: SpaceId, seed: int) -> State:
     """Deterministic generic test point: R from axis-angle compositions,
     nu uniform on the sphere, x/p/pi components uniform in [-1, 1], drawn in
-    the state's field order."""
-    rng = np.random.default_rng(seed)
-    return _STATE_TYPES[space](
-        **{name: _DRAWS.get(name, _random_component)(rng) for name, _, _ in _FIELDS[space]}
-    )
+    the state's field order (the state of random_chart_point)."""
+    return unflatten(space, random_chart_point(space, seed))
 
 
 def random_chart_point(space: SpaceId, seed: int) -> np.ndarray:
-    """Flat chart vector of random_state(space, seed)."""
-    return flatten(random_state(space, seed), space)
+    """Flat chart vector of random_state(space, seed): the draws written into
+    one array, with no state built."""
+    rng = np.random.default_rng(seed)
+    z = np.empty(LAYOUTS[space].dim)
+    for name, block, _ in _FIELDS[space]:
+        z[block] = _DRAWS.get(name, _random_component)(rng).ravel()
+    return z
