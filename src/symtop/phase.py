@@ -249,13 +249,13 @@ _DRAWS = {"R": random_rotation, "nu": random_unit}
 def random_state(space: SpaceId, seed: int) -> State:
     """Deterministic generic test point: R from axis-angle compositions,
     nu uniform on the sphere, x/p/pi components uniform in [-1, 1], drawn in
-    the state's field order (the state of random_chart_point)."""
+    the state's field order: random_chart_point, validated by unflatten."""
     return unflatten(space, random_chart_point(space, seed))
 
 
 def random_chart_point(space: SpaceId, seed: int) -> np.ndarray:
     """Flat chart vector of random_state(space, seed): the draws written into
-    one array, with no state built."""
+    one array, with no state built or validated."""
     rng = np.random.default_rng(seed)
     z = np.empty(LAYOUTS[space].dim)
     for name, block, _ in _FIELDS[space]:

@@ -76,11 +76,11 @@ def dual_points():
         yield Se3DualPoint(nu=nu / norm_left_to_right(nu) * rng.uniform(0.5, 1.5), pi=rng.uniform(-1, 1, 3))
 
 
-def same_level_pairs(seed=5, count=300):
+def same_level_pairs():
     """random_same_level_pair in its three modes: antipodal axes on every
     tenth pair from k = 3, equal axes on every tenth from k = 7."""
-    rng = np.random.default_rng(seed)
-    for k in range(count):
+    rng = np.random.default_rng(5)
+    for k in range(300):
         yield random_same_level_pair(rng, force_antipodal=(k % 10 == 3), force_aligned=(k % 10 == 7))
 
 
