@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra3 import Vec3, _gram_defect, _polar, exp_so3, matvec3, norm3
+from .algebra3 import Vec3, _dot, _gram_defect, _norm, _polar, exp_so3, matvec3, norm3
 from .errors import DimensionMismatch, NonFinite, TooFarFromSO3
 from .phase import (
     LAYOUTS,
@@ -351,7 +351,7 @@ def _repair(space: SpaceId, z: list[float]) -> list[float]:
     lay = LAYOUTS[space]
     if lay.nu is not None:
         n0, n1, n2 = z[lay.nu]
-        norm = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+        norm = _norm(n0, n1, n2)
         if norm == 0.0:
             raise NonFinite("nu has zero length; it cannot be renormalized")
         z[lay.nu] = n0 / norm, n1 / norm, n2 / norm
@@ -436,10 +436,9 @@ def _monitors(space: SpaceId, h: ScalarField, z: list[float]) -> tuple[float, fl
     """Energy, C1 = |nu|^2, C2 = <nu, pi> and the orthogonality defect of the float
     list z, the Casimirs summed left to right; NonFinite unless all are finite."""
     lay = LAYOUTS[space]
-    n0, n1, n2 = z[lay.axis]
-    q0, q1, q2 = z[lay.pi]
+    nu = z[lay.axis]
     defect = _gram_defect(*z[lay.r]) if lay.r is not None else 0.0
-    mons = h(z), n0 * n0 + n1 * n1 + n2 * n2, n0 * q0 + n1 * q1 + n2 * q2, defect
+    mons = h(z), _dot(nu, nu), _dot(nu, z[lay.pi]), defect
     if not all(map(math.isfinite, mons)):
         raise NonFinite(f"non-finite monitor (energy, C1, C2, ortho defect) = {mons}")
     return mons

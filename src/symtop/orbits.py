@@ -37,6 +37,7 @@ from .algebra3 import (
     Vec3,
     _aligning,
     _cross,
+    _dot,
     _matvec,
     cross,
     dot3,
@@ -188,14 +189,12 @@ def casimir_fields(space: SpaceId) -> tuple[ScalarField, ScalarField]:
     # z may be an ndarray or a float list, as ScalarField allows.  The values
     # are the left-to-right sums of casimirs.
     def c1_value(z, s_nu=s_nu):
-        n0, n1, n2 = _floats(z)[s_nu]
-        return n0 * n0 + n1 * n1 + n2 * n2
+        nu = _floats(z)[s_nu]
+        return _dot(nu, nu)
 
     def c2_value(z, s_nu=s_nu, s_pi=s_pi):
         zl = _floats(z)
-        n0, n1, n2 = zl[s_nu]
-        q0, q1, q2 = zl[s_pi]
-        return n0 * q0 + n1 * q1 + n2 * q2
+        return _dot(zl[s_nu], zl[s_pi])
 
     def c1_grad(z, s_nu=s_nu, n=n):
         g = np.zeros(n)
