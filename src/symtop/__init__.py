@@ -17,9 +17,7 @@ from .dynamics import (
     ZeroPotential,
     commutation_residual,
     free_top_analytic,
-    full_hamiltonian,
     full_hamiltonian_field,
-    reduced_hamiltonian,
     reduced_hamiltonian_field,
     simulate,
     step,
@@ -48,7 +46,6 @@ from .poisson import (
     bracket,
     coordinate,
     ham_vector_field,
-    jacobi_residual,
     structure_matrix,
 )
 from .reduction import (

@@ -53,8 +53,6 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     EPS[_i, _j, _k] = 1.0
     EPS[_i, _k, _j] = -1.0
 
-IDENTITY = np.eye(3)
-
 # Angle below which Rodrigues coefficients switch to their 2nd-order Taylor
 # expansions; avoids 0/0 with no precision loss at double precision.
 _SMALL_ANGLE = 1e-8

@@ -11,8 +11,9 @@ Configs are strict JSON: unknown keys anywhere are rejected (exit 2), as are
 numbers given as bools or strings, non-finite numbers, values that BodyParams,
 a potential or dynamics.step_count rejects (reported with the config path),
 and attitudes further than 1e-6 from a rotation (orthogonal, det +1), as is
-a file that is not UTF-8 or nests deeper than Python can recurse.  The initial block becomes a ReducedState or FullState, and phase.flatten
-gives its chart vector, so the chart order is known only to phase.  CSV rows
+a file that is not UTF-8 or nests deeper than Python can recurse.  The
+initial block becomes a ReducedState or FullState, and phase.flatten gives
+its chart vector, so the chart order is known only to phase.  CSV rows
 carry t, x, p, nu, pi (phase.Layout.reduced), energy, C1, C2 and the attitude
 orthogonality defect (0 for reduced runs), all floats with 17 significant
 digits so downstream tools can round-trip them losslessly.

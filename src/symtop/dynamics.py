@@ -55,7 +55,7 @@ from .phase import (
     flatten,
 )
 from .poisson import ScalarField, _floats, vector_field_floats
-from .poisson import ham_vector_field  # noqa: F401  (still read as dynamics.ham_vector_field)
+from .poisson import ham_vector_field  # noqa: F401  (bench/tracing.py wraps both names; bench/tests checks)
 
 Float3 = tuple[float, float, float]
 
@@ -79,12 +79,12 @@ class BodyParams:
 class Potential:
     """Interface for V(x, nu) with analytic gradients.
 
-    Implementations supply value / grad_x / grad_nu; gradients are part of
-    the production path (finite differences are used only to verify them).
-    All three take x and nu as any 3-sequences (ndarrays, or the float
-    triples the Hamiltonian passes).  grad_x and grad_nu return a tuple of
-    three Python floats, not an ndarray: wrap it in np.array before doing
-    arithmetic with it.
+    Implementations supply value, grad_x and grad_nu, each gradient defined
+    in the class's own body, because bench/tracing.py patches vars(cls).
+    The gradients are the production path; finite differences only verify
+    them.  All three take x and nu as any 3-sequences (ndarrays, or the
+    float triples the Hamiltonian passes).  grad_x and grad_nu return a tuple
+    of three Python floats, not an ndarray: wrap it in np.array before arithmetic.
     """
 
     def value(self, x: Vec3, nu: Vec3, bp: BodyParams) -> float:
@@ -313,16 +313,6 @@ def full_hamiltonian_field(bp: BodyParams, potential: Potential) -> ScalarField:
     return _hamiltonian_field(SpaceId.CotSE3, bp, potential, spin_coefficient(bp), "H")
 
 
-def reduced_hamiltonian(s: ReducedState, bp: BodyParams, potential: Potential) -> float:
-    """h = |p|^2/(2M) + |pi|^2/(2 I1) + V(x, nu)."""
-    return reduced_hamiltonian_field(bp, potential)(flatten(s, SpaceId.Reduced))
-
-
-def full_hamiltonian(s: FullState, bp: BodyParams, potential: Potential) -> float:
-    """H = |p|^2/(2M) + |pi|^2/(2 I1) + kappa <nu, pi>^2 + V(x, nu), nu = tau(R)."""
-    return full_hamiltonian_field(bp, potential)(flatten(s, SpaceId.CotSE3))
-
-
 METHODS = ("rk4", "rk4_repair")
 
 # Relative tolerance within which a horizon T must be a whole number of steps dt.
@@ -425,13 +415,6 @@ class Trajectory:
         return self.t.size
 
 
-def nu_pi_of(space: SpaceId, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Body axis and angular momentum read off a chart vector (views of z;
-    nu via the attitude column on the full charts)."""
-    lay = LAYOUTS[space]
-    return z[lay.axis], z[lay.pi]
-
-
 def _monitors(space: SpaceId, h: ScalarField, z: list[float]) -> tuple[float, float, float, float]:
     """Energy, C1 = |nu|^2, C2 = <nu, pi> and the orthogonality defect of the float
     list z, the Casimirs summed left to right; NonFinite unless all are finite."""
@@ -473,6 +456,7 @@ def simulate(
     try:
         mons.append(_monitors(space, h, z))
         for k in range(1, n_steps + 1):
+            # step by module name, space and method positional: bench/tracing.py names spans from them
             z = step(space, h, z, dt, method)
             if k % sample_stride == 0 or k == n_steps:
                 ts.append(k * dt)

@@ -187,10 +187,6 @@ def coordinate(space: SpaceId, a: int) -> ScalarField:
                        name=coordinate_names(space)[a])
 
 
-def coordinate_fields(space: SpaceId) -> list[ScalarField]:
-    return [coordinate(space, a) for a in range(dim(space))]
-
-
 def dot_floats(a: Sequence[float], b: Sequence[float]) -> float:
     """a . b of two float sequences, summed left to right."""
     s = 0.0
@@ -275,12 +271,6 @@ def ham_vector_field(h: ScalarField, z: np.ndarray) -> np.ndarray:
     if dh.shape != z.shape:
         raise DimensionMismatch(f"gradient of {h.name or 'field'} has shape {dh.shape}, chart {z.shape}")
     return np.array(vector_field_floats(h.space, z.tolist(), dh.tolist()))
-
-
-def jacobi_residual(space: SpaceId, a: int, b: int, c: int, z: np.ndarray) -> float:
-    """Cyclic sum {z_a,{z_b,z_c}} + {z_b,{z_c,z_a}} + {z_c,{z_a,z_b}}: one
-    entry of jacobi_residual_all."""
-    return float(jacobi_residual_all(space, z)[a, b, c])
 
 
 def jacobi_residual_all(space: SpaceId, z: np.ndarray) -> np.ndarray:

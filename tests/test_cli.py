@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symtop import dynamics, orbits, poisson, reduction
@@ -677,6 +677,8 @@ _STEP_FAILURE = re.compile(
 
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from(["full", "reduced"]), _R_ENTRIES, _NU, st.one_of(_WHOLE, _ANY))
+# one step of dt 1 from the identity leaves R past the repair limit: exit 3
+@example("full", [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0], (1.0, 1.0))
 def test_simulate_fuzzed_config_exits_0_or_2(space, r, nu, horizon):
     cfg = json.loads(json.dumps(FREE_TOP_FULL if space == "full" else FREE_TOP_REDUCED))
     if space == "full":

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -15,10 +16,7 @@ from symtop.dynamics import (
     ZeroPotential,
     commutation_residual,
     free_top_analytic,
-    full_hamiltonian,
     full_hamiltonian_field,
-    nu_pi_of,
-    reduced_hamiltonian,
     reduced_hamiltonian_field,
     _hamiltonian_field,
     _monitors,
@@ -100,20 +98,21 @@ def test_reduced_hamiltonian_frozen():
     s = ReducedState(
         x=np.zeros(3), p=np.array([2.0, 0, 0]), nu=np.array([0.0, 0, 1]), pi=np.array([0.0, 0, 3])
     )
-    h = reduced_hamiltonian(s, BodyParams(M=2.0, I1=1.0, I3=0.5), ZeroPotential())
+    h = reduced_hamiltonian_field(BodyParams(M=2.0, I1=1.0, I3=0.5), ZeroPotential())(flatten(s, SpaceId.Reduced))
     assert h == 5.5
 
 
 def test_reduced_hamiltonian_zero_at_rest():
     s = ReducedState(x=np.zeros(3), p=np.zeros(3), nu=np.array([0.0, 0, 1]), pi=np.zeros(3))
-    assert reduced_hamiltonian(s, BP, ZeroPotential()) == 0.0
+    assert reduced_hamiltonian_field(BP, ZeroPotential())(flatten(s, SpaceId.Reduced)) == 0.0
 
 
 def test_gravity_shifts_energy_additively():
     s = reduced_point()
     pot = LinearGravity(g=np.array([0.0, 0.0, -2.0]), chi=0.7)
-    base = reduced_hamiltonian(s, BP, ZeroPotential())
-    withg = reduced_hamiltonian(s, BP, pot)
+    z = flatten(s, SpaceId.Reduced)
+    base = reduced_hamiltonian_field(BP, ZeroPotential())(z)
+    withg = reduced_hamiltonian_field(BP, pot)(z)
     ghat = np.array([0.0, 0.0, -1.0])
     expected_shift = BP.M * float(pot.g @ s.x) + 0.7 * float(s.nu @ ghat)
     assert abs(withg - base - expected_shift) < 1e-15
@@ -121,7 +120,7 @@ def test_gravity_shifts_energy_additively():
 
 def test_full_hamiltonian_frozen():
     s = FullState(x=np.zeros(3), R=np.eye(3), p=np.zeros(3), pi=np.array([0.0, 0, 2]))
-    h = full_hamiltonian(s, BodyParams(M=1.0, I1=1.0, I3=2.0), ZeroPotential())
+    h = full_hamiltonian_field(BodyParams(M=1.0, I1=1.0, I3=2.0), ZeroPotential())(flatten(s, SpaceId.CotSE3))
     assert h == 1.0
 
 
@@ -130,15 +129,17 @@ def test_full_equals_reduced_when_moments_match():
     s = reduced_point()
     f = full_point(s)
     pot = LinearGravity(g=np.array([0.0, 0.0, -1.0]), chi=0.2)
-    assert abs(full_hamiltonian(f, bp, pot) - reduced_hamiltonian(s, bp, pot)) < 1e-14
+    hfull = full_hamiltonian_field(bp, pot)(flatten(f, SpaceId.CotSE3))
+    assert abs(hfull - reduced_hamiltonian_field(bp, pot)(flatten(s, SpaceId.Reduced))) < 1e-14
 
 
 def test_full_hamiltonian_circle_invariant():
     s = full_point()
     pot = LinearGravity(g=np.array([0.1, -0.3, -1.0]), chi=0.4)
-    h0 = full_hamiltonian(s, BP, pot)
+    h = full_hamiltonian_field(BP, pot)
+    h0 = h(flatten(s, SpaceId.CotSE3))
     for theta in (0.3, 1.9, -2.5):
-        assert abs(full_hamiltonian(right_action(z_rotation(theta), s), BP, pot) - h0) < 1e-12
+        assert abs(h(flatten(right_action(z_rotation(theta), s), SpaceId.CotSE3)) - h0) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -203,7 +204,7 @@ def test_dipole_singularity_raises_nonfinite(x, cause):
 def test_spin_term_overflows_to_inf_not_an_error():
     s = full_point(reduced_point(pi=(1e160, 0.0, 0.0)))
     with np.errstate(over="ignore"):
-        assert full_hamiltonian(s, BP, ZeroPotential()) == math.inf
+        assert full_hamiltonian_field(BP, ZeroPotential())(flatten(s, SpaceId.CotSE3)) == math.inf
 
 
 def test_simulate_rejects_non_finite_monitor():
@@ -305,16 +306,6 @@ def test_hamiltonian_gradient_placed_by_layout(space, make):
                 # the first two columns of R: exact (positive) zeros
                 off_axis = [lay.r_entry(j, k) for j in range(3) for k in range(2)]
                 assert all(math.copysign(1.0, g[a]) == 1.0 and g[a] == 0.0 for a in off_axis)
-
-
-def test_field_values_match_state_functions():
-    pot = LinearGravity(g=np.array([0.0, 0.0, -1.0]), chi=0.3)
-    s = reduced_point()
-    f = full_point(s)
-    hred = reduced_hamiltonian_field(BP, pot)
-    hfull = full_hamiltonian_field(BP, pot)
-    assert abs(hred(flatten(s, SpaceId.Reduced)) - reduced_hamiltonian(s, BP, pot)) < 1e-15
-    assert abs(hfull(flatten(f, SpaceId.CotSE3)) - full_hamiltonian(f, BP, pot)) < 1e-15
 
 
 def test_step_exact_for_linear_flow():
@@ -464,6 +455,14 @@ def test_free_top_simulation_matches_oracle():
     assert worst < 1e-9
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    drift, nu = capsys.readouterr().out.splitlines()
+    assert float(drift) < 1e-12 and nu.startswith("[")
+
+
 def test_commutation_residual_matched_moments():
     bp = BodyParams(M=1.0, I1=0.8, I3=0.8)
     res = commutation_residual(full_point(), bp, ZeroPotential(), 1e-2, 1.0)
@@ -475,9 +474,10 @@ def test_commutation_residual_free_top_short():
     assert res < 1e-7
 
 
-def test_nu_pi_of_reads_attitude_column():
+def test_layout_axis_reads_attitude_column():
     s = full_point()
-    nu, pi = nu_pi_of(SpaceId.CotSE3, flatten(s, SpaceId.CotSE3))
+    z, lay = flatten(s, SpaceId.CotSE3), LAYOUTS[SpaceId.CotSE3]
+    nu, pi = z[lay.axis], z[lay.pi]
     npt.assert_array_equal(nu, s.R[:, 2])
     npt.assert_array_equal(pi, s.pi)
 

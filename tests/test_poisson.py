@@ -24,11 +24,9 @@ from symtop.poisson import (
     ScalarField,
     bracket,
     coordinate,
-    coordinate_fields,
     coordinate_names,
     fd_gradient,
     ham_vector_field,
-    jacobi_residual,
     jacobi_residual_all,
     random_polynomial,
     structure_matrix,
@@ -202,14 +200,14 @@ def test_spin_rate_matches_structure_product():
 def test_jacobi_momentum_triple():
     z = random_chart_point(SpaceId.Se3Dual, 5)
     lay = LAYOUTS[SpaceId.Se3Dual]
-    r = jacobi_residual(SpaceId.Se3Dual, lay.pi_entry(0), lay.pi_entry(1), lay.pi_entry(2), z)
+    r = jacobi_residual_all(SpaceId.Se3Dual, z)[lay.pi_entry(0), lay.pi_entry(1), lay.pi_entry(2)]
     assert abs(r) < 1e-12
 
 
 def test_jacobi_mixed_triple_exact_zero():
     lay = LAYOUTS[SpaceId.CotSE3]
     z = random_chart_point(SpaceId.CotSE3, 6)
-    r = jacobi_residual(SpaceId.CotSE3, lay.x.start, lay.p.start, lay.pi_entry(1), z)
+    r = jacobi_residual_all(SpaceId.CotSE3, z)[lay.x.start, lay.p.start, lay.pi_entry(1)]
     assert r == 0.0
 
 
@@ -217,9 +215,7 @@ def test_jacobi_attitude_triple():
     lay = LAYOUTS[SpaceId.CotSO3]
     for seed in range(20):
         z = random_chart_point(SpaceId.CotSO3, seed)
-        r = jacobi_residual(
-            SpaceId.CotSO3, lay.pi_entry(0), lay.r_entry(0, 2), lay.r_entry(1, 2), z
-        )
+        r = jacobi_residual_all(SpaceId.CotSO3, z)[lay.pi_entry(0), lay.r_entry(0, 2), lay.r_entry(1, 2)]
         assert abs(r) < 1e-12
 
 
@@ -365,7 +361,9 @@ def test_coordinate_names():
     assert coordinate_names(SpaceId.Reduced)[:3] == ["x1", "x2", "x3"]
     assert coordinate_names(SpaceId.CotSO3)[0] == "R11"
     assert coordinate(SpaceId.Se3Dual, 3).name == "pi1"
-    assert len(coordinate_fields(SpaceId.CotSE3)) == 18
+    assert [coordinate(SpaceId.CotSE3, a).name for a in range(18)] == coordinate_names(SpaceId.CotSE3)
+    with pytest.raises(DimensionMismatch):
+        coordinate(SpaceId.CotSE3, 18)
 
 
 def test_structure_tensors_built_once_at_import(monkeypatch):
