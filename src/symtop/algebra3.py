@@ -19,16 +19,17 @@ BLAS build or on the kernel OpenBLAS picks for the CPU, which rounds with or
 without fused multiply-adds and sums in its own order; and at this size
 numpy's per-call overhead would cost more than the arithmetic.  Each formula
 has one home, a private kernel on floats (_cross, _matvec, _matmul,
-_rodrigues, _aligning, _polar, ...); a public function wraps it with one
+_rodrigues, _frame, _polar, ...); a public function wraps it with one
 tolist() in and one array out, and the composites elsewhere (random
-rotations, coadjoint action, orbit witness, RK4 repair) call the kernels, so
-they too convert once in and once out.  Only numpy calls that are exact in
-any order stay: the +-1 structure tensors (poisson) and the selection matrix
-P (reduction), and elementwise arithmetic.
+rotations, the section, coadjoint action, orbit witness, RK4 repair) call
+the kernels, so they too convert once in and once out.  Only numpy calls
+that are exact in any order stay: the +-1 structure tensors (poisson) and
+the selection matrix P (reduction), and elementwise arithmetic.
 
-np.arctan2 stays in rotation_aligning: math.atan2 differed from it in 7,322
-of 100,000 cases.  math.sin and math.cos agree with np.sin and np.cos bit for
-bit (100,000 angles in [0, 4]), so the Rodrigues coefficients use them.
+No numpy function whose result follows its SIMD dispatch is called.  The
+only transcendental functions are libm's math.sin and math.cos in the
+Rodrigues coefficients, bit for bit np.sin and np.cos on 100,000 angles in
+[0, 4]; the frames of the section and the orbit witness need none.
 rotation_defect takes its determinant from cofactors, not LU: only a
 tolerance decision and a .3e message read it.  reorthonormalize's Newton
 update takes M^-T from cofactors too, where np.linalg.inv would cost more than
@@ -281,40 +282,25 @@ def _polar_newton_step(a, b, c, d, e, f, g, h, i) -> list[float]:
     ]
 
 
-def rotation_aligning(a: Vec3, b: Vec3) -> Mat3:
-    """Rotation R with R (a/|a|) = b/|b|.
-
-    Rotates about a x b; falls back to the identity for aligned inputs and
-    to a half-turn about any axis orthogonal to a for antipodal inputs.
-    """
-    a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
-    return np.array(_aligning(a, b)).reshape(3, 3)
-
-
-def _aligning(a, b) -> list[float]:
-    """rotation_aligning of two float triples as nine row-major entries."""
-    na, nb = _norm(*a), _norm(*b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cannot align a zero vector")
-    ah, bh = [x / na for x in a], [x / nb for x in b]
-    x0, x1, x2 = _cross(ah, bh)
-    s = _norm(x0, x1, x2)
-    if s < 1e-12:
-        if _dot(ah, bh) > 0.0:
-            return [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
-        return _rodrigues(*[math.pi * x for x in _orthogonal_unit(ah)])
-    angle = float(np.arctan2(s, _dot(ah, bh)))
-    return _rodrigues((angle * x0) / s, (angle * x1) / s, (angle * x2) / s)
+def _frame(v) -> list[float]:
+    """The frame of reduction.section over the float triple v, as nine
+    row-major entries: columns u, n x u and n, with n = v/|v|."""
+    v0, v1, v2 = v
+    t = _norm(v0, v1, v2)
+    if t == 0.0:
+        raise ValueError("cannot build a frame over nu = 0")
+    n = [v0 / t, v1 / t, v2 / t]
+    u = _orthogonal_unit(*n)
+    w = _cross(n, u)
+    return [u[0], w[0], n[0], u[1], w[1], n[1], u[2], w[2], n[2]]
 
 
-def orthogonal_unit(v: Vec3) -> Vec3:
-    """A unit vector orthogonal to v, built from the axis least aligned with v."""
-    return np.array(_orthogonal_unit(np.asarray(v, dtype=float).tolist()))
-
-
-def _orthogonal_unit(v) -> list[float]:
-    k = min(range(3), key=lambda i: abs(v[i]))  # the first smallest, as np.argmin
-    f = v[k] / _dot(v, v)
-    u = [float(i == k) - f * x for i, x in enumerate(v)]
-    n = _norm(*u)
-    return [x / n for x in u]
+def _orthogonal_unit(v0: float, v1: float, v2: float) -> list[float]:
+    """A unit vector orthogonal to (v0, v1, v2): the coordinate axis least
+    aligned with it, the first of equals as np.argmin, minus its projection."""
+    a0, a1, a2 = abs(v0), abs(v1), abs(v2)
+    k = 0 if a0 <= a1 and a0 <= a2 else 1 if a1 <= a2 else 2
+    f = (v0, v1, v2)[k] / (v0 * v0 + v1 * v1 + v2 * v2)
+    u0, u1, u2 = float(k == 0) - f * v0, float(k == 1) - f * v1, float(k == 2) - f * v2
+    n = _norm(u0, u1, u2)
+    return [u0 / n, u1 / n, u2 / n]

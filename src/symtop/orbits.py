@@ -35,9 +35,10 @@ from .algebra3 import (
     ADMISSION_TOL,
     Mat3,
     Vec3,
-    _aligning,
     _cross,
     _dot,
+    _frame,
+    _matmul,
     _matvec,
     cross,
     dot3,
@@ -127,8 +128,9 @@ def same_orbit_witness(q1: Se3DualPoint, q2: Se3DualPoint) -> SE3Element:
     """Group element (a, A) with coadjoint((a, A), q1) = q2.
 
     Requires the two points to share a Casimir level with c1 > 0, both within
-    witness_tol at q1.  A is any rotation taking nu1 to nu2 (half-turn
-    fallback for antipodal axes); the translation is then forced:
+    witness_tol at q1.  A = F(nu2) F(nu1)^T, with F the frame of
+    reduction.section, takes nu1 to nu2 with no branch on the angle between
+    them; the translation is then forced:
     a = nu2 x (pi2 - A pi1) / c1, which solves a x nu2 = pi2 - A pi1 because
     the right side is orthogonal to nu2 on a common level.
     """
@@ -142,7 +144,8 @@ def same_orbit_witness(q1: Se3DualPoint, q2: Se3DualPoint) -> SE3Element:
     if l1.c1 <= tol:
         raise ZeroNu(f"c1 = {l1.c1:.3e} too small for an orbit witness")
     nu2 = q2.nu.tolist()
-    rot = _aligning(q1.nu.tolist(), nu2)
+    f1 = _frame(q1.nu.tolist())
+    rot = _matmul(_frame(nu2), f1[0::3] + f1[1::3] + f1[2::3])  # F(nu2) F(nu1)^T
     d = [x - y for x, y in zip(q2.pi.tolist(), _matvec(rot, q1.pi.tolist()))]
     c1 = l1.c1
     return SE3Element(a=np.array([x / c1 for x in _cross(nu2, d)]), A=np.array(rot).reshape(3, 3))

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra3 import Mat3, Vec3, cross, exp_so3, matmul3, norm3, orthogonal_unit
+from .algebra3 import Mat3, Vec3, _frame, exp_so3, matmul3
 from .errors import DimensionMismatch
 from .phase import (
     LAYOUTS,
@@ -89,14 +89,7 @@ def section(nu: Vec3) -> Mat3:
     least aligned with it, so the construction stays well-conditioned on the
     whole sphere.
     """
-    nu = np.asarray(nu, dtype=float)
-    n = norm3(nu)
-    if n == 0.0:
-        raise ValueError("cannot build a frame over nu = 0")
-    nh = nu / n
-    u = orthogonal_unit(nh)
-    v = cross(nh, u)
-    return np.column_stack([u, v, nh])
+    return np.array(_frame(np.asarray(nu, dtype=float).tolist())).reshape(3, 3)
 
 
 def _build_projection(src: SpaceId) -> tuple[SpaceId, np.ndarray, np.ndarray]:

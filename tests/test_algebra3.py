@@ -11,15 +11,14 @@ from symtop.algebra3 import (
     max_or_nan,
     norm3,
     orthogonality_defect,
-    orthogonal_unit,
     reorthonormalize,
-    rotation_aligning,
     require_rotation,
     rotation_defect,
     vee,
 )
 from symtop.errors import NotAntisymmetric, TooFarFromSO3
 from symtop.phase import random_rotation
+from symtop.reduction import section
 
 
 def expm_series(k, terms=40):
@@ -164,20 +163,6 @@ def test_reorthonormalize_commutes_with_right_translation():
         npt.assert_allclose(reorthonormalize(m @ b), reorthonormalize(m) @ b, atol=1e-12)
 
 
-def test_rotation_aligning_generic_and_degenerate():
-    rng = np.random.default_rng(10)
-    for _ in range(30):
-        a = rng.normal(size=3)
-        b = rng.normal(size=3)
-        r = rotation_aligning(a, b)
-        npt.assert_allclose(r @ (a / np.linalg.norm(a)), b / np.linalg.norm(b), atol=1e-12)
-    v = np.array([0.3, -0.4, 0.5])
-    npt.assert_array_equal(rotation_aligning(v, 2.0 * v), np.eye(3))
-    r = rotation_aligning(v, -v)
-    npt.assert_allclose(r @ v / np.linalg.norm(v), -v / np.linalg.norm(v), atol=1e-12)
-    assert rotation_defect(r) < 1e-12
-
-
 def test_cross_matches_numpy_bytes():
     # np.cross is the reference: the float form does the same IEEE products
     # and differences, so the results agree bit for bit, signed zeros included
@@ -195,10 +180,11 @@ def test_cross_matches_numpy_bytes():
 
 
 def test_orthogonal_unit():
+    # the first column of the section's frame, built from the axis least aligned with v
     rng = np.random.default_rng(11)
     for _ in range(30):
         v = rng.normal(size=3)
-        u = orthogonal_unit(v)
+        u = section(v)[:, 0]
         assert abs(u @ v) < 1e-12 * np.linalg.norm(v)
         assert abs(np.linalg.norm(u) - 1.0) < 1e-12
 

@@ -2,9 +2,9 @@
 
 The random points of the certificates, the Rodrigues exponential, the
 rotation defects and the certificate composites (the coadjoint action, the
-orbit witness, rotation_aligning and the same-level and SE(3) samplers) run
-on Python floats (see the algebra3 docstring): every dot product and matrix
-entry is summed left to right, with no BLAS call.
+orbit witness and the same-level and SE(3) samplers) run on Python floats
+(see the algebra3 docstring): every dot product and matrix entry is summed
+left to right, with no BLAS call.
 So the sha256 literals hold on any OpenBLAS kernel (SkylakeX, Haswell,
 Nehalem, Prescott, ...) and any BLAS build.  They still depend on numpy's
 random generator, on math.sin and math.cos, and on the x86-64 double
@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from symtop.algebra3 import exp_so3, hat, orthogonal_unit, orthogonality_defect, rotation_aligning, rotation_defect
+from symtop.algebra3 import exp_so3, hat, orthogonality_defect, rotation_defect
 from symtop.checks import random_same_level_pair
 from symtop.orbits import casimirs, coadjoint, random_se3, same_orbit_witness
 from symtop.phase import Se3DualPoint, SpaceId, random_chart_point, random_rotation
@@ -30,8 +30,7 @@ EXP_SO3_SHA256 = "51bc7b1674b615be0cda479c175c179e438792f8d62abcc75d3f84e666cf03
 ORTHOGONALITY_DEFECT_SHA256 = "3da227ab731a795e7d87bb5ef23452a4c59521d8b7540315c8eddb278be03c64"
 ROTATION_DEFECT_SHA256 = "937216b1210687aa4a072034a03858f8c76512470974d2f3fa66ef77c47fee8c"
 COADJOINT_SHA256 = "5d17a4700d091069d673bef5410bcab761f717932920dab5c7be053d8f28e282"
-WITNESS_SHA256 = "c559b5b1a1125c620557c18cf689ce6cbe037f5131ff496748cc6df2a7a0c742"
-ROTATION_ALIGNING_SHA256 = "b63c1a5f81c4ed20e867760d1fe0b28f1d7e59800fee1a2b2fd908001dc24899"
+WITNESS_SHA256 = "83249fd68787603c1b2324e4943874164ad962457923066f54883620f4f6e261"
 SAME_LEVEL_PAIRS_SHA256 = "225c483229683026742a8164af994ab10dee73cf162ba1337121ed94393e14dd"
 RANDOM_SE3_SHA256 = "46fef8fa6f61e839083ad9beebec1dcb03e31311aefe014606ed17df4c895f45"
 
@@ -84,28 +83,6 @@ def same_level_pairs():
         yield random_same_level_pair(rng, force_antipodal=(k % 10 == 3), force_aligned=(k % 10 == 7))
 
 
-def aligning_inputs():
-    """(a, b) pairs: generic, aligned and antipodal up to scale, and b turned
-    from a or from -a by angles whose sine lands just above and just below
-    the 1e-12 switch of rotation_aligning."""
-    rng = np.random.default_rng(43)
-    for _ in range(100):
-        yield rng.normal(size=3) * rng.uniform(0.1, 10.0), rng.normal(size=3) * rng.uniform(0.1, 10.0)
-    for _ in range(20):
-        a = rng.normal(size=3)
-        yield a, a * rng.uniform(0.1, 10.0)
-        yield a, -a * rng.uniform(0.1, 10.0)
-    yield np.eye(3)[0], np.eye(3)[0]
-    yield np.eye(3)[2], -np.eye(3)[2]
-    for factor in (0.5, 0.9, 0.999, 0.99999, 1.00001, 1.001, 1.1, 2.0):
-        theta = 1e-12 * factor
-        for _ in range(5):
-            a = rng.normal(size=3)
-            turn = exp_so3(orthogonal_unit(a) * theta)
-            for sign in (1.0, -1.0):
-                yield a, sign * matmul_left_to_right(turn, a[:, None])[:, 0] * rng.uniform(0.5, 2.0)
-
-
 def sha256(chunks) -> str:
     h = hashlib.sha256()
     for chunk in chunks:
@@ -148,14 +125,6 @@ def test_coadjoint_bits():
 def test_same_orbit_witness_bits():
     witnesses = [same_orbit_witness(q1, q2) for q1, q2 in same_level_pairs()]
     assert sha256(b.tobytes() for g in witnesses for b in (g.a, g.A)) == WITNESS_SHA256
-
-
-def test_rotation_aligning_bits():
-    pairs = list(aligning_inputs())
-    # both sides of the 1e-12 switch, near an aligned and an antipodal axis
-    s = [norm_left_to_right(np.cross(a / norm_left_to_right(a), b / norm_left_to_right(b))) for a, b in pairs]
-    assert sum(0.0 < x < 1e-12 for x in s) >= 20 and sum(1e-12 < x < 1e-11 for x in s) >= 20
-    assert sha256(rotation_aligning(a, b).tobytes() for a, b in pairs) == ROTATION_ALIGNING_SHA256
 
 
 def test_random_same_level_pair_bits():
@@ -250,17 +219,15 @@ def orthogonal_unit_reference(v):
     return u / norm_left_to_right(u)
 
 
-def rotation_aligning_reference(a, b):
-    ah, bh = a / norm_left_to_right(a), b / norm_left_to_right(b)
-    axis = np.cross(ah, bh)
-    s, c = norm_left_to_right(axis), dot_left_to_right(ah, bh)
-    if s < 1e-12:
-        return np.eye(3) if c > 0.0 else exp_so3_reference(np.pi * orthogonal_unit_reference(ah))
-    return exp_so3_reference(np.arctan2(s, c) * axis / s)
+def frame_reference(v):
+    """reduction.section: columns u, n x u and n, with n = v/|v|."""
+    n = v / norm_left_to_right(v)
+    u = orthogonal_unit_reference(n)
+    return np.column_stack([u, np.cross(n, u), n])
 
 
 def witness_reference(q1, q2):
-    rot = rotation_aligning_reference(q1.nu, q2.nu)
+    rot = matmul_left_to_right(frame_reference(q2.nu), frame_reference(q1.nu).T)
     d = q2.pi - matvec_left_to_right(rot, q1.pi)
     return np.cross(q2.nu, d) / dot_left_to_right(q1.nu, q1.nu), rot
 
@@ -289,11 +256,6 @@ def test_coadjoint_matches_array_expression():
         image = coadjoint(g, q)
         nu, pi = coadjoint_reference(g, q)
         assert image.nu.tobytes() == nu.tobytes() and image.pi.tobytes() == pi.tobytes()
-
-
-def test_rotation_aligning_matches_array_expression():
-    for a, b in aligning_inputs():
-        assert rotation_aligning(a, b).tobytes() == rotation_aligning_reference(a, b).tobytes()
 
 
 def test_same_orbit_witness_matches_array_expression():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symtop.algebra3 import exp_so3
 from symtop.checks import random_same_level_pair
 from symtop.dynamics import step
 from symtop.errors import NotSameLevel, NotTangent, NotUnit, ZeroNu
@@ -145,6 +146,23 @@ def test_witness_random_pairs_including_degenerate():
         )
         g = same_orbit_witness(q1, q2)
         assert witness_residual(g, q1, q2) < 1e-9
+    # nu2 = +-nu1 turned by t: pairs next to the aligned and antipodal ones,
+    # with pi = 0, and through the coadjoint action with random pi and a
+    turns = (1e-13, 1e-12, 1e-11, 1e-9, 1e-8, 1e-6)
+    nu1 = np.array([0.36, 0.48, 0.8])
+    for t in turns:
+        turned = exp_so3(np.array([0.8, 0.0, -0.36]) * t) @ nu1
+        for sign in (1.0, -1.0):
+            q1, q2 = q(nu1, [0, 0, 0]), q(sign * turned, [0, 0, 0])
+            assert witness_residual(same_orbit_witness(q1, q2), q1, q2) < 1e-9
+    for _ in range(5):
+        q1 = q(random_unit(rng), rng.uniform(-1, 1, 3))
+        axis = np.cross(q1.nu, rng.normal(size=3))
+        axis /= np.linalg.norm(axis)
+        for t in turns:
+            for angle in (t, math.pi - t):
+                q2 = coadjoint(SE3Element(a=rng.uniform(-1, 1, 3), A=exp_so3(axis * angle)), q1)
+                assert witness_residual(same_orbit_witness(q1, q2), q1, q2) < 1e-9
 
 
 @pytest.mark.parametrize("nu, pi", [([1, 0, 0], [1e8, 3, 0]), ([1e5, 0, 0], [0, 1, 1]), ([1e100, 0, 0], [0, 0, 1])])

@@ -1,22 +1,24 @@
 """The bytes of the shipped outputs, pinned.
 
 Runs cli.main in process on every shipped config and compares its output
-with literals: the sha256 of each simulate CSV and of the check --suite all
---seed 0 report, and both compare lines.  No output reaches a BLAS product
-whose result depends on the summation order (see the float-native rule in
-README.md), so these literals hold under any OpenBLAS kernel; like
-test_frozen_bits.py they depend on numpy's random generator (numpy==2.4.*)
-and on libm's sin and cos.  A change that moves one of them is a recorded
-deviation.
-
-orbit is left out: rotation_aligning's np.arctan2 follows numpy's SIMD
-dispatch for the CPU, so its last bits differ between hosts.
+with literals: the sha256 of each simulate CSV, of the check --suite all
+--seed 0 report and of two orbit reports, and both compare lines.  No output
+reaches a BLAS product whose result depends on the summation order, nor a
+numpy function that follows its SIMD dispatch for the CPU (see the
+float-native rule in README.md), so these literals hold under any OpenBLAS
+kernel and any set of numpy CPU features; like test_frozen_bits.py they
+depend on numpy's random generator (numpy==2.4.*) and on libm's sin and
+cos.  A change that moves one of them is a recorded deviation.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from symtop.cli import main
 
@@ -31,7 +33,11 @@ COMPARE_LINES = {
     "dipole_full": "commutation residual 6.817e-14  tol 1.0e-06  PASS\n",
     "free_top_full": "commutation residual 6.184e-14  tol 1.0e-06  PASS\n",
 }
-CHECK_ALL_SEED_0_SHA256 = "3dbf902e19eb5c4ca3b8abf662867810e9a4f5564e2f15e0b1531c840589e949"
+CHECK_ALL_SEED_0_SHA256 = "437836913866a335323756cc238eb614cddd04cbf81f692ba565708ea4921968"
+ORBIT_SHA256 = {
+    "--nu 0,0,1 --pi 0.1,0.2,0.3 --count 200": "2ec2cbc8f62a796f63aecaa3176a535a3d0fff294f21410a5831f79d59667ca3",
+    "--nu 1,0,0 --pi 1e8,3,0": "e4db19414eab1bee21077992fa96902eda33615049e188ac7c23af627ba5e166",
+}
 
 
 # Parametrized over the files, so a config without a literal fails (KeyError).
@@ -51,3 +57,22 @@ def test_compare_line(name, capsys):
 def test_check_all_seed_0_report(capsys):
     assert main(["check", "--suite", "all", "--seed", "0"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHECK_ALL_SEED_0_SHA256
+
+
+@pytest.mark.parametrize("args", sorted(ORBIT_SHA256))
+def test_orbit_report(args, capsys):
+    assert main(["orbit", *args.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ORBIT_SHA256[args]
+
+
+def test_orbit_report_without_numpy_simd_dispatch():
+    # numpy refuses to disable a feature it does not dispatch or the CPU
+    # lacks, so the set is read from the running numpy
+    features = " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
+    args = "--nu 0,0,1 --pi 0.1,0.2,0.3 --count 200"
+    proc = subprocess.run(
+        [sys.executable, "-m", "symtop.cli", "orbit", *args.split()],
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": features}, capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == ORBIT_SHA256[args]
