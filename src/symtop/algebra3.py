@@ -18,18 +18,19 @@ left to right, one IEEE rounding per operation.  So no bit depends on the
 BLAS build or on the kernel OpenBLAS picks for the CPU, which rounds with or
 without fused multiply-adds and sums in its own order; and at this size
 numpy's per-call overhead would cost more than the arithmetic.  Each formula
-has one home, a private kernel on floats (_cross, _matvec, _matmul,
-_rodrigues, _frame, _polar, ...); a public function wraps it with one
-tolist() in and one array out, and the composites elsewhere (random
-rotations, the section, coadjoint action, orbit witness, RK4 repair) call
-the kernels, so they too convert once in and once out.  Only numpy calls
-that are exact in any order stay: the +-1 structure tensors (poisson) and
-the selection matrix P (reduction), and elementwise arithmetic.
+has one home, a private kernel on floats (_cross, _matvec, _matmul, _frame,
+_polar, ...); a public function wraps it with one tolist() in and one array
+out, and the composites elsewhere (the section, coadjoint action, orbit
+witness, RK4 repair) call the kernels, so they too convert once in and once
+out.  Only numpy calls that are exact in any order stay: the +-1 structure
+tensors (poisson) and the selection matrix P (reduction), and elementwise
+arithmetic.
 
 No numpy function whose result follows its SIMD dispatch is called.  The
-only transcendental functions are libm's math.sin and math.cos in the
-Rodrigues coefficients, bit for bit np.sin and np.cos on 100,000 angles in
-[0, 4]; the frames of the section and the orbit witness need none.
+only transcendental functions are libm's sin and cos in exp_so3, bit for bit
+np.sin and np.cos on 100,000 angles in [0, 4]; only an angle input reaches
+them.  The random rotations (quaternions, in phase), the frames of the
+section and the orbit witness need none.
 rotation_defect takes its determinant from cofactors, not LU: only a
 tolerance decision and a .3e message read it.  reorthonormalize's Newton
 update takes M^-T from cofactors too, where np.linalg.inv would cost more than
@@ -40,6 +41,7 @@ the arithmetic; it agrees with the np.linalg.inv iteration to within 1e-15
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -47,12 +49,6 @@ from .errors import NotAntisymmetric, TooFarFromSO3
 
 Vec3 = np.ndarray
 Mat3 = np.ndarray
-
-# Levi-Civita symbol eps[i,j,k]
-EPS = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    EPS[_i, _j, _k] = 1.0
-    EPS[_i, _k, _j] = -1.0
 
 # Angle below which Rodrigues coefficients switch to their 2nd-order Taylor
 # expansions; avoids 0/0 with no precision loss at double precision.
@@ -209,26 +205,20 @@ def exp_so3(v: Vec3) -> Mat3:
     float sum in hat(v) @ hat(v), whose other terms are exact zeros.  A
     non-finite |v| gives NaN in every entry.
     """
-    return np.array(_rodrigues(*np.asarray(v, dtype=float).tolist())).reshape(3, 3)
-
-
-def _rodrigues(v0: float, v1: float, v2: float) -> list[float]:
-    """exp_so3 of the axis-angle (v0, v1, v2) as nine row-major entries."""
+    v0, v1, v2 = np.asarray(v, dtype=float).tolist()
     t = _norm(v0, v1, v2)
     if t < _SMALL_ANGLE:
-        a = 1.0 - t * t / 6.0
-        b = 0.5 - t * t / 24.0
+        a, b = 1.0 - t * t / 6.0, 0.5 - t * t / 24.0
     elif t < math.inf:
-        a = math.sin(t) / t
-        b = (1.0 - math.cos(t)) / (t * t)
+        a, b = math.sin(t) / t, (1.0 - math.cos(t)) / (t * t)
     else:
-        return [math.nan] * 9
+        return np.full((3, 3), math.nan)
     s01, s02, s12 = v0 * v1, v0 * v2, v1 * v2
-    return [
+    return np.array([
         1.0 - b * (v2 * v2 + v1 * v1), (0.0 + a * -v2) + b * s01, (0.0 + a * v1) + b * s02,
         (0.0 + a * v2) + b * s01, 1.0 - b * (v2 * v2 + v0 * v0), (0.0 + a * -v0) + b * s12,
         (0.0 + a * -v1) + b * s02, (0.0 + a * v0) + b * s12, 1.0 - b * (v1 * v1 + v0 * v0),
-    ]
+    ]).reshape(3, 3)
 
 
 def reorthonormalize(m: Mat3) -> Mat3:
@@ -284,11 +274,18 @@ def _polar_newton_step(a, b, c, d, e, f, g, h, i) -> list[float]:
 
 def _frame(v) -> list[float]:
     """The frame of reduction.section over the float triple v, as nine
-    row-major entries: columns u, n x u and n, with n = v/|v|."""
+    row-major entries: columns u, n x u and n, with n = v/|v|.  If |v|^2
+    is not a finite normal float, v is first divided by max|v_i|, which
+    must be finite and nonzero (else ValueError)."""
     v0, v1, v2 = v
-    t = _norm(v0, v1, v2)
-    if t == 0.0:
-        raise ValueError("cannot build a frame over nu = 0")
+    ss = v0 * v0 + v1 * v1 + v2 * v2
+    if not sys.float_info.min <= ss < math.inf:
+        m = max_or_nan((abs(v0), abs(v1), abs(v2)))
+        if not 0.0 < m < math.inf:
+            raise ValueError(f"cannot build a frame over nu = {[v0, v1, v2]}")
+        v0, v1, v2 = v0 / m, v1 / m, v2 / m
+        ss = v0 * v0 + v1 * v1 + v2 * v2
+    t = math.sqrt(ss)
     n = [v0 / t, v1 / t, v2 / t]
     u = _orthogonal_unit(*n)
     w = _cross(n, u)

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra3 import ADMISSION_TOL, Mat3, Vec3, _matmul, _norm, _rodrigues, dot3, norm3, require_rotation
+from .algebra3 import ADMISSION_TOL, Mat3, Vec3, dot3, norm3, require_rotation
 from .errors import DimensionMismatch
 
 
@@ -219,19 +219,22 @@ def unflatten(space: SpaceId, z: np.ndarray) -> State:
     return _STATE_TYPES[space](**{name: z[block].reshape(shape) for name, block, shape in _FIELDS[space]})
 
 
-def _random_turn(rng: np.random.Generator) -> list[float]:
-    """Row-major entries of exp_so3(axis / |axis| * angle) for a uniform random
-    axis, then an angle uniform in [0, pi]."""
-    a0, a1, a2 = rng.normal(size=3).tolist()
-    n = _norm(a0, a1, a2)
-    t = rng.uniform(0.0, math.pi)
-    return _rodrigues((a0 / n) * t, (a1 / n) * t, (a2 / n) * t)
-
-
 def random_rotation(rng: np.random.Generator) -> Mat3:
-    """Generic rotation: the product (A B) C of three random turns, drawn in order."""
-    a, b, c = _random_turn(rng), _random_turn(rng), _random_turn(rng)
-    return np.array(_matmul(_matmul(a, b), c)).reshape(3, 3)
+    """Haar-uniform rotation: Shoemake's (1992) matrix of a unit quaternion
+    (w, x, y, z) by Marsaglia's (1972) method, (w, x) and (y, z) in the unit
+    disc by rejection from uniform(-1, 1, 4), then (y, z) scaled onto S^3.
+    Only +, -, *, / and one sqrt; 2x, 2y, 2z keep the array expression's bits."""
+    while True:
+        w, x, y, z = rng.uniform(-1.0, 1.0, 4).tolist()
+        s1, s2 = w * w + x * x, y * y + z * z
+        if s1 < 1.0 and 0.0 < s2 < 1.0:
+            break
+    k = math.sqrt((1.0 - s1) / s2)
+    y, z = y * k, z * k
+    x2, y2, z2 = x + x, y + y, z + z
+    xx, yy, zz, xy, xz, yz, wx, wy, wz = x * x2, y * y2, z * z2, x * y2, x * z2, y * z2, w * x2, w * y2, w * z2
+    return np.array([1.0 - (yy + zz), xy - wz, xz + wy, xy + wz, 1.0 - (xx + zz), yz - wx,
+                     xz - wy, yz + wx, 1.0 - (xx + yy)]).reshape(3, 3)
 
 
 def random_unit(rng: np.random.Generator) -> Vec3:
@@ -247,7 +250,7 @@ _DRAWS = {"R": random_rotation, "nu": random_unit}
 
 
 def random_state(space: SpaceId, seed: int) -> State:
-    """Deterministic generic test point: R from axis-angle compositions,
+    """Deterministic generic test point: R Haar-uniform (random_rotation),
     nu uniform on the sphere, x/p/pi components uniform in [-1, 1], drawn in
     the state's field order: random_chart_point, validated by unflatten."""
     return unflatten(space, random_chart_point(space, seed))

@@ -7,8 +7,9 @@ orbit witness and the same-level and SE(3) samplers) run on Python floats
 left to right, with no BLAS call.
 So the sha256 literals hold on any OpenBLAS kernel (SkylakeX, Haswell,
 Nehalem, Prescott, ...) and any BLAS build.  They still depend on numpy's
-random generator, on math.sin and math.cos, and on the x86-64 double
-arithmetic that IEEE 754 fixes; CI installs numpy==2.4.*.  The reference
+random generator and on the x86-64 double arithmetic that IEEE 754 fixes
+(CI installs numpy==2.4.*); only EXP_SO3 also depends on libm's math.sin
+and math.cos, since random rotations are drawn as quaternions.  The reference
 tests at the end compare against the array expressions with each product
 spelled as an explicit left-to-right float sum here.
 """
@@ -25,14 +26,14 @@ from symtop.orbits import casimirs, coadjoint, random_se3, same_orbit_witness
 from symtop.phase import Se3DualPoint, SpaceId, random_chart_point, random_rotation
 from symtop.reduction import z_rotation
 
-CHART_POINTS_SHA256 = "bbf86a31716761c88e7e4aae3cdd0b043a66ac822f98fe06b47c9b9edde3cb3f"
+CHART_POINTS_SHA256 = "41f9e375db4f5aebc03322818989e6cf86487c6d5b2ff9827d4d4355094d33a5"
 EXP_SO3_SHA256 = "51bc7b1674b615be0cda479c175c179e438792f8d62abcc75d3f84e666cf037f"
-ORTHOGONALITY_DEFECT_SHA256 = "3da227ab731a795e7d87bb5ef23452a4c59521d8b7540315c8eddb278be03c64"
-ROTATION_DEFECT_SHA256 = "937216b1210687aa4a072034a03858f8c76512470974d2f3fa66ef77c47fee8c"
-COADJOINT_SHA256 = "5d17a4700d091069d673bef5410bcab761f717932920dab5c7be053d8f28e282"
+ORTHOGONALITY_DEFECT_SHA256 = "3d4b2722fc0baf2d6bea85d5623b29dec8b93ceabf643dc7380bf89e555b9ad2"
+ROTATION_DEFECT_SHA256 = "7e5839dbad9dc5689f9de0ef4035f669619d541aee2728e384ff10e84bb837ee"
+COADJOINT_SHA256 = "9e19cf53158158331ef1527814bbdd44618b46444002cbaa3604a722bf4d0be8"
 WITNESS_SHA256 = "83249fd68787603c1b2324e4943874164ad962457923066f54883620f4f6e261"
 SAME_LEVEL_PAIRS_SHA256 = "225c483229683026742a8164af994ab10dee73cf162ba1337121ed94393e14dd"
-RANDOM_SE3_SHA256 = "46fef8fa6f61e839083ad9beebec1dcb03e31311aefe014606ed17df4c895f45"
+RANDOM_SE3_SHA256 = "2a00796c25842137d81c3d25bcfde99f602bbe08e95b4175365148b1aa243f91"
 
 
 def exp_inputs():
@@ -168,12 +169,19 @@ def exp_so3_reference(v):
 
 
 def random_rotation_reference(rng):
-    turns = []
-    for _ in range(3):
-        axis = rng.normal(size=3)
-        axis /= norm_left_to_right(axis)
-        turns.append(exp_so3_reference(axis * rng.uniform(0.0, np.pi)))
-    return matmul_left_to_right(matmul_left_to_right(turns[0], turns[1]), turns[2])
+    """Shoemake's matrix of Marsaglia's unit quaternion q = (w, x, y, z):
+    2 v v^T + hat(2 w v) off the diagonal, 1 - 2(|v|^2 - v_i^2) on it, v = (x, y, z)."""
+    while True:
+        q = rng.uniform(-1.0, 1.0, 4)
+        s1, s2 = q[0] * q[0] + q[1] * q[1], q[2] * q[2] + q[3] * q[3]
+        if s1 < 1.0 and 0.0 < s2 < 1.0:
+            break
+    q[2:] *= np.sqrt((1.0 - s1) / s2)
+    p = 2.0 * np.outer(q, q)
+    rot = p[1:, 1:] + hat(p[0, 1:])
+    d = np.diag(p[1:, 1:])
+    np.fill_diagonal(rot, 1.0 - (np.roll(d, -1) + np.roll(d, -2)))
+    return rot
 
 
 def test_exp_so3_matches_array_expression():

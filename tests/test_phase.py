@@ -18,6 +18,7 @@ from symtop.phase import (
     dim,
     flatten,
     random_chart_point,
+    random_rotation,
     random_state,
     unflatten,
 )
@@ -63,20 +64,20 @@ def test_random_state_deterministic():
 # order of random_state's draws shows here.
 FROZEN_POINTS = {
     SpaceId.CotSO3: [
-        -0.4533723663234055, -0.7968515085599605, -0.3993509368463167, 0.5125236521682618,
-        -0.5996290653040653, 0.6146254876025554, -0.7292276759849572, 0.07397741106775663,
-        0.6802604936561363, 0.7148085531751387, -0.9328288493890713, 0.45931089285988813,
+        0.0689436993901491, 0.25137143820411645, -0.9654321138068667, -0.46249885769380505,
+        0.8655087937176005, 0.19232611530790525, 0.8839352764463733, 0.43325157593792807,
+        0.1759303811198496, -0.9433606577090741, -0.7514334470008721, 0.34124882938726064,
     ],
     SpaceId.Se3Dual: [
         0.18881711923692265, -0.19839032737660414, 0.9617636786063786,
         -0.9669447289429418, 0.6265404784005448, 0.8255111545554434,
     ],
     SpaceId.CotSE3: [
-        0.2739233746429086, -0.4604265724722594, -0.9180529521276106, -0.648688758794882,
-        0.7263578446997732, 0.08292244049818343, -0.620010609142786, -0.134721858673307,
-        -0.7729404021954092, -0.022153048325615328, -0.9817489761424943, 0.18888671285468275,
-        -0.7842806175089845, 0.13423475197866594, 0.6057102808777083, -0.40057621892523043,
-        -0.1546255576046831, -0.9433606577090741,
+        0.2739233746429086, -0.4604265724722594, -0.9180529521276106, -0.1546255576046831,
+        -0.9433606577090741, -0.7514334470008721, 0.8967856486874886, -0.22171139803119772,
+        -0.38290933168468516, 0.35550679909769506, -0.15416456528970435, 0.9218721183571763,
+        -0.263420606831492, -0.9628485565197096, -0.05943266025040628, 0.34124882938726064,
+        0.2943790231485002, 0.2307702229625077,
     ],
     SpaceId.Reduced: [
         0.2739233746429086, -0.4604265724722594, -0.9180529521276106, -0.9669447289429418,
@@ -95,6 +96,16 @@ def test_random_rotation_valid():
     for seed in range(20):
         s = random_state(SpaceId.CotSO3, seed)
         assert rotation_defect(s.R) <= 1e-9
+
+
+def test_random_rotation_is_haar_uniform():
+    # Under the Haar measure on SO(3), E[tr R] = 0 and E[(tr R)^2] = 1 (with
+    # variances 1 and 2); a product of three turns by angles uniform in
+    # [0, pi] reads 0.105 and 1.143 here.
+    rng, n = np.random.default_rng(1), 20_000
+    traces = np.array([np.trace(random_rotation(rng)) for _ in range(n)])
+    assert abs(traces.mean()) < 4.0 / np.sqrt(n)
+    assert abs((traces * traces).mean() - 1.0) < 0.05
 
 
 def test_random_nu_unit():

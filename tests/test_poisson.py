@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtop import poisson
-from symtop.algebra3 import EPS, exp_so3
+from symtop.algebra3 import exp_so3
 from symtop.checks import PRESET_BODY, PRESET_POTENTIALS, check_brackets
 from symtop.dynamics import full_hamiltonian_field, reduced_hamiltonian_field
 from symtop.errors import DimensionMismatch
@@ -34,6 +34,12 @@ from symtop.poisson import (
 )
 
 ALL = list(SpaceId)
+
+# Levi-Civita symbol eps[i,j,k]
+EPS = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    EPS[_i, _j, _k] = 1.0
+    EPS[_i, _k, _j] = -1.0
 
 
 def test_cotse3_translational_block():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtop import reduction
-from symtop.algebra3 import exp_so3
+from symtop.algebra3 import exp_so3, rotation_defect
 from symtop.checks import check_poisson_map
 from symtop.errors import DimensionMismatch
 from symtop.phase import (
@@ -117,6 +117,23 @@ def test_section_is_preimage():
         nu = np.asarray(nu, dtype=float)
         nu = nu / np.linalg.norm(nu)
         npt.assert_allclose(tau(section(nu)), nu, atol=1e-12)
+
+
+# |nu|^2 overflows, underflows to 0, or is subnormal (so |nu| has lost bits)
+@pytest.mark.parametrize("nu", [[1e200, 0, 0], [-1e300, 1e300, 1e300], [1e-170, 1e-170, 0], [1e-320, 0, 0],
+                                [3e-160, 4e-160, 0]])
+def test_section_at_the_ends_of_the_float_range(nu):
+    nu = np.asarray(nu, dtype=float)
+    r = section(nu)
+    assert rotation_defect(r) <= 1e-15
+    unit = nu / np.abs(nu).max()
+    npt.assert_allclose(tau(r), unit / np.linalg.norm(unit), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("nu", [[0, 0, 0], [np.inf, 0, 0], [np.nan, 0, 0], [1, np.nan, 0], [-np.inf, np.inf, 0]])
+def test_section_rejects_a_zero_or_non_finite_axis(nu):
+    with pytest.raises(ValueError, match="cannot build a frame over nu"):
+        section(np.asarray(nu, dtype=float))
 
 
 def test_chart_projection_matrices():

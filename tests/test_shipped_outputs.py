@@ -7,11 +7,14 @@ reaches a BLAS product whose result depends on the summation order, nor a
 numpy function that follows its SIMD dispatch for the CPU (see the
 float-native rule in README.md), so these literals hold under any OpenBLAS
 kernel and any set of numpy CPU features; like test_frozen_bits.py they
-depend on numpy's random generator (numpy==2.4.*) and on libm's sin and
-cos.  A change that moves one of them is a recorded deviation.
+depend on numpy's random generator (numpy==2.4.*).  Only the two full-chart
+configs, through initial.axis_angle, reach libm's sin and cos; the check and
+orbit reports reach neither (a test runs them with both disabled).  A change
+that moves one of them is a recorded deviation.
 """
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -33,10 +36,10 @@ COMPARE_LINES = {
     "dipole_full": "commutation residual 6.817e-14  tol 1.0e-06  PASS\n",
     "free_top_full": "commutation residual 6.184e-14  tol 1.0e-06  PASS\n",
 }
-CHECK_ALL_SEED_0_SHA256 = "437836913866a335323756cc238eb614cddd04cbf81f692ba565708ea4921968"
+CHECK_ALL_SEED_0_SHA256 = "483a8c254b13c7230900a8cf69b2122fab943895ecf397503973454df82c09b2"
 ORBIT_SHA256 = {
-    "--nu 0,0,1 --pi 0.1,0.2,0.3 --count 200": "2ec2cbc8f62a796f63aecaa3176a535a3d0fff294f21410a5831f79d59667ca3",
-    "--nu 1,0,0 --pi 1e8,3,0": "e4db19414eab1bee21077992fa96902eda33615049e188ac7c23af627ba5e166",
+    "--nu 0,0,1 --pi 0.1,0.2,0.3 --count 200": "a5d4789b15e7fd7f9740aeb08319634f8a57ac353ce5e597caf986863a8ef52e",
+    "--nu 1,0,0 --pi 1e8,3,0": "e6cc33c801accf0da1b9b35e28c386dfa6fc629ae70ab4e5a63a920d1dc54ab6",
 }
 
 
@@ -63,6 +66,21 @@ def test_check_all_seed_0_report(capsys):
 def test_orbit_report(args, capsys):
     assert main(["orbit", *args.split()]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ORBIT_SHA256[args]
+
+
+def test_check_and_orbit_reports_without_sin_or_cos(monkeypatch, capsys):
+    # only an angle input (initial.axis_angle, z_rotation, free_top_analytic)
+    # reaches libm; the random rotations of check and orbit need none
+    def trig(t):
+        raise AssertionError("math.sin or math.cos called")
+
+    monkeypatch.setattr(math, "sin", trig)
+    monkeypatch.setattr(math, "cos", trig)
+    assert main(["check", "--suite", "all", "--seed", "0"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHECK_ALL_SEED_0_SHA256
+    for args, digest in ORBIT_SHA256.items():
+        assert main(["orbit", *args.split()]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_orbit_report_without_numpy_simd_dispatch():
