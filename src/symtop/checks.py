@@ -13,23 +13,26 @@ by the production structure matrices; the two paths must agree exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics, orbits, poisson, reduction
 from .algebra3 import _dot, cross, dot3, max_or_nan, norm3
-from .phase import LAYOUTS, Se3DualPoint, SpaceId, random_chart_point, random_unit
+from .phase import LAYOUTS, Se3DualPoint, SpaceId, _Frozen, random_chart_point, random_unit
 
 ALL_SPACES = (SpaceId.CotSO3, SpaceId.Se3Dual, SpaceId.CotSE3, SpaceId.Reduced)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    max_residual: float
-    tolerance: float
-    samples: int
+class CheckResult(_Frozen):
+    """Worst residual of one suite over its samples, against its tolerance."""
+
+    _fields = ("name", "max_residual", "tolerance", "samples")
+
+    def __init__(self, name: str, max_residual: float, tolerance: float, samples: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "max_residual", max_residual)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "samples", samples)
 
     @property
     def passed(self) -> bool:

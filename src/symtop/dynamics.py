@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +49,8 @@ from .phase import (
     FullState,
     ReducedState,
     SpaceId,
+    _Frozen,
+    _Record,
     _vec3,
     chart_vector,
     flatten,
@@ -60,20 +61,17 @@ from .poisson import ham_vector_field  # noqa: F401  (bench/tracing.py wraps bot
 Float3 = tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class BodyParams:
+class BodyParams(_Frozen):
     """Mass and inertia moments, each positive and finite; the two transverse
     moments are equal by construction, so only I1 is stored."""
 
-    M: float
-    I1: float
-    I3: float
+    _fields = ("M", "I1", "I3")
 
-    def __post_init__(self):
-        for name in ("M", "I1", "I3"):
-            v = getattr(self, name)
+    def __init__(self, M: float, I1: float, I3: float):
+        for name, v in zip(self._fields, (M, I1, I3)):
             if not 0.0 < v < math.inf:
                 raise ValueError(f"{name} = {v} must be positive and finite")
+            object.__setattr__(self, name, v)
 
 
 class Potential:
@@ -85,6 +83,10 @@ class Potential:
     them.  All three take x and nu as any 3-sequences (ndarrays, or the
     float triples the Hamiltonian passes).  grad_x and grad_nu return a tuple
     of three Python floats, not an ndarray: wrap it in np.array before arithmetic.
+
+    The four potentials below are also frozen value types (phase._Frozen):
+    each __init__ validates its parameters and stores them once, with the
+    float caches the gradients read; repr, == and hash see the parameters only.
     """
 
     def value(self, x: Vec3, nu: Vec3, bp: BodyParams) -> float:
@@ -97,8 +99,9 @@ class Potential:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ZeroPotential(Potential):
+class ZeroPotential(Potential, _Frozen):
+    """V = 0: the free top."""
+
     def value(self, x, nu, bp):
         return 0.0
 
@@ -109,28 +112,27 @@ class ZeroPotential(Potential):
         return 0.0, 0.0, 0.0
 
 
-@dataclass(frozen=True)
-class LinearGravity(Potential):
+class LinearGravity(Potential, _Frozen):
     """Uniform gravity on the center of mass plus an axis-alignment torque:
     V = M <g, x> + chi <nu, g/|g|>, with g nonzero of finite length and chi finite."""
 
-    g: Vec3
-    chi: float
+    _fields = ("g", "chi")
 
-    def __post_init__(self):
-        g = _vec3(self.g, "gravity vector")
+    def __init__(self, g: Vec3, chi: float):
+        g = _vec3(g, "gravity vector")
         norm = norm3(g)
         if norm == 0.0:
             raise ValueError("gravity vector must be nonzero")
         if norm == math.inf:
             raise ValueError("gravity vector length overflows to inf")
-        if not math.isfinite(self.chi):
-            raise ValueError(f"chi = {self.chi} must be finite")
+        if not math.isfinite(chi):
+            raise ValueError(f"chi = {chi} must be finite")
         ghat = g / norm
         object.__setattr__(self, "g", g)
+        object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "_g", tuple(g.tolist()))
         object.__setattr__(self, "_ghat", tuple(ghat.tolist()))
-        object.__setattr__(self, "_grad_nu", tuple((self.chi * ghat).tolist()))
+        object.__setattr__(self, "_grad_nu", tuple((chi * ghat).tolist()))
 
     def value(self, x, nu, bp):
         x0, x1, x2 = _floats(x)
@@ -164,8 +166,7 @@ def _dipole_r2(x0: float, x1: float, x2: float) -> float:
     return r2
 
 
-@dataclass(frozen=True)
-class DipolePotential(Potential):
+class DipolePotential(Potential, _Frozen):
     """Point-dipole interaction V = -m <nu, b(x)> with the standard field
     b(x) = (3 xhat <mu, xhat> - mu) / |x|^3 of a source moment mu at the origin.
 
@@ -174,13 +175,13 @@ class DipolePotential(Potential):
     Python floats, which neither warn nor allocate per operation.
     """
 
-    m: float
-    mu: Vec3
+    _fields = ("m", "mu")
 
-    def __post_init__(self):
-        if not math.isfinite(self.m):
-            raise ValueError(f"dipole m = {self.m} must be finite")
-        mu = _vec3(self.mu, "dipole mu")
+    def __init__(self, m: float, mu: Vec3):
+        if not math.isfinite(m):
+            raise ValueError(f"dipole m = {m} must be finite")
+        mu = _vec3(mu, "dipole mu")
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "_mu", tuple(mu.tolist()))
 
@@ -222,14 +223,16 @@ class DipolePotential(Potential):
         )
 
 
-@dataclass(frozen=True)
-class SumPotential(Potential):
-    terms: tuple[Potential, ...]
+class SumPotential(Potential, _Frozen):
+    """V = the sum of the terms' values, added in order; at least one term."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
+    _fields = ("terms",)
+
+    def __init__(self, terms: tuple[Potential, ...]):
+        terms = tuple(terms)
+        if not terms:
             raise ValueError("SumPotential needs at least one term")
+        object.__setattr__(self, "terms", terms)
 
     def value(self, x, nu, bp):
         v = 0.0  # a loop, not sum(): Python 3.12's sum of floats compensates
@@ -399,17 +402,21 @@ def step(
     return z1 if as_list else np.array(z1)
 
 
-@dataclass
-class Trajectory:
-    """Sampled trajectory with per-sample invariant monitors."""
+class Trajectory(_Record):
+    """Sampled trajectory with per-sample invariant monitors; z has shape
+    (n_samples, chart dim)."""
 
-    space: SpaceId
-    t: np.ndarray
-    z: np.ndarray  # (n_samples, chart dim)
-    energy: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    ortho_defect: np.ndarray
+    _fields = ("space", "t", "z", "energy", "c1", "c2", "ortho_defect")
+
+    def __init__(self, space: SpaceId, t: np.ndarray, z: np.ndarray, energy: np.ndarray,
+                 c1: np.ndarray, c2: np.ndarray, ortho_defect: np.ndarray):
+        self.space = space
+        self.t = t
+        self.z = z
+        self.energy = energy
+        self.c1 = c1
+        self.c2 = c2
+        self.ortho_defect = ortho_defect
 
     def __len__(self) -> int:
         return self.t.size

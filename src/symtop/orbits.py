@@ -27,7 +27,6 @@ to nu; independence from that choice is certified separately).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from .algebra3 import (
     require_rotation,
 )
 from .errors import NotSameLevel, NotTangent, NotUnit, ZeroNu
-from .phase import LAYOUTS, Se3DualPoint, SpaceId, _vec3, random_rotation
+from .phase import LAYOUTS, Se3DualPoint, SpaceId, _Frozen, _vec3, random_rotation
 from .poisson import ScalarField, _floats
 
 
@@ -56,16 +55,14 @@ from .poisson import ScalarField, _floats
 WITNESS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SE3Element:
+class SE3Element(_Frozen):
     """Euclidean motion (a, A): rotation A followed by translation a."""
 
-    a: Vec3
-    A: Mat3
+    _fields = ("a", "A")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _vec3(self.a, "a"))
-        object.__setattr__(self, "A", require_rotation(self.A))
+    def __init__(self, a: Vec3, A: Mat3):
+        object.__setattr__(self, "a", _vec3(a, "a"))
+        object.__setattr__(self, "A", require_rotation(A))
 
     def compose(self, other: "SE3Element") -> "SE3Element":
         """Group product (a1, A1)(a2, A2) = (a1 + A1 a2, A1 A2)."""
@@ -82,16 +79,17 @@ def random_tangent(rng: np.random.Generator, nu: Vec3) -> Vec3:
     return cross(nu, rng.uniform(-1, 1, 3))
 
 
-@dataclass(frozen=True)
-class OrbitLevel:
-    """Joint Casimir level (c1, c2); c1 > 0 on the orbits used here."""
+class OrbitLevel(_Frozen):
+    """Joint Casimir level (c1, c2); c1 >= 0 and not NaN, and c1 > 0 on the
+    orbits used here."""
 
-    c1: float
-    c2: float
+    _fields = ("c1", "c2")
 
-    def __post_init__(self):
-        if self.c1 < 0.0:
-            raise ValueError(f"c1 = {self.c1} must be nonnegative")
+    def __init__(self, c1: float, c2: float):
+        if not c1 >= 0.0:
+            raise ValueError(f"c1 = {c1} must be nonnegative")
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
 
 
 def casimirs(q: Se3DualPoint) -> OrbitLevel:

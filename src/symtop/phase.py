@@ -14,6 +14,12 @@ indexes chart vectors through the Layout constants defined here; the body
 axis nu is read through Layout.axis on every chart, as the third column of R
 on the attitude charts, and Layout.reduced lists the entries of (x, p, nu, pi).
 
+The state types, Layout and the package's other value types are plain
+classes on the two small bases below: each names its public fields in
+_fields, in constructor order, and its __init__ validates and stores each
+field once.  _FIELDS takes a state's field order from its _fields, so
+flatten, unflatten and random_chart_point read the blocks in that order.
+
 Flat layouts (row-major R):
 
     CotSO3:  (R11..R33, pi1..pi3)
@@ -26,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -47,19 +52,59 @@ class SpaceId(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class Layout:
+class _Record:
+    """repr and == of a value type from _fields, its public field names in
+    constructor order: Name(field=value, ...), and equal when of the same
+    class with equal field tuples.  Unhashable, like any mutable value."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+
+class _Frozen(_Record):
+    """Immutable _Record: __init__ validates each field and stores it once with
+    object.__setattr__; assignment and deletion raise AttributeError, and the
+    hash is that of the field tuple (so a type holding an ndarray is unhashable).
+
+    Never store through self.__dict__: on CPython 3.11 reading it makes the
+    instance's dict a real one, and every attribute read of that instance
+    then costs about three times as much."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Layout(_Frozen):
     """Slice map of one chart; absent blocks are None.
 
     Blocks are named after the state fields they hold (r holds R, row-major).
     """
 
-    dim: int
-    x: slice | None = None
-    p: slice | None = None
-    r: slice | None = None
-    nu: slice | None = None
-    pi: slice | None = None
+    _fields = ("dim", "x", "p", "r", "nu", "pi")
+
+    def __init__(self, dim: int, x: slice | None = None, p: slice | None = None,
+                 r: slice | None = None, nu: slice | None = None, pi: slice | None = None):
+        for name, v in zip(self._fields, (dim, x, p, r, nu, pi)):
+            object.__setattr__(self, name, v)
 
     @cached_property
     def axis(self) -> slice:
@@ -120,56 +165,52 @@ def _vec3(v, name: str) -> Vec3:
     return a
 
 
-class _Validated:
-    """Shared admission of the four state types, in field order: R must be a
-    rotation, every other field a finite 3-vector."""
-
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            v = getattr(self, name)
-            object.__setattr__(self, name, require_rotation(v) if name == "R" else _vec3(v, name))
-
-
-@dataclass(frozen=True)
-class CotSO3State(_Validated):
+class CotSO3State(_Frozen):
     """Point of the rotational phase space: attitude R and spatial angular momentum pi."""
 
-    R: Mat3
-    pi: Vec3
+    _fields = ("R", "pi")
+
+    def __init__(self, R: Mat3, pi: Vec3):
+        object.__setattr__(self, "R", require_rotation(R))
+        object.__setattr__(self, "pi", _vec3(pi, "pi"))
 
 
-@dataclass(frozen=True)
-class Se3DualPoint(_Validated):
+class Se3DualPoint(_Frozen):
     """General point (nu, pi) of the Euclidean algebra dual; on the unit-sphere
     slice W1 it represents a reduced rotational state."""
 
-    nu: Vec3
-    pi: Vec3
+    _fields = ("nu", "pi")
+
+    def __init__(self, nu: Vec3, pi: Vec3):
+        object.__setattr__(self, "nu", _vec3(nu, "nu"))
+        object.__setattr__(self, "pi", _vec3(pi, "pi"))
 
 
-@dataclass(frozen=True)
-class FullState(_Validated):
+class FullState(_Frozen):
     """Rigid-body state in the inertial frame: position x, attitude R,
     linear momentum p, intrinsic angular momentum pi."""
 
-    x: Vec3
-    R: Mat3
-    p: Vec3
-    pi: Vec3
+    _fields = ("x", "R", "p", "pi")
+
+    def __init__(self, x: Vec3, R: Mat3, p: Vec3, pi: Vec3):
+        object.__setattr__(self, "x", _vec3(x, "x"))
+        object.__setattr__(self, "R", require_rotation(R))
+        object.__setattr__(self, "p", _vec3(p, "p"))
+        object.__setattr__(self, "pi", _vec3(pi, "pi"))
 
 
-@dataclass(frozen=True)
-class ReducedState(_Validated):
+class ReducedState(_Frozen):
     """Quotient state (x, p, nu, pi) with nu on the unit sphere."""
 
-    x: Vec3
-    p: Vec3
-    nu: Vec3
-    pi: Vec3
+    _fields = ("x", "p", "nu", "pi")
 
-    def __post_init__(self):
-        super().__post_init__()
-        defect = abs(dot3(self.nu, self.nu) - 1.0)
+    def __init__(self, x: Vec3, p: Vec3, nu: Vec3, pi: Vec3):
+        object.__setattr__(self, "x", _vec3(x, "x"))
+        object.__setattr__(self, "p", _vec3(p, "p"))
+        nu = _vec3(nu, "nu")
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "pi", _vec3(pi, "pi"))
+        defect = abs(dot3(nu, nu) - 1.0)
         if defect > ADMISSION_TOL:
             raise ValueError(f"|nu|^2 - 1 = {defect:.3e} exceeds {ADMISSION_TOL:.1e}")
 
@@ -183,11 +224,11 @@ _STATE_TYPES = {
 
 State = CotSO3State | Se3DualPoint | FullState | ReducedState
 
-# Per space, (field name, chart block, shape) in the state dataclass's field order.
+# Per space, (field name, chart block, shape) in the order of the state type's _fields.
 _FIELDS = {
     space: tuple(
-        (f.name, getattr(LAYOUTS[space], f.name.lower()), (3, 3) if f.name == "R" else (3,))
-        for f in fields(cls)
+        (name, getattr(LAYOUTS[space], name.lower()), (3, 3) if name == "R" else (3,))
+        for name in cls._fields
     )
     for space, cls in _STATE_TYPES.items()
 }

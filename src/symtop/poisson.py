@@ -48,13 +48,12 @@ reference both are tested against.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .phase import LAYOUTS, Layout, SpaceId, chart_vector, dim
+from .phase import LAYOUTS, Layout, SpaceId, _Record, chart_vector, dim
 
 
 def _build_tensors(space: SpaceId) -> tuple[np.ndarray, np.ndarray]:
@@ -122,8 +121,7 @@ def fd_gradient(f: Callable[[np.ndarray], float], z: np.ndarray) -> np.ndarray:
     return g
 
 
-@dataclass
-class ScalarField:
+class ScalarField(_Record):
     """Function on a chart together with its closed-form gradient.
 
     Every field supplies its own gradient; fd_gradient only checks them.
@@ -133,10 +131,14 @@ class ScalarField:
     or a float sequence of the chart's length.
     """
 
-    space: SpaceId
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
+    _fields = ("space", "value", "grad", "name")
+
+    def __init__(self, space: SpaceId, value: Callable[[np.ndarray], float],
+                 grad: Callable[[np.ndarray], np.ndarray], name: str = ""):
+        self.space = space
+        self.value = value
+        self.grad = grad
+        self.name = name
 
     def __call__(self, z: np.ndarray) -> float:
         return float(self.value(z))
