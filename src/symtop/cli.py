@@ -42,9 +42,8 @@ from .algebra3 import exp_so3, max_or_nan, norm3, reorthonormalize, rotation_def
 from .errors import NonFinite, TooFarFromSO3
 from .phase import LAYOUTS, FullState, ReducedState, Se3DualPoint, SpaceId, flatten
 
-CSV_COLUMNS = (
-    "t,x1,x2,x3,p1,p2,p3,nu1,nu2,nu3,pi1,pi2,pi3,energy,C1,C2,ortho_defect"
-)
+# t, the reduced chart's labels of the columns write_csv selects by Layout.reduced, the monitors.
+CSV_COLUMNS = ",".join(["t", *LAYOUTS[SpaceId.Reduced].names, "energy", "C1", "C2", "ortho_defect"])
 # One CSV row: a %.17g field per column, comma-separated.
 _CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS.split(","))) + "\n"
 

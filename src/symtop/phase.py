@@ -10,9 +10,8 @@ Four spaces appear in the reduction chain:
 The 9 entries of R are carried as 9 redundant chart coordinates (the bracket
 tables are polynomial in matrix entries); the redundancy is resolved by
 constraint-preserving integration, not by a minimal chart.  Every module
-indexes chart vectors through the Layout constants defined here; the body
-axis nu is read through Layout.axis on every chart, as the third column of R
-on the attitude charts, and Layout.reduced lists the entries of (x, p, nu, pi).
+indexes chart vectors through the Layout constants defined here, whose axis,
+vectors, reduced and names entries are computed once, when each is built.
 
 The state types, Layout and the package's other value types are plain
 classes on the two small bases below: each names its public fields in
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +79,8 @@ class _Frozen(_Record):
 
     Never store through self.__dict__: on CPython 3.11 reading it makes the
     instance's dict a real one, and every attribute read of that instance
-    then costs about three times as much."""
+    then costs about three times as much.  For the same reason, no cached
+    property from functools: it writes the instance dict."""
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -97,36 +96,38 @@ class Layout(_Frozen):
     """Slice map of one chart; absent blocks are None.
 
     Blocks are named after the state fields they hold (r holds R, row-major).
+    __init__ also stores four entries derived from them (axis None and
+    vectors () if the chart has neither nu nor R):
+      axis     entries of the body axis nu: the nu block, or the third column of R
+      vectors  (start, stride) of each block v with {pi_i, v_j} = eps_ijl v_l:
+               the nu block, or each column of R
+      reduced  entries of (x, p, nu, pi), nu read through axis: the reduction
+               (x, R, p, pi) -> (x, p, tau(R), pi) as a selection of entries
+      names    label of each entry: x1..x3, p1..p3, R11..R33, nu1..nu3, pi1..pi3
+    Unhashable: it holds slices, which hash only from Python 3.12 on.
     """
 
     _fields = ("dim", "x", "p", "r", "nu", "pi")
+    __hash__ = None
 
     def __init__(self, dim: int, x: slice | None = None, p: slice | None = None,
                  r: slice | None = None, nu: slice | None = None, pi: slice | None = None):
-        for name, v in zip(self._fields, (dim, x, p, r, nu, pi)):
+        if nu is not None:
+            axis, vectors = nu, ((nu.start, 1),)
+        elif r is not None:
+            axis, vectors = slice(r.start + 2, r.stop, 3), tuple((r.start + k, 3) for k in range(3))
+        else:
+            axis, vectors = None, ()
+        reduced = tuple(a for s in (x, p, axis, pi) if s is not None for a in range(dim)[s])
+        names = [""] * dim
+        for label, block in (("x", x), ("p", p), ("nu", nu), ("pi", pi)):
+            if block is not None:
+                names[block] = [f"{label}{i}" for i in (1, 2, 3)]
+        if r is not None:
+            names[r] = [f"R{j}{k}" for j in (1, 2, 3) for k in (1, 2, 3)]
+        for name, v in zip((*self._fields, "axis", "vectors", "reduced", "names"),
+                           (dim, x, p, r, nu, pi, axis, vectors, reduced, tuple(names))):
             object.__setattr__(self, name, v)
-
-    @cached_property
-    def axis(self) -> slice:
-        """Chart entries of the body axis nu: the nu block, or the third
-        column of R (entries R[0,2], R[1,2], R[2,2]) on the attitude charts."""
-        return self.nu if self.nu is not None else slice(self.r.start + 2, self.r.stop, 3)
-
-    @cached_property
-    def vectors(self) -> tuple[tuple[int, int], ...]:
-        """(start, stride) of each vector block the bracket couples to pi by
-        {pi_i, v_j} = eps_ijl v_l: the nu block, or each column of R."""
-        if self.nu is not None:
-            return ((self.nu.start, 1),)
-        return tuple((self.r.start + k, 3) for k in range(3))
-
-    @cached_property
-    def reduced(self) -> tuple[int, ...]:
-        """Chart entries of (x, p, nu, pi), absent blocks skipped and nu read
-        through axis: the reduction (x, R, p, pi) -> (x, p, tau(R), pi) as a
-        selection of entries, and range(dim) on the reduced charts."""
-        blocks = (self.x, self.p, self.axis, self.pi)
-        return tuple(a for s in blocks if s is not None for a in range(self.dim)[s])
 
     def r_entry(self, j: int, k: int) -> int:
         """Absolute chart index of R[j,k] (0-based row/column)."""

@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch
-from .phase import LAYOUTS, Layout, SpaceId, _Record, chart_vector, dim
+from .phase import LAYOUTS, SpaceId, _Record, chart_vector, dim
 
 
 def _build_tensors(space: SpaceId) -> tuple[np.ndarray, np.ndarray]:
@@ -77,6 +77,7 @@ def _build_tensors(space: SpaceId) -> tuple[np.ndarray, np.ndarray]:
                 lin[s + i, b, c] = e
                 lin[b, s + i, c] = -e
 
+    lam0.flags.writeable = lin.flags.writeable = False
     return lam0, lin
 
 
@@ -84,7 +85,7 @@ _TENSORS = {space: _build_tensors(space) for space in SpaceId}
 
 
 def structure_tensors(space: SpaceId) -> tuple[np.ndarray, np.ndarray]:
-    """Constant and linear parts of Lambda, built at import; treat as read-only."""
+    """Constant and linear parts of Lambda, built at import as read-only arrays."""
     return _TENSORS[space]
 
 
@@ -161,21 +162,9 @@ def _same_space(f: ScalarField, g: ScalarField) -> None:
         raise DimensionMismatch(f"fields live on {f.space.value} and {g.space.value}")
 
 
-def _coordinate_names(lay: Layout) -> list[str]:
-    names = [""] * lay.dim
-    for label, block in (("x", lay.x), ("p", lay.p), ("nu", lay.nu), ("pi", lay.pi)):
-        if block is not None:
-            names[block] = [f"{label}{i}" for i in (1, 2, 3)]
-    if lay.r is not None:
-        names[lay.r] = [f"R{j}{k}" for j in (1, 2, 3) for k in (1, 2, 3)]
-    return names
-
-
-_COORD_NAMES = {space: _coordinate_names(lay) for space, lay in LAYOUTS.items()}
-
-
 def coordinate_names(space: SpaceId) -> list[str]:
-    return _COORD_NAMES[space]
+    """Label of each chart entry, a new list on every call (Layout.names)."""
+    return list(LAYOUTS[space].names)
 
 
 def coordinate(space: SpaceId, a: int) -> ScalarField:
@@ -186,7 +175,7 @@ def coordinate(space: SpaceId, a: int) -> ScalarField:
     e = np.zeros(n)
     e[a] = 1.0
     return ScalarField(space, lambda z, a=a: z[a], lambda z, e=e: e.copy(),
-                       name=coordinate_names(space)[a])
+                       name=LAYOUTS[space].names[a])
 
 
 def dot_floats(a: Sequence[float], b: Sequence[float]) -> float:

@@ -94,7 +94,9 @@ def section(nu: Vec3) -> Mat3:
 
 def _build_projection(src: SpaceId) -> tuple[SpaceId, np.ndarray, np.ndarray]:
     sel = np.array(LAYOUTS[src].reduced)
-    return src, np.eye(LAYOUTS[src].dim)[sel], sel
+    p = np.eye(LAYOUTS[src].dim)[sel]
+    p.flags.writeable = sel.flags.writeable = False
+    return src, p, sel
 
 
 _PROJECTIONS = {SpaceId.Reduced: _build_projection(SpaceId.CotSE3),
@@ -102,7 +104,7 @@ _PROJECTIONS = {SpaceId.Reduced: _build_projection(SpaceId.CotSE3),
 
 
 def _projection(reduced_space: SpaceId) -> tuple[SpaceId, np.ndarray, np.ndarray]:
-    """(source space, P, sel) of the projection onto reduced_space, built at import.
+    """(source space, P, sel) of the projection onto reduced_space, read-only, built at import.
 
     P has exactly one 1 per row, in column sel[i] for reduced coordinate i.
     """

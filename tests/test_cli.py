@@ -617,6 +617,11 @@ _CSV_ENTRIES = {
 }
 
 
+def test_csv_header():
+    # CSV_COLUMNS is built from Layout.names; the header text is fixed
+    assert CSV_COLUMNS == "t,x1,x2,x3,p1,p2,p3,nu1,nu2,nu3,pi1,pi2,pi3,energy,C1,C2,ortho_defect"
+
+
 @pytest.mark.parametrize("space", list(_CSV_ENTRIES))
 def test_csv_text(tmp_path, space):
     v = [-0.0, 5e-324, 1e308, -1.5e-300]

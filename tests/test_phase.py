@@ -11,6 +11,7 @@ from symtop.phase import (
     LAYOUTS,
     CotSO3State,
     FullState,
+    Layout,
     ReducedState,
     Se3DualPoint,
     SpaceId,
@@ -168,8 +169,23 @@ def test_layout_entry_helpers():
     # selection; on the reduced charts it selects every entry in order
     assert lay.reduced == (0, 1, 2, 3, 4, 5, 8, 11, 14, 15, 16, 17)
     assert LAYOUTS[SpaceId.CotSO3].reduced == (2, 5, 8, 9, 10, 11)
-    assert LAYOUTS[SpaceId.Reduced].reduced == tuple(range(12))
-    assert LAYOUTS[SpaceId.Se3Dual].reduced == tuple(range(6))
+    assert LAYOUTS[SpaceId.Reduced].reduced == (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
+    assert LAYOUTS[SpaceId.Se3Dual].reduced == (0, 1, 2, 3, 4, 5)
+    # Layout.names: the label of each chart entry
+    assert LAYOUTS[SpaceId.CotSO3].names == (
+        "R11", "R12", "R13", "R21", "R22", "R23", "R31", "R32", "R33", "pi1", "pi2", "pi3")
+    assert LAYOUTS[SpaceId.Se3Dual].names == ("nu1", "nu2", "nu3", "pi1", "pi2", "pi3")
+    assert lay.names == ("x1", "x2", "x3", "p1", "p2", "p3", "R11", "R12", "R13",
+                         "R21", "R22", "R23", "R31", "R32", "R33", "pi1", "pi2", "pi3")
+    assert LAYOUTS[SpaceId.Reduced].names == (
+        "x1", "x2", "x3", "p1", "p2", "p3", "nu1", "nu2", "nu3", "pi1", "pi2", "pi3")
+
+
+def test_layout_without_axis_builds():
+    # neither nu nor R: no axis, no vector block, nothing to select or label
+    lay = Layout(dim=6)
+    assert (lay.axis, lay.vectors, lay.reduced) == (None, (), ())
+    assert lay.names == ("",) * 6
 
 
 _COMPONENT = st.floats(-1e6, 1e6, allow_nan=False)

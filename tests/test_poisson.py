@@ -372,6 +372,24 @@ def test_coordinate_names():
         coordinate(SpaceId.CotSE3, 18)
 
 
+def test_coordinate_names_returns_a_new_list():
+    names = coordinate_names(SpaceId.Reduced)
+    names[0] = "oops"
+    assert coordinate_names(SpaceId.Reduced)[0] == "x1"
+    assert coordinate(SpaceId.Reduced, 0).name == "x1"
+
+
+def test_structure_tensors_are_read_only():
+    # an edit in place would change every later bracket in the process
+    for space in ALL:
+        for table in structure_tensors(space):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+            edited = table.copy()
+            edited[0, 0] = 1.0
+            assert edited.flags.writeable
+
+
 def test_structure_tensors_built_once_at_import(monkeypatch):
     tables = {space: structure_tensors(space) for space in ALL}
     monkeypatch.setattr(poisson, "_build_tensors", None)  # a rebuild would raise

@@ -174,6 +174,18 @@ def test_poisson_map_residual_casimir():
             assert abs(poisson_map_residual(c2, g, s)) < 1e-10
 
 
+def test_projection_tables_are_read_only():
+    for reduced_space in (SpaceId.Reduced, SpaceId.Se3Dual):
+        _, p, sel = reduction._projection(reduced_space)
+        assert chart_projection(reduced_space)[1] is p
+        for table in (p, sel):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+            edited = table.copy()
+            edited[0] = 0
+            assert edited.flags.writeable
+
+
 def test_poisson_map_residual_all_pairs_both_projections():
     for reduced_space in (SpaceId.Reduced, SpaceId.Se3Dual):
         src, _ = chart_projection(reduced_space)
