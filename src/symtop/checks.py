@@ -5,6 +5,11 @@ Poisson-map property of the projections, Casimir invariance, orbit
 transitivity, magnetic-form identities, gradient correctness) over seeded
 random samples and reports the worst residual against a fixed tolerance.
 
+Each suite seeds one generator per call and draws every sample from it.
+brackets, jacobi and poisson-map seed theirs with [seed, salt], a salt of
+their own, so that no two suites draw the same chart points for one seed;
+the other suites seed theirs with seed.
+
 The bracket-table oracle below is intentionally written as literal
 entry-by-entry assignments, independent of the affine-tensor encoding used
 by the production structure matrices; the two paths must agree exactly.
@@ -97,18 +102,18 @@ def _worst(residuals) -> float:
     return max_or_nan([0.0, *residuals])
 
 
-def _chart_points(space: SpaceId, seed: int, stride: int, count: int):
-    """The seeded chart points random_chart_point(space, seed + stride * k),
-    k < count, of a per-chart suite."""
-    return (random_chart_point(space, seed + stride * k) for k in range(count))
+def _chart_points(space: SpaceId, rng: np.random.Generator, count: int):
+    """count chart points of space, drawn one after another from rng."""
+    return (random_chart_point(space, rng) for _ in range(count))
 
 
 def check_brackets(seed: int = 0, points_per_space: int = 250) -> list[CheckResult]:
     """Production structure matrices vs the literal oracle; exact equality."""
+    rng = np.random.default_rng([seed, 7919])
     return [
         CheckResult(f"brackets/{space.value}", _worst(
             float(np.abs(poisson.structure_matrix(space, z) - oracle_structure_matrix(space, z)).max())
-            for z in _chart_points(space, seed, 7919, points_per_space)
+            for z in _chart_points(space, rng, points_per_space)
         ), 0.0, points_per_space)
         for space in ALL_SPACES
     ]
@@ -116,10 +121,11 @@ def check_brackets(seed: int = 0, points_per_space: int = 250) -> list[CheckResu
 
 def check_jacobi(seed: int = 0, points: int = 100) -> list[CheckResult]:
     """Cyclic Jacobi residual over every coordinate triple, all four charts."""
+    rng = np.random.default_rng([seed, 104729])
     return [
         CheckResult(f"jacobi/{space.value}", _worst(
             float(np.abs(poisson.jacobi_residual_all(space, z)).max())
-            for z in _chart_points(space, seed, 104729, points)
+            for z in _chart_points(space, rng, points)
         ), 1e-10, points)
         for space in ALL_SPACES
     ]
@@ -128,12 +134,13 @@ def check_jacobi(seed: int = 0, points: int = 100) -> list[CheckResult]:
 def check_poisson_map(seed: int = 0, points: int = 100) -> list[CheckResult]:
     """Projection defect P Lambda_src P^T - Lambda_dst o P over every pair of
     reduced coordinates, both projections."""
+    rng = np.random.default_rng([seed, 15485863])
     out = []
     for reduced_space in (SpaceId.Reduced, SpaceId.Se3Dual):
         src, _ = reduction.chart_projection(reduced_space)
         worst = _worst(
             float(np.abs(reduction.poisson_map_residual_all(reduced_space, z)).max())
-            for z in _chart_points(src, seed, 15485863, points)
+            for z in _chart_points(src, rng, points)
         )
         out.append(
             CheckResult(f"poisson-map/{src.value}->{reduced_space.value}", worst, 1e-10, points)
@@ -167,7 +174,7 @@ def check_casimirs(seed: int = 0, pairs: int = 1000, fields: int = 100) -> list[
     polys = [poisson.random_polynomial(SpaceId.Se3Dual, rng) for _ in range(fields)]
     worst = _worst(
         abs(poisson.bracket(c, f, z))
-        for f, z in zip(polys, _chart_points(SpaceId.Se3Dual, seed, 2027, fields))
+        for f, z in zip(polys, _chart_points(SpaceId.Se3Dual, rng, fields))
         for c in (c1f, c2f)
     )
     res.append(CheckResult("casimirs/bracket-annihilation", worst, 1e-12, fields))
@@ -257,7 +264,7 @@ def check_gradients(seed: int = 0, points: int = 100) -> list[CheckResult]:
         ("reduced-hamiltonian", dynamics.reduced_hamiltonian_field(bp, PRESET_POTENTIALS["gravity"]), SpaceId.Reduced),
         ("full-hamiltonian", dynamics.full_hamiltonian_field(bp, PRESET_POTENTIALS["gravity"]), SpaceId.CotSE3),
     ):
-        worst = _worst(_field_gradient_error(fld, z) for z in _chart_points(space, seed, 31, points))
+        worst = _worst(_field_gradient_error(fld, z) for z in _chart_points(space, rng, points))
         out.append(CheckResult(f"gradients/{label}", worst, 1e-5, points))
     return out
 

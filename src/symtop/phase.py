@@ -291,16 +291,21 @@ def _random_component(rng: np.random.Generator) -> Vec3:
 _DRAWS = {"R": random_rotation, "nu": random_unit}
 
 
-def random_state(space: SpaceId, seed: int) -> State:
+def random_state(space: SpaceId, seed: int | np.random.Generator) -> State:
     """Deterministic generic test point: R Haar-uniform (random_rotation),
     nu uniform on the sphere, x/p/pi components uniform in [-1, 1], drawn in
     the state's field order: random_chart_point, validated by unflatten."""
     return unflatten(space, random_chart_point(space, seed))
 
 
-def random_chart_point(space: SpaceId, seed: int) -> np.ndarray:
+def random_chart_point(space: SpaceId, seed: int | np.random.Generator) -> np.ndarray:
     """Flat chart vector of random_state(space, seed): the draws written into
-    one array, with no state built or validated."""
+    one array, with no state built or validated.
+
+    seed is an int, which seeds a new generator, or a Generator, which is
+    drawn from as it stands (np.random.default_rng returns it unchanged), so
+    successive calls on one Generator give successive points of its stream.
+    """
     rng = np.random.default_rng(seed)
     z = np.empty(LAYOUTS[space].dim)
     for name, block, _ in _FIELDS[space]:

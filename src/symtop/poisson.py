@@ -106,20 +106,21 @@ def _floats(v) -> list[float]:
     return v.tolist() if isinstance(v, np.ndarray) else v
 
 
-def fd_gradient(f: Callable[[np.ndarray], float], z: np.ndarray) -> np.ndarray:
+def fd_gradient(f: Callable[[list[float]], float], z: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient with step FD_STEP; verification
-    oracle only."""
-    z = np.asarray(z, dtype=float)
-    g = np.zeros_like(z)
-    w = z.copy()  # one working copy: each entry is perturbed, then restored
-    for a, za in enumerate(z.tolist()):
+    oracle only.  f is called on a list of Python floats, the form every
+    ScalarField.value and Potential.value accepts."""
+    w = np.asarray(z, dtype=float).tolist()  # each entry is perturbed, then restored
+    g = []
+    for a in range(len(w)):
+        za = w[a]
         w[a] = za + FD_STEP
         fp = f(w)
         w[a] = za - FD_STEP
         fm = f(w)
         w[a] = za
-        g[a] = (fp - fm) / (2.0 * FD_STEP)
-    return g
+        g.append((fp - fm) / (2.0 * FD_STEP))
+    return np.array(g, dtype=float)
 
 
 class ScalarField(_Record):
@@ -147,24 +148,10 @@ class ScalarField(_Record):
     def gradient(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.grad(z), dtype=float)
 
-    def __mul__(self, other: "ScalarField") -> "ScalarField":
-        _same_space(self, other)
-        return ScalarField(
-            self.space,
-            lambda z: self.value(z) * other.value(z),
-            lambda z: self.gradient(z) * other.value(z) + self.value(z) * other.gradient(z),
-            name=f"({self.name}*{other.name})",
-        )
-
 
 def _same_space(f: ScalarField, g: ScalarField) -> None:
     if f.space is not g.space:
         raise DimensionMismatch(f"fields live on {f.space.value} and {g.space.value}")
-
-
-def coordinate_names(space: SpaceId) -> list[str]:
-    """Label of each chart entry, a new list on every call (Layout.names)."""
-    return list(LAYOUTS[space].names)
 
 
 def coordinate(space: SpaceId, a: int) -> ScalarField:

@@ -645,7 +645,6 @@ def test_every_field_builder_accepts_a_float_list(space):
     fields = fields_on(space) + [coordinate(space, a) for a in range(LAYOUTS[space].dim)]
     if LAYOUTS[space].nu is not None:
         fields += casimir_fields(space)
-    fields += [f * g for f in fields[:3] for g in fields[:3]]
     if LAYOUTS[space].r is not None:  # pull-backs of the fields of the chart below
         below = SpaceId.Reduced if space is SpaceId.CotSE3 else SpaceId.Se3Dual
         fields += [pullback(f) for f in fields_on(below) + list(casimir_fields(below))]

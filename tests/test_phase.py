@@ -93,6 +93,21 @@ def test_random_chart_point_frozen(space):
     npt.assert_allclose(random_chart_point(space, 0), FROZEN_POINTS[space], rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("space", ALL, ids=[s.value for s in ALL])
+def test_random_chart_point_draws_successive_points_from_a_generator(space):
+    # the first point is the one the int seed gives; each call advances g,
+    # and the next call goes on from where the last one stopped
+    g = np.random.default_rng(5)
+    start = g.bit_generator.state
+    first = random_chart_point(space, g)
+    after_first = g.bit_generator.state
+    second = random_chart_point(space, g)
+    assert first.tobytes() == random_chart_point(space, 5).tobytes()
+    assert start != after_first != g.bit_generator.state
+    assert second.tobytes() != first.tobytes()
+    assert flatten(random_state(space, np.random.default_rng(5)), space).tobytes() == first.tobytes()
+
+
 def test_random_rotation_valid():
     for seed in range(20):
         s = random_state(SpaceId.CotSO3, seed)

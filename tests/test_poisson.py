@@ -13,6 +13,7 @@ from symtop.phase import (
     LAYOUTS,
     CotSO3State,
     FullState,
+    Layout,
     ReducedState,
     Se3DualPoint,
     SpaceId,
@@ -24,7 +25,6 @@ from symtop.poisson import (
     ScalarField,
     bracket,
     coordinate,
-    coordinate_names,
     fd_gradient,
     ham_vector_field,
     jacobi_residual_all,
@@ -279,6 +279,12 @@ def test_jacobi_residual_all_matches_einsum_bytes():
                 assert jacobi_residual_all(space, z).tobytes() == reference.tobytes()
 
 
+def product(f: ScalarField, g: ScalarField) -> ScalarField:
+    """The field f g, with its product-rule gradient."""
+    return ScalarField(f.space, lambda z: f.value(z) * g.value(z),
+                       lambda z: f.gradient(z) * g.value(z) + f.value(z) * g.gradient(z))
+
+
 def test_leibniz_rule():
     rng = np.random.default_rng(3)
     for space in ALL:
@@ -287,7 +293,7 @@ def test_leibniz_rule():
             g = random_polynomial(space, rng)
             k = random_polynomial(space, rng)
             z = random_chart_point(space, 13)
-            lhs = bracket(f * g, k, z)
+            lhs = bracket(product(f, g), k, z)
             rhs = f(z) * bracket(g, k, z) + g(z) * bracket(f, k, z)
             assert abs(lhs - rhs) < 1e-9
 
@@ -364,18 +370,21 @@ def test_fd_gradient_matches_two_copy_form_bytes():
 
 
 def test_coordinate_names():
-    assert coordinate_names(SpaceId.Reduced)[:3] == ["x1", "x2", "x3"]
-    assert coordinate_names(SpaceId.CotSO3)[0] == "R11"
+    assert list(LAYOUTS[SpaceId.Reduced].names)[:3] == ["x1", "x2", "x3"]
+    assert list(LAYOUTS[SpaceId.CotSO3].names)[0] == "R11"
     assert coordinate(SpaceId.Se3Dual, 3).name == "pi1"
-    assert [coordinate(SpaceId.CotSE3, a).name for a in range(18)] == coordinate_names(SpaceId.CotSE3)
+    assert [coordinate(SpaceId.CotSE3, a).name for a in range(18)] == list(LAYOUTS[SpaceId.CotSE3].names)
     with pytest.raises(DimensionMismatch):
         coordinate(SpaceId.CotSE3, 18)
 
 
-def test_coordinate_names_returns_a_new_list():
-    names = coordinate_names(SpaceId.Reduced)
+def test_coordinate_labels_cannot_be_edited_in_place():
+    # the shared labels are a tuple, and a list built from them is a copy
+    with pytest.raises(TypeError):
+        LAYOUTS[SpaceId.Reduced].names[0] = "oops"
+    names = list(LAYOUTS[SpaceId.Reduced].names)
     names[0] = "oops"
-    assert coordinate_names(SpaceId.Reduced)[0] == "x1"
+    assert LAYOUTS[SpaceId.Reduced].names[0] == "x1"
     assert coordinate(SpaceId.Reduced, 0).name == "x1"
 
 
@@ -423,12 +432,15 @@ def test_check_brackets_catches_a_flipped_sign_in_the_shared_rule(monkeypatch, s
 
 def test_check_brackets_does_not_read_layout_vectors(monkeypatch):
     # Tensors rebuilt from a wrong Layout.vectors must fail against the literal
-    # oracle, which never reads Layout.vectors.
+    # oracle, which never reads Layout.vectors.  The wrong vectors go on a
+    # fresh Layout swapped into LAYOUTS; the shared one is never edited.
     space = SpaceId.CotSE3
     lay = LAYOUTS[space]
 
     def rebuild_from(vectors):
-        monkeypatch.setitem(lay.__dict__, "vectors", vectors)
+        fresh = Layout(**{name: getattr(lay, name) for name in Layout._fields})
+        object.__setattr__(fresh, "vectors", vectors)
+        monkeypatch.setitem(LAYOUTS, space, fresh)
         monkeypatch.setitem(poisson._TENSORS, space, poisson._build_tensors(space))
         return _bracket_verdicts()
 
@@ -437,3 +449,4 @@ def test_check_brackets_does_not_read_layout_vectors(monkeypatch):
     # the rows of R in place of its columns
     verdicts = rebuild_from(((6, 1), (9, 1), (12, 1)))
     assert not verdicts.pop("brackets/CotSE3") and all(verdicts.values())
+    assert LAYOUTS[space] is not lay and lay.vectors == ((6, 3), (7, 3), (8, 3))

@@ -36,7 +36,7 @@ COMPARE_LINES = {
     "dipole_full": "commutation residual 6.817e-14  tol 1.0e-06  PASS\n",
     "free_top_full": "commutation residual 6.184e-14  tol 1.0e-06  PASS\n",
 }
-CHECK_ALL_SEED_0_SHA256 = "483a8c254b13c7230900a8cf69b2122fab943895ecf397503973454df82c09b2"
+CHECK_ALL_SEED_0_SHA256 = "0cbd2f0764467a1e2efd7d69ed5991bbfc7b0521bba05d3ceb3e1c7c5683fe5b"
 ORBIT_SHA256 = {
     "--nu 0,0,1 --pi 0.1,0.2,0.3 --count 200": "a5d4789b15e7fd7f9740aeb08319634f8a57ac353ce5e597caf986863a8ef52e",
     "--nu 1,0,0 --pi 1e8,3,0": "e6cc33c801accf0da1b9b35e28c386dfa6fc629ae70ab4e5a63a920d1dc54ab6",
