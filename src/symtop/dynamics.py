@@ -25,13 +25,14 @@ constraint drift itself can be measured.
 A step runs on Python floats: the Hamiltonian gradient, the vector field
 (poisson.vector_field_floats), the stage sums and the repair work on floats,
 because at chart dimension 18 or less numpy's per-call overhead costs more
-than the arithmetic.  <nu, pi> in the spin term and |nu| in the repair are
-plain float sums; R is repaired by algebra3's polar kernel, whose Newton
-update and stop test also run on floats.  simulate carries the state from
-step to step as a float list, reads the monitors off it, and builds arrays
-only from the samples it keeps.  The Hamiltonian value and the monitors are
-fixed-order float sums too, so no output of a run depends on the BLAS build
-or kernel.
+than the arithmetic.  Fields and potentials take Python floats only (see
+poisson.ScalarField and Potential), so no layer below step converts.
+<nu, pi> in the spin term and |nu| in the repair are plain float sums; R is
+repaired by algebra3's polar kernel, whose Newton update and stop test also
+run on floats.  simulate carries the state from step to step as a float
+list, reads the monitors off it, and builds arrays only from the samples it
+keeps.  The Hamiltonian value and the monitors are fixed-order float sums
+too, so no output of a run depends on the BLAS build or kernel.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .phase import (
     chart_vector,
     flatten,
 )
-from .poisson import ScalarField, _floats, vector_field_floats
+from .poisson import ScalarField, vector_field_floats
 from .poisson import ham_vector_field  # noqa: F401  (bench/tracing.py wraps both names; bench/tests checks)
 
 Float3 = tuple[float, float, float]
@@ -80,16 +81,17 @@ class Potential:
     Implementations supply value, grad_x and grad_nu, each gradient defined
     in the class's own body, because bench/tracing.py patches vars(cls).
     The gradients are the production path; finite differences only verify
-    them.  All three take x and nu as any 3-sequences (ndarrays, or the
-    float triples the Hamiltonian passes).  grad_x and grad_nu return a tuple
-    of three Python floats, not an ndarray: wrap it in np.array before arithmetic.
+    them.  All three take x and nu as float triples, tuples or lists of three
+    Python floats, as the Hamiltonian passes them.  value returns a float;
+    grad_x and grad_nu return a tuple of three Python floats, not an
+    ndarray: wrap it in np.array before arithmetic.
 
     The four potentials below are also frozen value types (phase._Frozen):
     each __init__ validates its parameters and stores them once, with the
     float caches the gradients read; repr, == and hash see the parameters only.
     """
 
-    def value(self, x: Vec3, nu: Vec3, bp: BodyParams) -> float:
+    def value(self, x: Sequence[float], nu: Sequence[float], bp: BodyParams) -> float:
         raise NotImplementedError
 
     def grad_x(self, x: Sequence[float], nu: Sequence[float], bp: BodyParams) -> Float3:
@@ -135,8 +137,8 @@ class LinearGravity(Potential, _Frozen):
         object.__setattr__(self, "_grad_nu", tuple((chi * ghat).tolist()))
 
     def value(self, x, nu, bp):
-        x0, x1, x2 = _floats(x)
-        n0, n1, n2 = _floats(nu)
+        x0, x1, x2 = x
+        n0, n1, n2 = nu
         g0, g1, g2 = self._g
         h0, h1, h2 = self._ghat
         return bp.M * (g0 * x0 + g1 * x1 + g2 * x2) + self.chi * (h0 * n0 + h1 * n1 + h2 * n2)
@@ -186,7 +188,7 @@ class DipolePotential(Potential, _Frozen):
         object.__setattr__(self, "_mu", tuple(mu.tolist()))
 
     def _field(self, x) -> Float3:
-        x0, x1, x2 = _floats(x)
+        x0, x1, x2 = x
         u0, u1, u2 = self._mu
         r2 = _dipole_r2(x0, x1, x2)
         r3 = r2 * math.sqrt(r2)
@@ -195,7 +197,7 @@ class DipolePotential(Potential, _Frozen):
 
     def value(self, x, nu, bp):
         b0, b1, b2 = self._field(x)
-        n0, n1, n2 = _floats(nu)
+        n0, n1, n2 = nu
         return -self.m * (n0 * b0 + n1 * b1 + n2 * b2)
 
     def grad_nu(self, x, nu, bp):
@@ -206,8 +208,8 @@ class DipolePotential(Potential, _Frozen):
     def grad_x(self, x, nu, bp):
         # J_b nu with the (symmetric) dipole-field Jacobian contracted analytically:
         # J_b nu = 3 (nu <mu,x> + x <mu,nu> + mu <x,nu>) / r^5 - 15 <mu,x> <x,nu> x / r^7.
-        x0, x1, x2 = _floats(x)
-        n0, n1, n2 = _floats(nu)
+        x0, x1, x2 = x
+        n0, n1, n2 = nu
         u0, u1, u2 = self._mu
         r2 = _dipole_r2(x0, x1, x2)
         r5 = r2 * r2 * math.sqrt(r2)
@@ -269,8 +271,8 @@ def _hamiltonian_field(
     with analytic gradient, nu read through Layout.axis.  The spin term is
     evaluated only for nonzero kappa.
 
-    The value and the gradient take z as an ndarray or a float list and read
-    x, p, nu, pi as twelve floats with one itemgetter over Layout.reduced;
+    The value and the gradient take z as a float list and read x, p, nu, pi
+    as twelve floats with one itemgetter over Layout.reduced;
     the value sums each square and <nu, pi> left to right.  The gradient
     returns a float tuple placed by a second itemgetter, the first's inverse.
     Entries outside those blocks (the first two columns of R) are 0.0.
@@ -284,7 +286,7 @@ def _hamiltonian_field(
     m, i1 = bp.M, bp.I1
 
     def value(z):
-        x0, x1, x2, p0, p1, p2, n0, n1, n2, q0, q1, q2 = take(_floats(z))
+        x0, x1, x2, p0, p1, p2, n0, n1, n2, q0, q1, q2 = take(z)
         v = (p0 * p0 + p1 * p1 + p2 * p2) / (2.0 * m) + (q0 * q0 + q1 * q1 + q2 * q2) / (2.0 * i1)
         if kappa:
             c = n0 * q0 + n1 * q1 + n2 * q2
@@ -292,7 +294,7 @@ def _hamiltonian_field(
         return v + potential.value((x0, x1, x2), (n0, n1, n2), bp)
 
     def grad(z):
-        x0, x1, x2, p0, p1, p2, n0, n1, n2, q0, q1, q2 = take(_floats(z))
+        x0, x1, x2, p0, p1, p2, n0, n1, n2, q0, q1, q2 = take(z)
         x, nu = (x0, x1, x2), (n0, n1, n2)
         gx0, gx1, gx2 = potential.grad_x(x, nu, bp)
         gn0, gn1, gn2 = potential.grad_nu(x, nu, bp)
@@ -358,14 +360,6 @@ def _require_field_on(space: SpaceId, h: ScalarField) -> None:
         raise DimensionMismatch(f"Hamiltonian lives on {h.space.value}, not {space.value}")
 
 
-def _slope(space: SpaceId, h: ScalarField, z: list[float]) -> list[float]:
-    """Lambda(z) grad h(z) on float lists."""
-    g = _floats(h.grad(z))
-    if len(g) != len(z):
-        raise DimensionMismatch(f"gradient of {h.name or 'field'} has {len(g)} entries, chart {len(z)}")
-    return vector_field_floats(space, z, g)
-
-
 def step(
     space: SpaceId,
     h: ScalarField,
@@ -389,10 +383,13 @@ def step(
         raise DimensionMismatch(f"{space.value} chart has dim {LAYOUTS[space].dim}, got {len(z)} floats")
     z = z if as_list else chart_vector(space, z).tolist()
     half = 0.5 * dt
-    k1 = _slope(space, h, z)
-    k2 = _slope(space, h, [a + half * b for a, b in zip(z, k1)])
-    k3 = _slope(space, h, [a + half * b for a, b in zip(z, k2)])
-    k4 = _slope(space, h, [a + dt * b for a, b in zip(z, k3)])
+    k1 = vector_field_floats(space, z, h.grad(z))
+    z2 = [a + half * b for a, b in zip(z, k1)]
+    k2 = vector_field_floats(space, z2, h.grad(z2))
+    z3 = [a + half * b for a, b in zip(z, k2)]
+    k3 = vector_field_floats(space, z3, h.grad(z3))
+    z4 = [a + dt * b for a, b in zip(z, k3)]
+    k4 = vector_field_floats(space, z4, h.grad(z4))
     sixth = dt / 6.0
     z1 = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4) for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
     if method == "rk4_repair":
@@ -428,7 +425,7 @@ def _monitors(space: SpaceId, h: ScalarField, z: list[float]) -> tuple[float, fl
     lay = LAYOUTS[space]
     nu = z[lay.axis]
     defect = _gram_defect(*z[lay.r]) if lay.r is not None else 0.0
-    mons = h(z), _dot(nu, nu), _dot(nu, z[lay.pi]), defect
+    mons = h.value(z), _dot(nu, nu), _dot(nu, z[lay.pi]), defect
     if not all(map(math.isfinite, mons)):
         raise NonFinite(f"non-finite monitor (energy, C1, C2, ortho defect) = {mons}")
     return mons

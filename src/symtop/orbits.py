@@ -41,14 +41,12 @@ from .algebra3 import (
     _matvec,
     cross,
     dot3,
-    matmul3,
-    matvec3,
     max_or_nan,
     require_rotation,
 )
 from .errors import NotSameLevel, NotTangent, NotUnit, ZeroNu
 from .phase import LAYOUTS, Se3DualPoint, SpaceId, _Frozen, _vec3, random_rotation
-from .poisson import ScalarField, _floats
+from .poisson import ScalarField
 
 
 # Level-match tolerance of same_orbit_witness at unit scale; see witness_tol.
@@ -63,10 +61,6 @@ class SE3Element(_Frozen):
     def __init__(self, a: Vec3, A: Mat3):
         object.__setattr__(self, "a", _vec3(a, "a"))
         object.__setattr__(self, "A", require_rotation(A))
-
-    def compose(self, other: "SE3Element") -> "SE3Element":
-        """Group product (a1, A1)(a2, A2) = (a1 + A1 a2, A1 A2)."""
-        return SE3Element(a=self.a + matvec3(self.A, other.a), A=matmul3(self.A, other.A))
 
 
 def random_se3(rng: np.random.Generator) -> SE3Element:
@@ -181,29 +175,27 @@ def magnetic_form(nu: Vec3, u: Vec3, v: Vec3, c2: float) -> float:
 
 
 def casimir_fields(space: SpaceId) -> tuple[ScalarField, ScalarField]:
-    """C1 and C2 as chart fields with exact gradients (Se3Dual or Reduced)."""
+    """C1 and C2 as chart fields with exact gradients (Se3Dual or Reduced), on
+    float lists; the values are the left-to-right sums of casimirs."""
     lay = LAYOUTS[space]
     if lay.nu is None:
         raise ValueError(f"{space.value} has no nu block; Casimirs live downstairs")
     s_nu, s_pi, n = lay.nu, lay.pi, lay.dim
 
-    # z may be an ndarray or a float list, as ScalarField allows.  The values
-    # are the left-to-right sums of casimirs.
-    def c1_value(z, s_nu=s_nu):
-        nu = _floats(z)[s_nu]
+    def c1_value(z):
+        nu = z[s_nu]
         return _dot(nu, nu)
 
-    def c2_value(z, s_nu=s_nu, s_pi=s_pi):
-        zl = _floats(z)
-        return _dot(zl[s_nu], zl[s_pi])
+    def c2_value(z):
+        return _dot(z[s_nu], z[s_pi])
 
-    def c1_grad(z, s_nu=s_nu, n=n):
-        g = np.zeros(n)
-        g[s_nu] = z[s_nu]
-        return 2.0 * g
+    def c1_grad(z):
+        g = [0.0] * n
+        g[s_nu] = [2.0 * v for v in z[s_nu]]
+        return g
 
-    def c2_grad(z, s_nu=s_nu, s_pi=s_pi, n=n):
-        g = np.zeros(n)
+    def c2_grad(z):
+        g = [0.0] * n
         g[s_nu] = z[s_pi]
         g[s_pi] = z[s_nu]
         return g

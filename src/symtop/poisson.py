@@ -101,11 +101,6 @@ def structure_matrix(space: SpaceId, z: np.ndarray) -> np.ndarray:
 FD_STEP = 1e-6
 
 
-def _floats(v) -> list[float]:
-    """A vector as Python floats; sequences other than ndarrays pass as they are."""
-    return v.tolist() if isinstance(v, np.ndarray) else v
-
-
 def fd_gradient(f: Callable[[list[float]], float], z: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient with step FD_STEP; verification
     oracle only.  f is called on a list of Python floats, the form every
@@ -127,26 +122,27 @@ class ScalarField(_Record):
     """Function on a chart together with its closed-form gradient.
 
     Every field supplies its own gradient; fd_gradient only checks them.
-    value and grad must accept the point as an ndarray or as a list of
-    Python floats: the RK4 step calls grad, and simulate's monitors call
-    value, on float lists (see dynamics.step).  grad may return an ndarray
-    or a float sequence of the chart's length.
+    value and grad take the chart point as a list of Python floats: value
+    returns a float, grad a list or tuple of floats of the chart's length.
+    The RK4 step and simulate's monitors call them that way.  f(z) and
+    f.gradient(z) are the only array entry: they raise DimensionMismatch
+    unless z has the chart's shape, and return a float and an ndarray.
     """
 
     _fields = ("space", "value", "grad", "name")
 
-    def __init__(self, space: SpaceId, value: Callable[[np.ndarray], float],
-                 grad: Callable[[np.ndarray], np.ndarray], name: str = ""):
+    def __init__(self, space: SpaceId, value: Callable[[list[float]], float],
+                 grad: Callable[[list[float]], Sequence[float]], name: str = ""):
         self.space = space
         self.value = value
         self.grad = grad
         self.name = name
 
     def __call__(self, z: np.ndarray) -> float:
-        return float(self.value(z))
+        return float(self.value(chart_vector(self.space, z).tolist()))
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(self.grad(z), dtype=float)
+        return np.array(self.grad(chart_vector(self.space, z).tolist()), dtype=float)
 
 
 def _same_space(f: ScalarField, g: ScalarField) -> None:
@@ -159,9 +155,9 @@ def coordinate(space: SpaceId, a: int) -> ScalarField:
     n = dim(space)
     if not 0 <= a < n:
         raise DimensionMismatch(f"coordinate index {a} out of range for dim {n}")
-    e = np.zeros(n)
+    e = [0.0] * n
     e[a] = 1.0
-    return ScalarField(space, lambda z, a=a: z[a], lambda z, e=e: e.copy(),
+    return ScalarField(space, lambda z, a=a: z[a], lambda z, e=e: list(e),
                        name=LAYOUTS[space].names[a])
 
 
@@ -186,10 +182,9 @@ def random_polynomial(space: SpaceId, rng: np.random.Generator, scale: float = 0
         return [dot_floats(row, z) for row in q]
 
     def value(z):
-        z = _floats(z)
         return c + dot_floats(a, z) + 0.5 * dot_floats(z, qz(z))
 
-    return ScalarField(space, value, lambda z: [x + y for x, y in zip(a, qz(_floats(z)))], name="poly")
+    return ScalarField(space, value, lambda z: [x + y for x, y in zip(a, qz(z))], name="poly")
 
 
 def bracket(f: ScalarField, g: ScalarField, z: np.ndarray) -> float:
@@ -211,12 +206,15 @@ _FIELD_TABLES = {
 def vector_field_floats(space: SpaceId, z: list[float], g: Sequence[float]) -> list[float]:
     """Chart tangent vector zdot_a = Lambda(z)_ab g_b in closed form, with z and
     the gradient g = dH/dz at z given as sequences of Python floats.
+    DimensionMismatch unless g has the chart's length.
 
     At chart dimension 18 or less, per-call numpy overhead would cost more
     than the arithmetic, so the RK4 step stays on floats and calls this
     directly; ham_vector_field is its ndarray form.
     """
     n, x0, p0, s, vectors = _FIELD_TABLES[space]
+    if len(g) != n:
+        raise DimensionMismatch(f"gradient has {len(g)} entries, {space.value} chart {n}")
     out = [0.0] * n
     w0, w1, w2 = g[s], g[s + 1], g[s + 2]
     q0, q1, q2 = z[s], z[s + 1], z[s + 2]
@@ -244,11 +242,8 @@ def vector_field_floats(space: SpaceId, z: list[float], g: Sequence[float]) -> l
 def ham_vector_field(h: ScalarField, z: np.ndarray) -> np.ndarray:
     """Chart tangent vector zdot_a = Lambda(z)_ab dH/dz_b, in closed form
     (vector_field_floats on ndarrays)."""
-    z = chart_vector(h.space, z)
-    dh = h.gradient(z)
-    if dh.shape != z.shape:
-        raise DimensionMismatch(f"gradient of {h.name or 'field'} has shape {dh.shape}, chart {z.shape}")
-    return np.array(vector_field_floats(h.space, z.tolist(), dh.tolist()))
+    z = chart_vector(h.space, z).tolist()
+    return np.array(vector_field_floats(h.space, z, h.grad(z)))
 
 
 def jacobi_residual_all(space: SpaceId, z: np.ndarray) -> np.ndarray:

@@ -127,14 +127,18 @@ def chart_projection(reduced_space: SpaceId) -> tuple[SpaceId, np.ndarray]:
 
 def pullback(f: ScalarField) -> ScalarField:
     """Compose a reduced-space field with the projection; gradient by the
-    (constant) chain rule P^T grad f."""
-    src, p = chart_projection(f.space)
-    return ScalarField(
-        src,
-        lambda z: f.value(p @ z),
-        lambda z: p.T @ f.gradient(p @ z),
-        name=f"{f.name}@proj",
-    )
+    (constant) chain rule P^T grad f: P selects the entries sel, so grad f
+    is scattered back to them."""
+    src, _, sel = _projection(f.space)
+    sel, n = sel.tolist(), LAYOUTS[src].dim
+
+    def grad(z):
+        g = [0.0] * n
+        for a, v in zip(sel, f.grad([z[a] for a in sel])):
+            g[a] = v
+        return g
+
+    return ScalarField(src, lambda z: f.value([z[a] for a in sel]), grad, name=f"{f.name}@proj")
 
 
 def _source_point(src: SpaceId, z) -> np.ndarray:

@@ -160,8 +160,8 @@ def test_full_hamiltonian_circle_invariant():
 def test_potential_gradients_match_fd(pot):
     rng = np.random.default_rng(0)
     for _ in range(25):
-        x = random_unit(rng) * rng.uniform(0.8, 2.0)
-        nu = random_unit(rng)
+        x = (random_unit(rng) * rng.uniform(0.8, 2.0)).tolist()
+        nu = random_unit(rng).tolist()
         gx = pot.grad_x(x, nu, BP)
         gn = pot.grad_nu(x, nu, BP)
         fx = fd_gradient(lambda xx: pot.value(xx, nu, BP), x)
@@ -182,9 +182,10 @@ def test_dipole_matches_vector_formula():
         mu, r = pot.mu, np.linalg.norm(x)
         b = (3.0 * x * (mu @ x) / (x @ x) - mu) / r**3
         jb_nu = 3.0 * (nu * (mu @ x) + x * (mu @ nu) + mu * (x @ nu)) / r**5 - 15.0 * (mu @ x) * (x @ nu) * x / r**7
-        npt.assert_allclose(pot.grad_nu(x, nu, BP), -pot.m * b, rtol=0, atol=1e-15 * np.abs(b).max())
-        npt.assert_allclose(pot.grad_x(x, nu, BP), -pot.m * jb_nu, rtol=0, atol=1e-15 * np.abs(jb_nu).max())
-        assert abs(pot.value(x, nu, BP) + pot.m * (nu @ b)) <= 1e-15 * np.abs(b).max()
+        xl, nl = x.tolist(), nu.tolist()
+        npt.assert_allclose(pot.grad_nu(xl, nl, BP), -pot.m * b, rtol=0, atol=1e-15 * np.abs(b).max())
+        npt.assert_allclose(pot.grad_x(xl, nl, BP), -pot.m * jb_nu, rtol=0, atol=1e-15 * np.abs(jb_nu).max())
+        assert abs(pot.value(xl, nl, BP) + pot.m * (nu @ b)) <= 1e-15 * np.abs(b).max()
 
 
 @pytest.mark.parametrize(
@@ -195,7 +196,7 @@ def test_dipole_matches_vector_formula():
 )
 def test_dipole_singularity_raises_nonfinite(x, cause):
     pot = DipolePotential(m=0.05, mu=np.array([0.0, 0.0, 1.0]))
-    x, nu = np.array(x), np.array([0.0, 0.0, 1.0])
+    nu = [0.0, 0.0, 1.0]
     for method in (pot.value, pot.grad_x, pot.grad_nu):
         with pytest.raises(NonFinite, match=f"dipole potential.*{cause}"):
             method(x, nu, BP)
@@ -273,7 +274,7 @@ def test_hamiltonian_value_matches_fixed_order_form(space, make):
             if kappa:
                 c = dot_left_to_right(nu, pi)
                 v += kappa * (c * c)
-            v += fixed_order_potential_value(pot, x, nu)
+            v += fixed_order_potential_value(pot, x.tolist(), nu.tolist())
             assert h(z) == v
             assert _monitors(space, h, z.tolist())[:3] == (v, dot_left_to_right(nu, nu), dot_left_to_right(nu, pi))
 
@@ -301,7 +302,7 @@ def test_hamiltonian_gradient_placed_by_layout(space, make):
             ref[lay.axis] = g_nu
             ref[lay.pi] = g_pi
             g = h.grad(z.tolist())
-            assert list(g) == ref and list(h.grad(z)) == ref
+            assert list(g) == ref and h.gradient(z).tolist() == ref
             if lay.r is not None:
                 # the first two columns of R: exact (positive) zeros
                 off_axis = [lay.r_entry(j, k) for j in range(3) for k in range(2)]
@@ -344,7 +345,7 @@ def test_step_validates_inputs():
         step(SpaceId.Reduced, h, z, -0.1)
     with pytest.raises(ValueError):
         step(SpaceId.Reduced, h, z, 0.1, method="euler")
-    short = ScalarField(SpaceId.Reduced, lambda z: 0.0, lambda z: np.zeros(11))
+    short = ScalarField(SpaceId.Reduced, lambda z: 0.0, lambda z: [0.0] * 11)
     with pytest.raises(DimensionMismatch):
         step(SpaceId.Reduced, short, z, 0.1)
 
@@ -353,7 +354,7 @@ def test_step_raises_on_non_finite():
     bad = ScalarField(
         SpaceId.Reduced,
         lambda z: 0.0,
-        lambda z: np.full(12, np.nan),
+        lambda z: [math.nan] * 12,
     )
     z = flatten(reduced_point(), SpaceId.Reduced)
     with pytest.raises(NonFinite):
@@ -361,7 +362,7 @@ def test_step_raises_on_non_finite():
 
 
 def test_simulate_zero_hamiltonian_constant():
-    h = ScalarField(SpaceId.Reduced, lambda z: 0.0, lambda z: np.zeros(12))
+    h = ScalarField(SpaceId.Reduced, lambda z: 0.0, lambda z: [0.0] * 12)
     z0 = flatten(reduced_point(), SpaceId.Reduced)
     traj = simulate(SpaceId.Reduced, h, z0, 0.1, 1.0, method="rk4")
     for i in range(len(traj)):
@@ -638,18 +639,50 @@ def test_simulate_matches_a_loop_of_array_steps(space, method):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), h.name
 
 
-@pytest.mark.parametrize("space", list(SpaceId), ids=lambda s: s.value)
-def test_every_field_builder_accepts_a_float_list(space):
-    # simulate's monitors call value, and the RK4 step calls grad, on float
-    # lists: each builder must give the bits it gives on the array.
+def every_field_on(space):
+    """A field of every builder on space: fields_on's, each coordinate, the
+    Casimirs, and the pull-backs of the fields of the chart below."""
     fields = fields_on(space) + [coordinate(space, a) for a in range(LAYOUTS[space].dim)]
     if LAYOUTS[space].nu is not None:
         fields += casimir_fields(space)
-    if LAYOUTS[space].r is not None:  # pull-backs of the fields of the chart below
+    if LAYOUTS[space].r is not None:
         below = SpaceId.Reduced if space is SpaceId.CotSE3 else SpaceId.Se3Dual
         fields += [pullback(f) for f in fields_on(below) + list(casimir_fields(below))]
-    for f in fields:
+    return fields
+
+
+@pytest.mark.parametrize("space", list(SpaceId), ids=lambda s: s.value)
+def test_every_field_builder_keeps_the_float_contract(space):
+    # simulate's monitors call value, and the RK4 step calls grad, on float
+    # lists: value gives a float and grad a list or tuple of floats of the
+    # chart's length, with the bits f(z) and f.gradient(z) give on the array.
+    n = LAYOUTS[space].dim
+    for f in every_field_on(space):
         for seed in range(3):
             z = random_chart_point(space, seed)
-            assert f(z.tolist()) == f(z) and type(f(z.tolist())) is float, f.name
-            assert np.asarray(f.grad(z.tolist()), dtype=float).tobytes() == f.gradient(z).tobytes(), f.name
+            v, g = f.value(z.tolist()), f.grad(z.tolist())
+            assert type(v) is float and np.float64(v).tobytes() == np.float64(f(z)).tobytes(), f.name
+            assert type(g) in (list, tuple) and len(g) == n and all(type(c) is float for c in g), f.name
+            assert np.array(g).tobytes() == f.gradient(z).tobytes(), f.name
+
+
+@pytest.mark.parametrize("space", list(SpaceId), ids=lambda s: s.value)
+def test_every_field_builder_rejects_a_chart_vector_of_the_wrong_shape(space):
+    z = random_chart_point(space, 0)
+    for f in every_field_on(space):
+        for bad in (z[:-1], np.append(z, 0.0), z[:, None]):
+            with pytest.raises(DimensionMismatch):
+                f(bad)
+            with pytest.raises(DimensionMismatch):
+                f.gradient(bad)
+
+
+def test_potential_methods_return_floats_on_float_triples():
+    rng = np.random.default_rng(9)
+    for pot in PRESET_POTENTIALS.values():
+        for _ in range(5):
+            x = tuple((random_unit(rng) * rng.uniform(0.8, 2.0)).tolist())
+            nu = tuple(random_unit(rng).tolist())
+            assert type(pot.value(x, nu, BP)) is float
+            for g in (pot.grad_x(x, nu, BP), pot.grad_nu(x, nu, BP)):
+                assert type(g) is tuple and len(g) == 3 and all(type(c) is float for c in g)
