@@ -108,12 +108,8 @@ def _norm(v0: float, v1: float, v2: float) -> float:
     return math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
 
 
-def dot3(a: Vec3, b: Vec3) -> float:
-    """a . b of two float 3-vectors, summed left to right."""
-    return _dot(a.tolist(), b.tolist())
-
-
 def _dot(a, b) -> float:
+    """a . b of two float triples, summed left to right."""
     a0, a1, a2 = a
     b0, b1, b2 = b
     return a0 * b0 + a1 * b1 + a2 * b2

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import dynamics, orbits, poisson, reduction
-from .algebra3 import _dot, _norm, cross, dot3, max_or_nan
+from .algebra3 import _cross, _dot, _norm, max_or_nan
 from .phase import LAYOUTS, Se3DualPoint, SpaceId, _Frozen, random_chart_point, random_unit
 
 ALL_SPACES = (SpaceId.CotSO3, SpaceId.Se3Dual, SpaceId.CotSE3, SpaceId.Reduced)
@@ -232,9 +232,9 @@ def _magnetic_residuals(rng: np.random.Generator) -> tuple[float, float, float]:
     anti = abs(m + orbits.magnetic_form(nu, v, u, c2))
     # shift the representative xi by a multiple of nu and re-evaluate directly
     lam = rng.uniform(-2, 2)
-    xi = cross(nu, u) + lam * nu
-    eta = cross(nu, v)
-    shifted = -c2 * dot3(cross(xi, eta), nu)
+    n = nu.tolist()
+    xi = [x + lam * y for x, y in zip(_cross(n, u.tolist()), n)]
+    shifted = -c2 * _dot(_cross(xi, _cross(n, v.tolist())), n)
     return anti, abs(shifted - m), abs(orbits.magnetic_form(nu, u, v, 0.0))
 
 

@@ -143,10 +143,11 @@ def _load_rotation(initial: dict) -> np.ndarray:
 
 def _load_nu(initial: dict) -> np.ndarray:
     nu = _vec(initial["nu"], 3, "initial.nu")
-    defect = abs(norm3(nu) - 1.0)
+    length = norm3(nu)
+    defect = abs(length - 1.0)
     if defect > ROTATION_LOAD_TOL:
         raise ConfigError(f"initial |nu| deviates from 1 by {defect:.3e} (limit {ROTATION_LOAD_TOL})")
-    return nu / norm3(nu)
+    return nu / length
 
 
 class RunConfig:

@@ -40,7 +40,6 @@ from .algebra3 import (
     _matmul,
     _matvec,
     cross,
-    dot3,
     max_or_nan,
     require_rotation,
 )
@@ -88,7 +87,8 @@ class OrbitLevel(_Frozen):
 
 def casimirs(q: Se3DualPoint) -> OrbitLevel:
     """(|nu|^2, <nu, pi>)."""
-    return OrbitLevel(c1=dot3(q.nu, q.nu), c2=dot3(q.nu, q.pi))
+    nu = q.nu.tolist()
+    return OrbitLevel(c1=_dot(nu, nu), c2=_dot(nu, q.pi.tolist()))
 
 
 def coadjoint(g: SE3Element, q: Se3DualPoint) -> Se3DualPoint:
@@ -152,26 +152,25 @@ def witness_residual(g: SE3Element, q1: Se3DualPoint, q2: Se3DualPoint) -> float
 
 
 def magnetic_form(nu: Vec3, u: Vec3, v: Vec3, c2: float) -> float:
-    """Magnetic area term of the orbit symplectic form at nu on tangents u, v.
+    """Magnetic area term B of the orbit symplectic form at nu on tangents u, v.
 
     With representatives xi = nu x u, eta = nu x v (so that xi x nu = u and
     eta x nu = v), returns -c2 <xi x eta, nu>; by a vector identity this
     equals -c2 <nu, u x v>.  nu must be a unit vector and u, v tangent to
-    the sphere at nu, both within ADMISSION_TOL.
+    the sphere at nu, both within ADMISSION_TOL.  Sign: the orbit's form is
+    Omega_can - B, with Omega_can(X, Y) = dnu_X . dq_Y - dnu_Y . dq_X the
+    canonical form of T*S^2 in q = pi x nu; on X_f = Lambda(z) grad f,
+    {f, g}(z) = Omega_can(X_f, X_g) - B(nu, dnu_f, dnu_g, C2).
     """
-    nu = np.asarray(nu, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    unit_defect = abs(dot3(nu, nu) - 1.0)
+    nu, u, v = (np.asarray(w, dtype=float).tolist() for w in (nu, u, v))
+    unit_defect = abs(_dot(nu, nu) - 1.0)
     if unit_defect > ADMISSION_TOL:
         raise NotUnit(f"|nu|^2 - 1 = {unit_defect:.3e} exceeds {ADMISSION_TOL:.1e}")
     for w, label in ((u, "u"), (v, "v")):
-        t = abs(dot3(w, nu))
+        t = abs(_dot(w, nu))
         if t > ADMISSION_TOL:
             raise NotTangent(f"<{label}, nu> = {t:.3e} exceeds {ADMISSION_TOL:.1e}")
-    xi = cross(nu, u)
-    eta = cross(nu, v)
-    return -float(c2) * dot3(cross(xi, eta), nu)
+    return -float(c2) * _dot(_cross(_cross(nu, u), _cross(nu, v)), nu)
 
 
 def casimir_fields(space: SpaceId) -> tuple[ScalarField, ScalarField]:

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .algebra3 import ADMISSION_TOL, Mat3, Vec3, dot3, norm3, require_rotation
+from .algebra3 import ADMISSION_TOL, Mat3, Vec3, _dot, norm3, require_rotation
 from .errors import DimensionMismatch
 
 
@@ -211,7 +211,8 @@ class ReducedState(_Frozen):
         nu = _vec3(nu, "nu")
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "pi", _vec3(pi, "pi"))
-        defect = abs(dot3(nu, nu) - 1.0)
+        w = nu.tolist()
+        defect = abs(_dot(w, w) - 1.0)
         if defect > ADMISSION_TOL:
             raise ValueError(f"|nu|^2 - 1 = {defect:.3e} exceeds {ADMISSION_TOL:.1e}")
 

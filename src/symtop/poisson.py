@@ -124,7 +124,7 @@ class ScalarField(_Record):
     Every field supplies its own gradient; fd_gradient only checks them.
     value and grad take the chart point as a list of Python floats: value
     returns a float, grad a list or tuple of floats of the chart's length.
-    The RK4 step and simulate's monitors call them that way.  f(z) and
+    The RK4 step, simulate's monitors and bracket call them so.  f(z) and
     f.gradient(z) are the only array entry: they raise DimensionMismatch
     unless z has the chart's shape, and return a float and an ndarray.
     """
@@ -162,7 +162,9 @@ def coordinate(space: SpaceId, a: int) -> ScalarField:
 
 
 def dot_floats(a: Sequence[float], b: Sequence[float]) -> float:
-    """a . b of two float sequences, summed left to right."""
+    """a . b of two float sequences of one length, summed left to right."""
+    if len(a) != len(b):  # not zip(strict=True): its keyword costs about 0.2 us a call
+        raise ValueError(f"dot product of {len(a)} and {len(b)} entries")
     s = 0.0
     for x, y in zip(a, b):
         s += x * y
@@ -189,11 +191,13 @@ def random_polynomial(space: SpaceId, rng: np.random.Generator, scale: float = 0
 
 def bracket(f: ScalarField, g: ScalarField, z: np.ndarray) -> float:
     """{F, G}(z) = grad F . (Lambda(z) grad G), each dot product a
-    left-to-right float sum."""
+    left-to-right float sum; both gradients are taken on one float list of z."""
     _same_space(f, g)
+    z = chart_vector(f.space, z)
+    w = z.tolist()
     lam = structure_matrix(f.space, z).tolist()
-    dg = g.gradient(z).tolist()
-    return dot_floats(f.gradient(z).tolist(), [dot_floats(row, dg) for row in lam])
+    dg = g.grad(w)
+    return dot_floats(f.grad(w), [dot_floats(row, dg) for row in lam])
 
 
 # Per chart: (dim, x start, p start, pi start, Layout.vectors).
@@ -257,9 +261,8 @@ def jacobi_residual_all(space: SpaceId, z: np.ndarray) -> np.ndarray:
     +-1, so every sum is one exact product plus exact zeros and the result
     does not depend on the order BLAS sums in.
     """
-    z = chart_vector(space, z)
     lam = structure_matrix(space, z)
     _, lin = structure_tensors(space)
-    n = z.shape[0]
+    n = lam.shape[0]
     t = (lam @ lin.reshape(n * n, n).T).reshape(n, n, n)
     return t + np.transpose(t, (1, 2, 0)) + np.transpose(t, (2, 0, 1))

@@ -1,10 +1,11 @@
 """Planted defects: each certificate must fail when the claim it checks breaks.
 
-Every case replaces one function by monkeypatch with a wrapper and runs its
-target at a small size.  With the defect planted the target must FAIL.  With
-the benign control, the same wrapper handing the original's result through,
-it must PASS.  Both runs must call the wrapper, so a FAIL comes from the
-defect and not from a patch that the target never reads.
+Every case replaces one function by monkeypatch with a wrapper and runs each
+of its targets at a small size.  With the defect planted every target must
+FAIL.  With the benign control, the same wrapper handing the original's result
+through, every target must PASS.  Each target must call the wrapper in both
+runs, so a FAIL comes from the defect and not from a patch that the target
+never reads.
 """
 
 import json
@@ -19,6 +20,7 @@ from symtop.cli import main
 from symtop.dynamics import BodyParams, DipolePotential, ZeroPotential
 from symtop.phase import LAYOUTS, Se3DualPoint, SpaceId, flatten
 from test_acceptance import BP, reduced_start
+from test_orbits import orbit_form_residual
 
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -78,8 +80,8 @@ def _free_top_oracle():
     return worst <= 1e-7
 
 
-# id: (owner, name, defect, target).  defect(original) is the planted
-# function; target(tmp_path) runs the certificate and says whether it passed.
+# id: (owner, name, defect, *targets).  defect(original) is the planted
+# function; each target(tmp_path) runs a certificate and says whether it passed.
 CASES = {
     "jacobi-one-eps-sign": (
         poisson, "structure_tensors",
@@ -104,6 +106,7 @@ CASES = {
     "magnetic-form-sign": (
         orbits, "magnetic_form", lambda f: lambda *a: -f(*a),
         lambda tmp: _passes(checks.check_orbits, pairs=2),
+        lambda tmp: orbit_form_residual(points=5) <= 1e-14,
     ),
     "dipole-gradient-sign": (
         DipolePotential, "grad_x", lambda f: lambda *a: tuple(-g for g in f(*a)),
@@ -125,7 +128,7 @@ CASES = {
 @pytest.mark.parametrize("planted", [True, False], ids=["defect", "control"])
 @pytest.mark.parametrize("case", list(CASES))
 def test_certificate_sees_a_planted_defect(monkeypatch, tmp_path, case, planted):
-    owner, name, defect, target = CASES[case]
+    owner, name, defect, *targets = CASES[case]
     original = getattr(owner, name)
     replacement = defect(original) if planted else original
     calls = []
@@ -135,5 +138,7 @@ def test_certificate_sees_a_planted_defect(monkeypatch, tmp_path, case, planted)
         return replacement(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, wrapper)
-    assert target(tmp_path) is not planted
-    assert calls
+    for target in targets:
+        calls.clear()
+        assert target(tmp_path) is not planted
+        assert calls

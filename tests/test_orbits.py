@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symtop.algebra3 import exp_so3, matmul3, matvec3
+from symtop import orbits
+from symtop.algebra3 import cross, exp_so3, matmul3, matvec3, max_or_nan
 from symtop.checks import random_same_level_pair
 from symtop.dynamics import step
 from symtop.errors import NotSameLevel, NotTangent, NotUnit, ZeroNu
@@ -24,7 +25,7 @@ from symtop.orbits import (
     witness_tol,
 )
 from symtop.phase import LAYOUTS, Se3DualPoint, SpaceId, flatten, random_chart_point, random_rotation, random_unit
-from symtop.poisson import bracket, coordinate, fd_gradient, random_polynomial
+from symtop.poisson import bracket, coordinate, fd_gradient, random_polynomial, structure_matrix
 
 
 def q(nu, pi):
@@ -258,6 +259,39 @@ def test_magnetic_form_input_validation():
         magnetic_form(np.array([0, 0, 2.0]), np.zeros(3), np.zeros(3), 1.0)
     with pytest.raises(NotTangent):
         magnetic_form(np.array([0, 0, 1.0]), np.array([0, 0, 1.0]), np.zeros(3), 1.0)
+
+
+def orbit_form_residual(seed: int = 0, points: int = 50) -> float:
+    """Worst |{f, g}(z) - (Omega_can(X_f, X_g) - B(nu, dnu_f, dnu_g, C2))| over
+    seeded Se3Dual points with |nu| = 1 and linear fields f = a . z, g = b . z.
+
+    X_f = Lambda(z) a is f's Hamiltonian vector field, {f, g}(z) = a . Lambda(z) b,
+    dq = dpi x nu + pi x dnu is the variation of q = pi x nu, and
+    Omega_can(X, Y) = dnu_X . dq_Y - dnu_Y . dq_X.  B is read as
+    orbits.magnetic_form, the name tests/test_mutations.py patches.
+    """
+    lay = LAYOUTS[SpaceId.Se3Dual]
+    rng = np.random.default_rng(seed)
+    residuals = []
+    for _ in range(points):
+        pt = Se3DualPoint(nu=random_unit(rng), pi=rng.uniform(-1, 1, 3))
+        lam = structure_matrix(SpaceId.Se3Dual, flatten(pt, SpaceId.Se3Dual))
+        a, b = rng.uniform(-1, 1, (2, lay.dim))
+        xf, xg = lam @ a, lam @ b
+
+        def dq(x):
+            return cross(x[lay.pi], pt.nu) + cross(pt.pi, x[lay.nu])
+
+        canonical = float(xf[lay.nu] @ dq(xg) - xg[lay.nu] @ dq(xf))
+        magnetic = orbits.magnetic_form(pt.nu, xf[lay.nu], xg[lay.nu], casimirs(pt).c2)
+        residuals.append(abs(float(a @ lam @ b) - (canonical - magnetic)))
+    return max_or_nan(residuals)
+
+
+def test_orbit_form_is_canonical_minus_magnetic_on_hamiltonian_fields():
+    # the magnetic term, sign included, is what the Se3Dual bracket needs on
+    # top of the canonical form of T*S^2
+    assert orbit_form_residual() <= 1e-14
 
 
 def test_on_level():

@@ -9,6 +9,7 @@ from symtop.algebra3 import exp_so3
 from symtop.checks import PRESET_BODY, PRESET_POTENTIALS, check_brackets
 from symtop.dynamics import full_hamiltonian_field, reduced_hamiltonian_field
 from symtop.errors import DimensionMismatch
+from symtop.orbits import casimir_fields
 from symtop.phase import (
     LAYOUTS,
     CotSO3State,
@@ -125,6 +126,43 @@ def test_bracket_space_mismatch():
     g = coordinate(SpaceId.Reduced, 0)
     with pytest.raises(DimensionMismatch):
         bracket(f, g, np.zeros(6))
+
+
+def test_bracket_rejects_a_gradient_of_the_wrong_length():
+    # a 4-entry gradient on the 6-entry Se3Dual chart, on either side of the
+    # bracket; a zip that stops at the shorter sequence would drop two entries
+    short = ScalarField(SpaceId.Se3Dual, lambda z: z[3], lambda z: [0.0, 0.0, 0.0, 1.0])
+    pi2 = coordinate(SpaceId.Se3Dual, LAYOUTS[SpaceId.Se3Dual].pi_entry(1))
+    z = random_chart_point(SpaceId.Se3Dual, 0)
+    for f, g in ((short, pi2), (pi2, short)):
+        with pytest.raises(ValueError):
+            bracket(f, g, z)
+    with pytest.raises(ValueError):
+        poisson.dot_floats([1.0, 2.0], [1.0])
+
+
+def _bracket_on_gradient_arrays(f, g, z):
+    """bracket with each gradient taken as the array f.gradient(z) and read
+    back with tolist(): the same left-to-right float sums."""
+    lam = structure_matrix(f.space, z).tolist()
+    dg = g.gradient(z).tolist()
+    return poisson.dot_floats(f.gradient(z).tolist(), [poisson.dot_floats(row, dg) for row in lam])
+
+
+def test_bracket_matches_the_gradient_array_form_bits():
+    rng = np.random.default_rng(23)
+    pot = PRESET_POTENTIALS["gravity+dipole"]
+    hamiltonians = {SpaceId.Reduced: [reduced_hamiltonian_field(PRESET_BODY, pot)],
+                    SpaceId.CotSE3: [full_hamiltonian_field(PRESET_BODY, pot)]}
+    for space in ALL:
+        fields = [coordinate(space, a) for a in range(LAYOUTS[space].dim)]
+        fields += [random_polynomial(space, rng) for _ in range(3)] + hamiltonians.get(space, [])
+        if LAYOUTS[space].nu is not None:
+            fields += casimir_fields(space)
+        for z in (random_chart_point(space, seed) for seed in range(3)):
+            for f in fields:
+                for g in fields:
+                    assert bracket(f, g, z).hex() == _bracket_on_gradient_arrays(f, g, z).hex()
 
 
 def test_free_particle_vector_field():
