@@ -17,8 +17,7 @@ from .dynamics import (
     ZeroPotential,
     commutation_residual,
     free_top_analytic,
-    full_hamiltonian_field,
-    reduced_hamiltonian_field,
+    hamiltonian_field,
     simulate,
     step,
 )

@@ -83,13 +83,13 @@ def _cross(a, b) -> list[float]:
 def vee(m: Mat3) -> Vec3:
     """Inverse of hat: extract v from an antisymmetric matrix.
 
-    Raises NotAntisymmetric if max|M + M^T| exceeds ADMISSION_TOL.  The
-    returned vector is the average of the two off-diagonal copies, so
-    vee(hat(v)) reproduces v exactly.
+    Raises NotAntisymmetric unless max|M + M^T| is within ADMISSION_TOL, so
+    also for a NaN entry.  The returned vector is the average of the two
+    off-diagonal copies, so vee(hat(v)) reproduces v exactly.
     """
     m = np.asarray(m, dtype=float)
     defect = np.abs(m + m.T).max()
-    if defect > ADMISSION_TOL:
+    if not defect <= ADMISSION_TOL:
         raise NotAntisymmetric(f"antisymmetry defect {defect:.3e} exceeds {ADMISSION_TOL:.1e}")
     return np.array([
         0.5 * (m[2, 1] - m[1, 2]),

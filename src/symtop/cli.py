@@ -186,7 +186,6 @@ class RunConfig:
                 R=_load_rotation(initial),
                 pi=_vec(initial["pi"], 3, "initial.pi"),
             )
-        self.z0 = flatten(self.state, self.space)
 
         self.dt = _finite(raw["dt"], "config.dt")
         self.T = _finite(raw["T"], "config.T")
@@ -198,11 +197,6 @@ class RunConfig:
         self.sample_stride = _integer(raw.get("sample_stride", 1), "config.sample_stride")
         if self.sample_stride < 1:
             raise ConfigError("config.sample_stride must be a positive integer")
-
-    def hamiltonian(self):
-        if self.space is SpaceId.Reduced:
-            return dynamics.reduced_hamiltonian_field(self.body, self.potential)
-        return dynamics.full_hamiltonian_field(self.body, self.potential)
 
 
 def load_config(path: str) -> RunConfig:
@@ -256,9 +250,8 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     created = _probe_out(args.out)
     try:
-        traj = dynamics.simulate(
-            cfg.space, cfg.hamiltonian(), cfg.z0, cfg.dt, cfg.T, cfg.method, cfg.sample_stride
-        )
+        h = dynamics.hamiltonian_field(cfg.space, cfg.body, cfg.potential)
+        traj = dynamics.simulate(h, flatten(cfg.state, cfg.space), cfg.dt, cfg.T, cfg.method, cfg.sample_stride)
         write_csv(args.out, traj)
     except BaseException:
         if created:  # a failed run leaves no file of its own behind

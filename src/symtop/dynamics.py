@@ -12,6 +12,8 @@ on the quotient):
 
     h = |p|^2/(2M) + |pi|^2/(2 I1) + V(x, nu).
 
+The chart decides which: hamiltonian_field(space, bp, potential) gives H on
+CotSE3 and h on Reduced, and simulate(h, z0, ...) runs on h.space.
 commutation_residual integrates both and compares the projected full
 trajectory with the reduced one, which checks precisely that the dropped
 term only spins the body about its own axis.
@@ -264,12 +266,14 @@ def spin_coefficient(bp: BodyParams) -> float:
     return 0.5 / bp.I3 - 0.5 / bp.I1
 
 
-def _hamiltonian_field(
-    space: SpaceId, bp: BodyParams, potential: Potential, kappa: float, name: str
-) -> ScalarField:
-    """|p|^2/(2M) + |pi|^2/(2 I1) + kappa <nu, pi>^2 + V(x, nu) as a chart field
-    with analytic gradient, nu read through Layout.axis.  The spin term is
-    evaluated only for nonzero kappa.
+def hamiltonian_field(space: SpaceId, bp: BodyParams, potential: Potential) -> ScalarField:
+    """The chart's Hamiltonian |p|^2/(2M) + |pi|^2/(2 I1) + kappa <nu, pi>^2 + V(x, nu)
+    as a field with analytic gradient, nu read through Layout.axis.
+
+    The chart decides kappa and the name: H with kappa = spin_coefficient(bp)
+    on CotSE3, the chart with R (which enters only through its third column),
+    and h with kappa = 0 on Reduced.  CotSO3 and Se3Dual have no x or p block
+    (DimensionMismatch).  The spin term is evaluated only for nonzero kappa.
 
     The value and the gradient take z as a float list and read x, p, nu, pi
     as twelve floats with one itemgetter over Layout.reduced;
@@ -278,6 +282,9 @@ def _hamiltonian_field(
     Entries outside those blocks (the first two columns of R) are 0.0.
     """
     lay = LAYOUTS[space]
+    if lay.x is None:
+        raise DimensionMismatch(f"{space.value} chart has no x or p block; a Hamiltonian lives on CotSE3 or Reduced")
+    kappa, name = (spin_coefficient(bp), "H") if lay.r is not None else (0.0, "h")
     take = operator.itemgetter(*lay.reduced)
     slot = [len(lay.reduced)] * lay.dim  # the trailing 0.0 of the values below
     for k, a in enumerate(lay.reduced):
@@ -306,16 +313,6 @@ def _hamiltonian_field(
         return place((gx0, gx1, gx2, p0 / m, p1 / m, p2 / m, gn0, gn1, gn2, gq0, gq1, gq2, 0.0))
 
     return ScalarField(space, value, grad, name=name)
-
-
-def reduced_hamiltonian_field(bp: BodyParams, potential: Potential) -> ScalarField:
-    """Reduced Hamiltonian h as a chart field on Reduced."""
-    return _hamiltonian_field(SpaceId.Reduced, bp, potential, 0.0, "h")
-
-
-def full_hamiltonian_field(bp: BodyParams, potential: Potential) -> ScalarField:
-    """Full Hamiltonian H as a chart field on CotSE3; R enters only through its third column."""
-    return _hamiltonian_field(SpaceId.CotSE3, bp, potential, spin_coefficient(bp), "H")
 
 
 METHODS = ("rk4", "rk4_repair")
@@ -355,11 +352,6 @@ def _repair(space: SpaceId, z: list[float]) -> list[float]:
     return z
 
 
-def _require_field_on(space: SpaceId, h: ScalarField) -> None:
-    if h.space is not space:
-        raise DimensionMismatch(f"Hamiltonian lives on {h.space.value}, not {space.value}")
-
-
 def step(
     space: SpaceId,
     h: ScalarField,
@@ -372,8 +364,10 @@ def step(
     z is a float list of the chart's length, which gives a float list back,
     or an array, which is read with one tolist() and gives an array back.
     The stage sums keep the order of z + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).
+    h must live on space (DimensionMismatch).
     """
-    _require_field_on(space, h)
+    if h.space is not space:
+        raise DimensionMismatch(f"Hamiltonian lives on {h.space.value}, not {space.value}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if not dt > 0.0:
@@ -432,7 +426,6 @@ def _monitors(space: SpaceId, h: ScalarField, z: list[float]) -> tuple[float, fl
 
 
 def simulate(
-    space: SpaceId,
     h: ScalarField,
     z0: np.ndarray,
     dt: float,
@@ -440,20 +433,24 @@ def simulate(
     method: str = "rk4_repair",
     sample_stride: int = 1,
 ) -> Trajectory:
-    """Integrate from t = 0 to T, recording every sample_stride-th step
-    (plus the endpoint) with energy/Casimir/orthogonality monitors.
+    """Integrate on h.space from t = 0 to T, recording every sample_stride-th
+    step (plus the endpoint) with energy/Casimir/orthogonality monitors.
 
-    T must be a whole number of steps dt (see step_count), h must live on
-    space and z0 have the chart's shape (DimensionMismatch).  A NonFinite
-    failure (a non-finite state or monitor, or a singular potential), or a
-    TooFarFromSO3 from a step too large for the repair, is re-raised naming
-    the step that failed and the time it was to reach (step 0: the initial
-    state's monitors).
+    T must be a whole number of steps dt (see step_count), sample_stride an
+    integer of at least 1 (ValueError) and z0 of the chart's shape
+    (DimensionMismatch).  A NonFinite failure (a non-finite state or monitor,
+    or a singular potential), or a TooFarFromSO3 from a step too large for
+    the repair, is re-raised naming the step that failed and the time it was
+    to reach (step 0: the initial state's monitors).
     """
     n_steps = step_count(T, dt)
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
-    _require_field_on(space, h)
+    try:
+        stride = operator.index(sample_stride)
+    except TypeError:
+        stride = 0
+    if stride < 1:
+        raise ValueError(f"sample_stride = {sample_stride!r} must be an integer >= 1")
+    space = h.space
     z = chart_vector(space, z0).tolist()
     ts, zs, mons = [0.0], [z], []
     k = 0
@@ -462,7 +459,7 @@ def simulate(
         for k in range(1, n_steps + 1):
             # step by module name, space and method positional: bench/tracing.py names spans from them
             z = step(space, h, z, dt, method)
-            if k % sample_stride == 0 or k == n_steps:
+            if k % stride == 0 or k == n_steps:
                 ts.append(k * dt)
                 zs.append(z)
                 mons.append(_monitors(space, h, z))
@@ -515,7 +512,7 @@ def commutation_residual(
     sel = list(LAYOUTS[SpaceId.CotSE3].reduced)
     z = flatten(z0, SpaceId.CotSE3)
     run = (dt, T, method, sample_stride)
-    full = simulate(SpaceId.CotSE3, full_hamiltonian_field(bp, potential), z, *run)
-    red = simulate(SpaceId.Reduced, reduced_hamiltonian_field(bp, potential), z[sel], *run)
+    full = simulate(hamiltonian_field(SpaceId.CotSE3, bp, potential), z, *run)
+    red = simulate(hamiltonian_field(SpaceId.Reduced, bp, potential), z[sel], *run)
     with np.errstate(over="ignore"):
         return float(np.abs(full.z[:, sel] - red.z).max())

@@ -44,7 +44,7 @@ from .algebra3 import (
     require_rotation,
 )
 from .errors import NotSameLevel, NotTangent, NotUnit, ZeroNu
-from .phase import LAYOUTS, Se3DualPoint, SpaceId, _Frozen, _vec3, random_rotation
+from .phase import LAYOUTS, Se3DualPoint, SpaceId, _Frozen, _shape3, _vec3, random_rotation
 from .poisson import ScalarField
 
 
@@ -156,19 +156,21 @@ def magnetic_form(nu: Vec3, u: Vec3, v: Vec3, c2: float) -> float:
 
     With representatives xi = nu x u, eta = nu x v (so that xi x nu = u and
     eta x nu = v), returns -c2 <xi x eta, nu>; by a vector identity this
-    equals -c2 <nu, u x v>.  nu must be a unit vector and u, v tangent to
-    the sphere at nu, both within ADMISSION_TOL.  Sign: the orbit's form is
-    Omega_can - B, with Omega_can(X, Y) = dnu_X . dq_Y - dnu_Y . dq_X the
-    canonical form of T*S^2 in q = pi x nu; on X_f = Lambda(z) grad f,
+    equals -c2 <nu, u x v>.  Each of nu, u, v must have shape (3,)
+    (ValueError); nu must be a unit vector (NotUnit) and u, v tangent to the
+    sphere at nu (NotTangent), both within ADMISSION_TOL, which a NaN fails.
+    Sign: the orbit's form is Omega_can - B, with
+    Omega_can(X, Y) = dnu_X . dq_Y - dnu_Y . dq_X the canonical form of
+    T*S^2 in q = pi x nu; on X_f = Lambda(z) grad f,
     {f, g}(z) = Omega_can(X_f, X_g) - B(nu, dnu_f, dnu_g, C2).
     """
-    nu, u, v = (np.asarray(w, dtype=float).tolist() for w in (nu, u, v))
+    nu, u, v = (_shape3(w, name).tolist() for w, name in ((nu, "nu"), (u, "u"), (v, "v")))
     unit_defect = abs(_dot(nu, nu) - 1.0)
-    if unit_defect > ADMISSION_TOL:
+    if not unit_defect <= ADMISSION_TOL:
         raise NotUnit(f"|nu|^2 - 1 = {unit_defect:.3e} exceeds {ADMISSION_TOL:.1e}")
     for w, label in ((u, "u"), (v, "v")):
         t = abs(_dot(w, nu))
-        if t > ADMISSION_TOL:
+        if not t <= ADMISSION_TOL:
             raise NotTangent(f"<{label}, nu> = {t:.3e} exceeds {ADMISSION_TOL:.1e}")
     return -float(c2) * _dot(_cross(_cross(nu, u), _cross(nu, v)), nu)
 

@@ -156,10 +156,15 @@ def dim(space: SpaceId) -> int:
     return LAYOUTS[space].dim
 
 
-def _vec3(v, name: str) -> Vec3:
+def _shape3(v, name: str) -> Vec3:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"{name} must have shape (3,), got {a.shape}")
+    return a
+
+
+def _vec3(v, name: str) -> Vec3:
+    a = _shape3(v, name)
     x, y, z = a.tolist()
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"{name} has non-finite components")

@@ -23,8 +23,7 @@ from symtop.dynamics import (
     ZeroPotential,
     commutation_residual,
     free_top_analytic,
-    full_hamiltonian_field,
-    reduced_hamiltonian_field,
+    hamiltonian_field,
     simulate,
 )
 from symtop.phase import FullState, ReducedState, SpaceId, flatten
@@ -115,9 +114,9 @@ def test_criterion_6_magnetic_form():
 
 def test_criterion_7_free_top_oracle_and_order():
     s0 = reduced_start()
-    h = reduced_hamiltonian_field(BP, ZeroPotential())
+    h = hamiltonian_field(SpaceId.Reduced, BP, ZeroPotential())
     z0 = flatten(s0, SpaceId.Reduced)
-    traj = simulate(SpaceId.Reduced, h, z0, DT, HORIZON, sample_stride=STRIDE)
+    traj = simulate(h, z0, DT, HORIZON, sample_stride=STRIDE)
     worst = 0.0
     for i, t in enumerate(traj.t):
         ref = flatten(free_top_analytic(s0, t, BP), SpaceId.Reduced)
@@ -125,12 +124,11 @@ def test_criterion_7_free_top_oracle_and_order():
 
     # convergence order against the closed form, faster spin for headroom
     fast = ReducedState(x=X0, p=P0, nu=NU0, pi=np.array([0.5, 1.2, 2.0]))
-    hfast = reduced_hamiltonian_field(BP, ZeroPotential())
     zf = flatten(fast, SpaceId.Reduced)
     dts = np.array([1e-2, 5e-3, 2.5e-3])
     errs = []
     for dt in dts:
-        tr = simulate(SpaceId.Reduced, hfast, zf, dt, 2.0, method="rk4", sample_stride=10)
+        tr = simulate(h, zf, dt, 2.0, method="rk4", sample_stride=10)
         err = max(
             float(np.abs(tr.z[i] - flatten(free_top_analytic(fast, t, BP), SpaceId.Reduced)).max())
             for i, t in enumerate(tr.t)
@@ -148,14 +146,12 @@ def test_criterion_8_conservation_all_presets():
     worst = {"dC1": 0.0, "dC2": 0.0, "dh": 0.0, "ortho": 0.0}
     for name, pot in PRESET_POTENTIALS.items():
         red = simulate(
-            SpaceId.Reduced,
-            reduced_hamiltonian_field(BP, pot),
+            hamiltonian_field(SpaceId.Reduced, BP, pot),
             flatten(reduced_start(), SpaceId.Reduced),
             DT, HORIZON, sample_stride=STRIDE,
         )
         full = simulate(
-            SpaceId.CotSE3,
-            full_hamiltonian_field(BP, pot),
+            hamiltonian_field(SpaceId.CotSE3, BP, pot),
             flatten(full_start(), SpaceId.CotSE3),
             DT, HORIZON, sample_stride=STRIDE,
         )
@@ -199,20 +195,16 @@ def test_criterion_9_reduction_commutes_with_dynamics():
 
 def test_criterion_10_circle_invariance_of_dynamics():
     pot = PRESET_POTENTIALS["gravity"]
-    h = full_hamiltonian_field(BP, pot)
+    h = hamiltonian_field(SpaceId.CotSE3, BP, pot)
     _, proj = chart_projection(SpaceId.Reduced)
-    base = simulate(
-        SpaceId.CotSE3, h, flatten(full_start(), SpaceId.CotSE3), DT, HORIZON, sample_stride=STRIDE
-    )
+    base = simulate(h, flatten(full_start(), SpaceId.CotSE3), DT, HORIZON, sample_stride=STRIDE)
     base_projected = base.z @ proj.T
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(10):
         theta = rng.uniform(0.0, 2.0 * np.pi)
         shifted = right_action(z_rotation(theta), full_start())
-        traj = simulate(
-            SpaceId.CotSE3, h, flatten(shifted, SpaceId.CotSE3), DT, HORIZON, sample_stride=STRIDE
-        )
+        traj = simulate(h, flatten(shifted, SpaceId.CotSE3), DT, HORIZON, sample_stride=STRIDE)
         worst = max(worst, float(np.abs(traj.z @ proj.T - base_projected).max()))
     ok = worst <= 1e-9
     report("10 circle invariance", ok, f"max projected difference {worst:.2e} <= 1e-9 over 10 shifts")

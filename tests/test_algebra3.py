@@ -70,6 +70,12 @@ def test_vee_zero_and_frozen_example():
 def test_vee_rejects_non_antisymmetric():
     with pytest.raises(NotAntisymmetric):
         vee(np.eye(3))
+    # a NaN entry too: NaN > ADMISSION_TOL is False
+    for entry in ((0, 1), (1, 1)):
+        m = np.zeros((3, 3))
+        m[entry] = math.nan
+        with pytest.raises(NotAntisymmetric):
+            vee(m)
 
 
 def test_hat_inverts_vee_on_antisymmetric():

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from symtop import dynamics
 from symtop.algebra3 import exp_so3, orthogonality_defect
 from symtop.checks import PRESET_POTENTIALS
 from symtop.dynamics import (
@@ -16,9 +17,7 @@ from symtop.dynamics import (
     ZeroPotential,
     commutation_residual,
     free_top_analytic,
-    full_hamiltonian_field,
-    reduced_hamiltonian_field,
-    _hamiltonian_field,
+    hamiltonian_field,
     _monitors,
     _repair,
     simulate,
@@ -98,21 +97,21 @@ def test_reduced_hamiltonian_frozen():
     s = ReducedState(
         x=np.zeros(3), p=np.array([2.0, 0, 0]), nu=np.array([0.0, 0, 1]), pi=np.array([0.0, 0, 3])
     )
-    h = reduced_hamiltonian_field(BodyParams(M=2.0, I1=1.0, I3=0.5), ZeroPotential())(flatten(s, SpaceId.Reduced))
-    assert h == 5.5
+    h = hamiltonian_field(SpaceId.Reduced, BodyParams(M=2.0, I1=1.0, I3=0.5), ZeroPotential())
+    assert h(flatten(s, SpaceId.Reduced)) == 5.5
 
 
 def test_reduced_hamiltonian_zero_at_rest():
     s = ReducedState(x=np.zeros(3), p=np.zeros(3), nu=np.array([0.0, 0, 1]), pi=np.zeros(3))
-    assert reduced_hamiltonian_field(BP, ZeroPotential())(flatten(s, SpaceId.Reduced)) == 0.0
+    assert hamiltonian_field(SpaceId.Reduced, BP, ZeroPotential())(flatten(s, SpaceId.Reduced)) == 0.0
 
 
 def test_gravity_shifts_energy_additively():
     s = reduced_point()
     pot = LinearGravity(g=np.array([0.0, 0.0, -2.0]), chi=0.7)
     z = flatten(s, SpaceId.Reduced)
-    base = reduced_hamiltonian_field(BP, ZeroPotential())(z)
-    withg = reduced_hamiltonian_field(BP, pot)(z)
+    base = hamiltonian_field(SpaceId.Reduced, BP, ZeroPotential())(z)
+    withg = hamiltonian_field(SpaceId.Reduced, BP, pot)(z)
     ghat = np.array([0.0, 0.0, -1.0])
     expected_shift = BP.M * float(pot.g @ s.x) + 0.7 * float(s.nu @ ghat)
     assert abs(withg - base - expected_shift) < 1e-15
@@ -120,8 +119,8 @@ def test_gravity_shifts_energy_additively():
 
 def test_full_hamiltonian_frozen():
     s = FullState(x=np.zeros(3), R=np.eye(3), p=np.zeros(3), pi=np.array([0.0, 0, 2]))
-    h = full_hamiltonian_field(BodyParams(M=1.0, I1=1.0, I3=2.0), ZeroPotential())(flatten(s, SpaceId.CotSE3))
-    assert h == 1.0
+    h = hamiltonian_field(SpaceId.CotSE3, BodyParams(M=1.0, I1=1.0, I3=2.0), ZeroPotential())
+    assert h(flatten(s, SpaceId.CotSE3)) == 1.0
 
 
 def test_full_equals_reduced_when_moments_match():
@@ -129,14 +128,14 @@ def test_full_equals_reduced_when_moments_match():
     s = reduced_point()
     f = full_point(s)
     pot = LinearGravity(g=np.array([0.0, 0.0, -1.0]), chi=0.2)
-    hfull = full_hamiltonian_field(bp, pot)(flatten(f, SpaceId.CotSE3))
-    assert abs(hfull - reduced_hamiltonian_field(bp, pot)(flatten(s, SpaceId.Reduced))) < 1e-14
+    hfull = hamiltonian_field(SpaceId.CotSE3, bp, pot)(flatten(f, SpaceId.CotSE3))
+    assert abs(hfull - hamiltonian_field(SpaceId.Reduced, bp, pot)(flatten(s, SpaceId.Reduced))) < 1e-14
 
 
 def test_full_hamiltonian_circle_invariant():
     s = full_point()
     pot = LinearGravity(g=np.array([0.1, -0.3, -1.0]), chi=0.4)
-    h = full_hamiltonian_field(BP, pot)
+    h = hamiltonian_field(SpaceId.CotSE3, BP, pot)
     h0 = h(flatten(s, SpaceId.CotSE3))
     for theta in (0.3, 1.9, -2.5):
         assert abs(h(flatten(right_action(z_rotation(theta), s), SpaceId.CotSE3)) - h0) < 1e-12
@@ -205,7 +204,7 @@ def test_dipole_singularity_raises_nonfinite(x, cause):
 def test_spin_term_overflows_to_inf_not_an_error():
     s = full_point(reduced_point(pi=(1e160, 0.0, 0.0)))
     with np.errstate(over="ignore"):
-        assert full_hamiltonian_field(BP, ZeroPotential())(flatten(s, SpaceId.CotSE3)) == math.inf
+        assert hamiltonian_field(SpaceId.CotSE3, BP, ZeroPotential())(flatten(s, SpaceId.CotSE3)) == math.inf
 
 
 def test_simulate_rejects_non_finite_monitor():
@@ -213,7 +212,7 @@ def test_simulate_rejects_non_finite_monitor():
     z = flatten(reduced_point(), SpaceId.Reduced)
     z[3] = 1e160
     with pytest.raises(NonFinite, match=r"step 0 of 10 \(t = 0\): non-finite monitor"):
-        simulate(SpaceId.Reduced, reduced_hamiltonian_field(BP, ZeroPotential()), z, 0.01, 0.1)
+        simulate(hamiltonian_field(SpaceId.Reduced, BP, ZeroPotential()), z, 0.01, 0.1)
 
 
 def test_sum_potential_needs_a_term():
@@ -223,10 +222,8 @@ def test_sum_potential_needs_a_term():
 
 def test_hamiltonian_field_gradients_match_fd():
     pot = LinearGravity(g=np.array([0.0, 0.0, -1.0]), chi=0.3)
-    for fld, space in (
-        (reduced_hamiltonian_field(BP, pot), SpaceId.Reduced),
-        (full_hamiltonian_field(BP, pot), SpaceId.CotSE3),
-    ):
+    for space in (SpaceId.Reduced, SpaceId.CotSE3):
+        fld = hamiltonian_field(space, BP, pot)
         for seed in range(10):
             z = flatten(random_state(space, seed), space)
             g = fld.gradient(z)
@@ -234,10 +231,7 @@ def test_hamiltonian_field_gradients_match_fd():
             assert np.abs(g - fd).max() / max(np.linalg.norm(g), 1.0) < 1e-5
 
 
-CHARTS = [
-    (SpaceId.CotSE3, full_hamiltonian_field),
-    (SpaceId.Reduced, reduced_hamiltonian_field),
-]
+CHARTS = [SpaceId.CotSE3, SpaceId.Reduced]
 
 
 def dot_left_to_right(a, b):
@@ -259,14 +253,14 @@ def fixed_order_potential_value(pot, x, nu):
     return pot.value(x, nu, BP)
 
 
-@pytest.mark.parametrize("space, make", CHARTS, ids=["full", "reduced"])
-def test_hamiltonian_value_matches_fixed_order_form(space, make):
+@pytest.mark.parametrize("space", CHARTS, ids=["full", "reduced"])
+def test_hamiltonian_value_matches_fixed_order_form(space):
     # Exact equality: no BLAS call enters the energy or the Casimir monitors,
     # so their bits do not depend on the OpenBLAS kernel.
     lay = LAYOUTS[space]
     kappa = spin_coefficient(BP) if space is SpaceId.CotSE3 else 0.0
     for pot in PRESET_POTENTIALS.values():
-        h = make(BP, pot)
+        h = hamiltonian_field(space, BP, pot)
         for seed in range(20):
             z = flatten(random_state(space, seed), space)
             x, p, nu, pi = z[lay.x], z[lay.p], z[lay.axis], z[lay.pi]
@@ -279,14 +273,14 @@ def test_hamiltonian_value_matches_fixed_order_form(space, make):
             assert _monitors(space, h, z.tolist())[:3] == (v, dot_left_to_right(nu, nu), dot_left_to_right(nu, pi))
 
 
-@pytest.mark.parametrize("space, make", CHARTS, ids=["full", "reduced"])
-def test_hamiltonian_gradient_placed_by_layout(space, make):
+@pytest.mark.parametrize("space", CHARTS, ids=["full", "reduced"])
+def test_hamiltonian_gradient_placed_by_layout(space):
     # The reference assembles the gradient the slice way, [0.0] * dim plus
     # one assignment per block, from the same float expressions.
     lay = LAYOUTS[space]
     kappa = spin_coefficient(BP) if space is SpaceId.CotSE3 else 0.0
     for pot in PRESET_POTENTIALS.values():
-        h = make(BP, pot)
+        h = hamiltonian_field(space, BP, pot)
         for seed in range(10):
             z = flatten(random_state(space, seed), space)
             x, p, nu, pi = (z[s].tolist() for s in (lay.x, lay.p, lay.axis, lay.pi))
@@ -310,7 +304,7 @@ def test_hamiltonian_gradient_placed_by_layout(space, make):
 
 
 def test_step_exact_for_linear_flow():
-    h = reduced_hamiltonian_field(BP, ZeroPotential())
+    h = hamiltonian_field(SpaceId.Reduced, BP, ZeroPotential())
     s = ReducedState(x=np.zeros(3), p=np.array([0.4, -0.2, 1.0]), nu=np.array([0.0, 0, 1]), pi=np.zeros(3))
     z = flatten(s, SpaceId.Reduced)
     z1 = step(SpaceId.Reduced, h, z, 0.25, method="rk4")
@@ -319,7 +313,7 @@ def test_step_exact_for_linear_flow():
 
 
 def test_step_repair_renormalizes_nu():
-    h = reduced_hamiltonian_field(BP, ZeroPotential())
+    h = hamiltonian_field(SpaceId.Reduced, BP, ZeroPotential())
     z = flatten(reduced_point(), SpaceId.Reduced)
     for _ in range(50):
         z = step(SpaceId.Reduced, h, z, 0.05)
@@ -329,7 +323,7 @@ def test_step_repair_renormalizes_nu():
 def test_step_repair_reorthonormalizes_r():
     from symtop.algebra3 import orthogonality_defect
 
-    h = full_hamiltonian_field(BP, ZeroPotential())
+    h = hamiltonian_field(SpaceId.CotSE3, BP, ZeroPotential())
     z = flatten(full_point(), SpaceId.CotSE3)
     for _ in range(50):
         z = step(SpaceId.CotSE3, h, z, 0.05)
@@ -337,7 +331,7 @@ def test_step_repair_reorthonormalizes_r():
 
 
 def test_step_validates_inputs():
-    h = reduced_hamiltonian_field(BP, ZeroPotential())
+    h = hamiltonian_field(SpaceId.Reduced, BP, ZeroPotential())
     z = flatten(reduced_point(), SpaceId.Reduced)
     with pytest.raises(DimensionMismatch):
         step(SpaceId.CotSE3, h, z, 0.1)
@@ -364,47 +358,72 @@ def test_step_raises_on_non_finite():
 def test_simulate_zero_hamiltonian_constant():
     h = ScalarField(SpaceId.Reduced, lambda z: 0.0, lambda z: [0.0] * 12)
     z0 = flatten(reduced_point(), SpaceId.Reduced)
-    traj = simulate(SpaceId.Reduced, h, z0, 0.1, 1.0, method="rk4")
+    traj = simulate(h, z0, 0.1, 1.0, method="rk4")
     for i in range(len(traj)):
         npt.assert_array_equal(traj.z[i], z0)
 
 
 def test_simulate_free_top_pi_constant():
-    h = reduced_hamiltonian_field(BP, ZeroPotential())
+    h = hamiltonian_field(SpaceId.Reduced, BP, ZeroPotential())
     z0 = flatten(reduced_point(), SpaceId.Reduced)
-    traj = simulate(SpaceId.Reduced, h, z0, 1e-3, 2.0, sample_stride=100)
+    traj = simulate(h, z0, 1e-3, 2.0, sample_stride=100)
     assert np.abs(traj.z[:, 9:12] - z0[9:12]).max() < 1e-10
     assert np.abs(traj.energy - traj.energy[0]).max() < 1e-10
 
 
 def test_simulate_sampling_and_monotone_time():
-    h = reduced_hamiltonian_field(BP, ZeroPotential())
+    h = hamiltonian_field(SpaceId.Reduced, BP, ZeroPotential())
     z0 = flatten(reduced_point(), SpaceId.Reduced)
-    traj = simulate(SpaceId.Reduced, h, z0, 0.01, 0.5, sample_stride=7)
+    traj = simulate(h, z0, 0.01, 0.5, sample_stride=7)
     assert traj.t[0] == 0.0
     assert abs(traj.t[-1] - 0.5) < 1e-12
     assert np.all(np.diff(traj.t) > 0)
 
 
 def test_simulate_rejects_bad_horizon():
-    h = reduced_hamiltonian_field(BP, ZeroPotential())
+    h = hamiltonian_field(SpaceId.Reduced, BP, ZeroPotential())
     z0 = flatten(reduced_point(), SpaceId.Reduced)
     with pytest.raises(ValueError):
-        simulate(SpaceId.Reduced, h, z0, 0.01, 0.0)
+        simulate(h, z0, 0.01, 0.0)
     # 1.0 is 3.33 steps of 0.3; the run must not stop silently at t = 0.9
     with pytest.raises(ValueError, match="whole number of steps"):
-        simulate(SpaceId.Reduced, h, z0, 0.3, 1.0)
+        simulate(h, z0, 0.3, 1.0)
+
+
+@pytest.mark.parametrize("stride", [math.nan, 1.5, 2.0, "2", None, 0, -3])
+def test_simulate_rejects_a_sample_stride_that_is_not_a_positive_integer(stride):
+    # nan kept only t = 0 and T, and 1.5 sampled every third step
+    h = hamiltonian_field(SpaceId.Reduced, BP, ZeroPotential())
+    z0 = flatten(reduced_point(), SpaceId.Reduced)
+    with pytest.raises(ValueError, match="sample_stride"):
+        simulate(h, z0, 0.01, 0.1, sample_stride=stride)
+
+
+@pytest.mark.parametrize("space", [SpaceId.CotSO3, SpaceId.Se3Dual], ids=lambda s: s.value)
+def test_hamiltonian_field_needs_a_chart_with_x_and_p(space):
+    with pytest.raises(DimensionMismatch, match=f"{space.value} chart has no x or p block"):
+        hamiltonian_field(space, BP, ZeroPotential())
+
+
+def test_hamiltonian_field_takes_kappa_and_name_from_the_chart():
+    full, red = (hamiltonian_field(space, BP, ZeroPotential()) for space in (SpaceId.CotSE3, SpaceId.Reduced))
+    assert (full.space, full.name, red.space, red.name) == (SpaceId.CotSE3, "H", SpaceId.Reduced, "h")
+    # on a point and its section lift, only the spin term kappa <nu, pi>^2 tells H from h
+    s = reduced_point()
+    c = float(s.nu @ s.pi)
+    assert full(flatten(full_point(s), SpaceId.CotSE3)) - red(flatten(s, SpaceId.Reduced)) == pytest.approx(
+        spin_coefficient(BP) * c * c, rel=1e-14)
 
 
 @pytest.mark.parametrize(
-    "field, shape",
-    [(reduced_hamiltonian_field, (11,)), (reduced_hamiltonian_field, (12, 1)), (full_hamiltonian_field, (12,))],
+    "space, shape",
+    [(SpaceId.Reduced, (11,)), (SpaceId.Reduced, (12, 1)), (SpaceId.CotSE3, (12,))],
     ids=["z0-length-11", "z0-column", "full-chart-field"],
 )
-def test_simulate_checks_its_inputs_before_step_0(field, shape):
+def test_simulate_checks_its_inputs_before_step_0(space, shape):
     z0 = np.resize(flatten(reduced_point(), SpaceId.Reduced), shape)
     with pytest.raises(DimensionMismatch):
-        simulate(SpaceId.Reduced, field(BP, ZeroPotential()), z0, 0.01, 0.1)
+        simulate(hamiltonian_field(space, BP, ZeroPotential()), z0, 0.01, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -447,8 +466,8 @@ def test_free_top_analytic_full_period():
 
 def test_free_top_simulation_matches_oracle():
     s0 = reduced_point()
-    h = reduced_hamiltonian_field(BP, ZeroPotential())
-    traj = simulate(SpaceId.Reduced, h, flatten(s0, SpaceId.Reduced), 1e-3, 2.0, sample_stride=100)
+    h = hamiltonian_field(SpaceId.Reduced, BP, ZeroPotential())
+    traj = simulate(h, flatten(s0, SpaceId.Reduced), 1e-3, 2.0, sample_stride=100)
     worst = 0.0
     for i, t in enumerate(traj.t):
         ref = flatten(free_top_analytic(s0, t, BP), SpaceId.Reduced)
@@ -488,14 +507,14 @@ def acceptance_start(space):
     return flatten(start, space)
 
 
-def free_attitude_miss(kappa):
-    """Max over samples of |z - oracle|_inf for a free full-chart run of the
-    Hamiltonian with spin coefficient kappa, against the closed-form motion
-    of the true one: x moves uniformly, p and pi are constant, and
+def free_attitude_miss():
+    """Max over samples of |z - oracle|_inf for a free run of the full-chart
+    Hamiltonian, against the closed-form motion of the true one: x moves
+    uniformly, p and pi are constant, and
     R(t) = exp_so3(t pi / I1) R0 exp_so3(2 kappa_true <nu, pi> t e3)."""
     space = SpaceId.CotSE3
-    h = _hamiltonian_field(space, BP, ZeroPotential(), kappa, "H")
-    traj = simulate(space, h, acceptance_start(space), 1e-3, 2.0, sample_stride=100)
+    h = hamiltonian_field(space, BP, ZeroPotential())
+    traj = simulate(h, acceptance_start(space), 1e-3, 2.0, sample_stride=100)
     r0, spin = section(NU0), 2.0 * spin_coefficient(BP) * float(NU0 @ PI0)
     worst = 0.0
     for t, z in zip(traj.t, traj.z):
@@ -508,12 +527,15 @@ def free_attitude_miss(kappa):
 def test_full_free_top_attitude_oracle():
     # The spin term kappa <nu, pi>^2 turns the body about its own axis and
     # moves nothing on the quotient, so only the full attitude shows it.
-    assert free_attitude_miss(spin_coefficient(BP)) < 1e-12
+    assert free_attitude_miss() < 1e-12
 
 
 @pytest.mark.parametrize("factor", [-1.0, 0.0], ids=["kappa-negated", "kappa-zero"])
-def test_full_free_top_attitude_oracle_sees_the_spin_term(factor):
-    assert free_attitude_miss(factor * spin_coefficient(BP)) > 0.5
+def test_full_free_top_attitude_oracle_sees_the_spin_term(monkeypatch, factor):
+    # the builder reads kappa through dynamics.spin_coefficient; the oracle
+    # keeps the true one, imported above
+    monkeypatch.setattr(dynamics, "spin_coefficient", lambda bp: factor * spin_coefficient(bp))
+    assert free_attitude_miss() > 0.5
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -522,8 +544,7 @@ def test_full_free_top_attitude_oracle_sees_the_spin_term(factor):
 def test_step_matches_rk4_on_structure_matrix(space, name, method):
     # RK4 on Lambda(z) grad h(z) with Lambda from the affine tensors: ties the
     # float step's stage sums and repair to the tensor certificate.
-    make = full_hamiltonian_field if space is SpaceId.CotSE3 else reduced_hamiltonian_field
-    h = make(BP, PRESET_POTENTIALS[name])
+    h = hamiltonian_field(space, BP, PRESET_POTENTIALS[name])
 
     def slope(z):
         return structure_matrix(space, z) @ h.gradient(z)
@@ -558,8 +579,7 @@ MOMENTUM_TOL = 1e-10
 def momentum_drift(space, potential, axes):
     """max |(J(t) - J(0))·n| over the samples of a run from the acceptance
     start and over the rows n of axes."""
-    make = full_hamiltonian_field if space is SpaceId.CotSE3 else reduced_hamiltonian_field
-    traj = simulate(space, make(BP, potential), acceptance_start(space), 1e-3, 1.0, sample_stride=100)
+    traj = simulate(hamiltonian_field(space, BP, potential), acceptance_start(space), 1e-3, 1.0, sample_stride=100)
     xpnp = traj.z[:, LAYOUTS[space].reduced]  # x, p, nu, pi
     j = np.cross(xpnp[:, 0:3], xpnp[:, 3:6]) + xpnp[:, 9:12]
     return float(np.abs((j - j[0]) @ axes.T).max())
@@ -586,9 +606,8 @@ def fields_on(space):
     """Hamiltonians of every preset on the charts that have one, and a random
     quadratic on every chart."""
     fields = [random_polynomial(space, np.random.default_rng(5), scale=0.3)]
-    make = {SpaceId.CotSE3: full_hamiltonian_field, SpaceId.Reduced: reduced_hamiltonian_field}.get(space)
-    if make is not None:
-        fields += [make(BP, pot) for pot in PRESET_POTENTIALS.values()]
+    if LAYOUTS[space].x is not None:
+        fields += [hamiltonian_field(space, BP, pot) for pot in PRESET_POTENTIALS.values()]
     return fields
 
 
@@ -633,7 +652,7 @@ def reference_run(space, h, z0, dt, T, method, stride):
 def test_simulate_matches_a_loop_of_array_steps(space, method):
     for h in fields_on(space):
         z0 = random_chart_point(space, 3)
-        traj = simulate(space, h, z0, 0.01, 0.3, method, 7)
+        traj = simulate(h, z0, 0.01, 0.3, method, 7)
         got = (traj.t, traj.z, traj.energy, traj.c1, traj.c2, traj.ortho_defect)
         for a, b in zip(got, reference_run(space, h, z0, 0.01, 0.3, method, 7)):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), h.name

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -261,6 +262,28 @@ def test_magnetic_form_input_validation():
         magnetic_form(np.array([0, 0, 1.0]), np.array([0, 0, 1.0]), np.zeros(3), 1.0)
 
 
+TANGENT_FRAME = ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])  # nu, u, v
+
+
+@pytest.mark.parametrize("bad", [np.zeros((3, 1)), np.zeros(2), np.zeros(4)], ids=["column", "short", "long"])
+@pytest.mark.parametrize("k, name", enumerate(("nu", "u", "v")), ids=("nu", "u", "v"))
+def test_magnetic_form_rejects_an_argument_that_is_not_a_3_vector(k, name, bad):
+    # a column gave a TypeError, and a 2- or 4-vector an unpacking error
+    args = list(TANGENT_FRAME)
+    args[k] = bad
+    with pytest.raises(ValueError, match=re.escape(f"{name} must have shape (3,), got {bad.shape}")):
+        magnetic_form(*args, 1.0)
+
+
+@pytest.mark.parametrize("k, error", [(0, NotUnit), (1, NotTangent), (2, NotTangent)], ids=("nu", "u", "v"))
+def test_magnetic_form_rejects_a_nan(k, error):
+    # NaN > ADMISSION_TOL is False, so the form used to return nan
+    args = [list(w) for w in TANGENT_FRAME]
+    args[k][k - 1] = math.nan
+    with pytest.raises(error):
+        magnetic_form(*args, 1.0)
+
+
 def orbit_form_residual(seed: int = 0, points: int = 50) -> float:
     """Worst |{f, g}(z) - (Omega_can(X_f, X_g) - B(nu, dnu_f, dnu_g, C2))| over
     seeded Se3Dual points with |nu| = 1 and linear fields f = a . z, g = b . z.
@@ -315,7 +338,7 @@ def test_hamiltonian_flow_stays_on_level():
     for k in range(3):
         h = random_polynomial(SpaceId.Se3Dual, rng, scale=0.4)
         z0 = random_chart_point(SpaceId.Se3Dual, k)
-        traj = simulate(SpaceId.Se3Dual, h, z0, 1e-3, 1.0, method="rk4", sample_stride=50)
+        traj = simulate(h, z0, 1e-3, 1.0, method="rk4", sample_stride=50)
         lvl = OrbitLevel(c1=traj.c1[0], c2=traj.c2[0])
         for i in range(len(traj)):
             pt = q(traj.z[i][0:3], traj.z[i][3:6])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtop.algebra3 import exp_so3, rotation_defect
-from symtop.dynamics import BodyParams, ZeroPotential, full_hamiltonian_field, step
+from symtop.dynamics import BodyParams, ZeroPotential, hamiltonian_field, step
 from symtop.errors import DimensionMismatch
 from symtop.phase import (
     LAYOUTS,
@@ -143,7 +143,7 @@ def test_unflatten_wrong_length():
 
 def test_wrong_length_vector_gets_one_message():
     # every entry point checks a chart vector with phase.chart_vector
-    h = full_hamiltonian_field(BodyParams(M=1.0, I1=1.0, I3=0.5), ZeroPotential())
+    h = hamiltonian_field(SpaceId.CotSE3, BodyParams(M=1.0, I1=1.0, I3=0.5), ZeroPotential())
     z = np.zeros(17)
     calls = (
         lambda: chart_vector(SpaceId.CotSE3, z),

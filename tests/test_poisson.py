@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from symtop import poisson
 from symtop.algebra3 import exp_so3
 from symtop.checks import PRESET_BODY, PRESET_POTENTIALS, check_brackets
-from symtop.dynamics import full_hamiltonian_field, reduced_hamiltonian_field
+from symtop.dynamics import hamiltonian_field
 from symtop.errors import DimensionMismatch
 from symtop.orbits import casimir_fields
 from symtop.phase import (
@@ -152,11 +152,11 @@ def _bracket_on_gradient_arrays(f, g, z):
 def test_bracket_matches_the_gradient_array_form_bits():
     rng = np.random.default_rng(23)
     pot = PRESET_POTENTIALS["gravity+dipole"]
-    hamiltonians = {SpaceId.Reduced: [reduced_hamiltonian_field(PRESET_BODY, pot)],
-                    SpaceId.CotSE3: [full_hamiltonian_field(PRESET_BODY, pot)]}
     for space in ALL:
         fields = [coordinate(space, a) for a in range(LAYOUTS[space].dim)]
-        fields += [random_polynomial(space, rng) for _ in range(3)] + hamiltonians.get(space, [])
+        fields += [random_polynomial(space, rng) for _ in range(3)]
+        if LAYOUTS[space].x is not None:
+            fields.append(hamiltonian_field(space, PRESET_BODY, pot))
         if LAYOUTS[space].nu is not None:
             fields += casimir_fields(space)
         for z in (random_chart_point(space, seed) for seed in range(3)):
@@ -212,11 +212,11 @@ def test_vector_field_matches_componentwise_brackets():
 def test_closed_form_vector_field_matches_structure_matrix():
     # ham_vector_field skips Lambda(z); the affine tensors certify it
     rng = np.random.default_rng(8)
-    cases = [(random_polynomial(space, rng), space) for space in ALL for _ in range(5)]
+    cases = [random_polynomial(space, rng) for space in ALL for _ in range(5)]
     for pot in PRESET_POTENTIALS.values():
-        cases.append((reduced_hamiltonian_field(PRESET_BODY, pot), SpaceId.Reduced))
-        cases.append((full_hamiltonian_field(PRESET_BODY, pot), SpaceId.CotSE3))
-    for h, space in cases:
+        cases += [hamiltonian_field(space, PRESET_BODY, pot) for space in (SpaceId.Reduced, SpaceId.CotSE3)]
+    for h in cases:
+        space = h.space
         for seed in range(20):
             z = random_chart_point(space, seed)
             g = h.gradient(z)
@@ -403,8 +403,8 @@ def test_fd_gradient_matches_two_copy_form_bytes():
             before = z.copy()
             assert fd_gradient(f.value, z).tobytes() == two_copy_fd_gradient(f, z).tobytes()
             npt.assert_array_equal(z, before)  # the caller's point is left alone
-    for space, make in ((SpaceId.Reduced, reduced_hamiltonian_field), (SpaceId.CotSE3, full_hamiltonian_field)):
-        h = make(PRESET_BODY, PRESET_POTENTIALS["gravity+dipole"])
+    for space in (SpaceId.Reduced, SpaceId.CotSE3):
+        h = hamiltonian_field(space, PRESET_BODY, PRESET_POTENTIALS["gravity+dipole"])
         z = random_chart_point(space, 7)
         assert fd_gradient(h.value, z).tobytes() == two_copy_fd_gradient(h, z).tobytes()
 
