@@ -83,11 +83,14 @@ def _cross(a, b) -> list[float]:
 def vee(m: Mat3) -> Vec3:
     """Inverse of hat: extract v from an antisymmetric matrix.
 
-    Raises NotAntisymmetric unless max|M + M^T| is within ADMISSION_TOL, so
-    also for a NaN entry.  The returned vector is the average of the two
-    off-diagonal copies, so vee(hat(v)) reproduces v exactly.
+    Raises ValueError unless M is 3x3, then NotAntisymmetric unless
+    max|M + M^T| is within ADMISSION_TOL, so also for a NaN entry.  The
+    returned vector is the average of the two off-diagonal copies, so
+    vee(hat(v)) reproduces v exactly.
     """
     m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3):
+        raise ValueError(f"matrix must be 3x3, got shape {m.shape}")
     defect = np.abs(m + m.T).max()
     if not defect <= ADMISSION_TOL:
         raise NotAntisymmetric(f"antisymmetry defect {defect:.3e} exceeds {ADMISSION_TOL:.1e}")

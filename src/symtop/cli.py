@@ -33,6 +33,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -220,13 +221,30 @@ def _fmt(v: float) -> str:
 
 
 def write_csv(path: str, traj: dynamics.Trajectory) -> None:
-    """One row per sample: t, the (x, p, nu, pi) entries of Layout.reduced, the monitors."""
+    """One row per sample: t, the (x, p, nu, pi) entries of Layout.reduced, the monitors.
+
+    An existing regular file is rewritten in place: opened without O_TRUNC,
+    written from the start and cut to the length written, so no stale tail is
+    left and a symlink stays a link.  Anything else (/dev/null, a tty, a pipe
+    such as /dev/stdout) is only written, since it cannot be cut.  A new file
+    is created with mode 0o666 less the umask, as open(path, "w") creates it.
+    Truncating to zero first costs more: on ext4 (auto_da_alloc, its default)
+    closing a file truncated to zero and written again allocates its blocks
+    and starts writeback.  That writeback is also what made the old
+    truncate-and-rewrite likely to survive a crash whole.  The write is not
+    atomic (nor was open(path, "w")): a reader during the write, a crash, or a
+    write that fails part-way can find new rows followed by the old file's
+    tail, and that can parse as one well-formed CSV mixing two runs.  A caller
+    that needs the file to survive a crash should write to a fresh path.
+    """
     rows = np.column_stack([traj.t, traj.z[:, LAYOUTS[traj.space].reduced],
                             traj.energy, traj.c1, traj.c2, traj.ortho_defect]).tolist()
     try:
-        with open(path, "w", encoding="utf-8") as f:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
             f.write(CSV_COLUMNS + "\n")
             f.writelines(_CSV_ROW % tuple(row) for row in rows)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
     except OSError as e:
         raise ConfigError(f"cannot write --out: {e}") from None
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -245,16 +245,20 @@ class SumPotential(Potential, _Frozen):
         return v
 
     def grad_x(self, x, nu, bp):
-        return _sum3([t.grad_x(x, nu, bp) for t in self.terms])
+        return _sum3(t.grad_x(x, nu, bp) for t in self.terms)
 
     def grad_nu(self, x, nu, bp):
-        return _sum3([t.grad_nu(x, nu, bp) for t in self.terms])
+        return _sum3(t.grad_nu(x, nu, bp) for t in self.terms)
 
 
-def _sum3(triples: list[Float3]) -> Float3:
-    """Componentwise sum of float triples, added in list order."""
-    s0, s1, s2 = triples[0]
-    for a0, a1, a2 in triples[1:]:
+def _sum3(triples: Iterable[Float3]) -> Float3:
+    """Componentwise sum of float triples, added in order into three floats.
+
+    The sum starts from the first triple, not from 0.0, which would turn a
+    -0.0 into 0.0; a generator argument builds no list per call."""
+    it = iter(triples)
+    s0, s1, s2 = next(it)
+    for a0, a1, a2 in it:
         s0 += a0
         s1 += a1
         s2 += a2

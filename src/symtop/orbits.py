@@ -156,15 +156,19 @@ def magnetic_form(nu: Vec3, u: Vec3, v: Vec3, c2: float) -> float:
 
     With representatives xi = nu x u, eta = nu x v (so that xi x nu = u and
     eta x nu = v), returns -c2 <xi x eta, nu>; by a vector identity this
-    equals -c2 <nu, u x v>.  Each of nu, u, v must have shape (3,)
-    (ValueError); nu must be a unit vector (NotUnit) and u, v tangent to the
-    sphere at nu (NotTangent), both within ADMISSION_TOL, which a NaN fails.
+    equals -c2 <nu, u x v>.  Each of nu, u, v must have shape (3,) and c2
+    must be finite (ValueError); nu must be a unit vector (NotUnit) and u, v
+    tangent to the sphere at nu (NotTangent), both within ADMISSION_TOL,
+    which a NaN fails.
     Sign: the orbit's form is Omega_can - B, with
     Omega_can(X, Y) = dnu_X . dq_Y - dnu_Y . dq_X the canonical form of
     T*S^2 in q = pi x nu; on X_f = Lambda(z) grad f,
     {f, g}(z) = Omega_can(X_f, X_g) - B(nu, dnu_f, dnu_g, C2).
     """
     nu, u, v = (_shape3(w, name).tolist() for w, name in ((nu, "nu"), (u, "u"), (v, "v")))
+    c2 = float(c2)
+    if not math.isfinite(c2):
+        raise ValueError(f"c2 = {c2} must be finite")
     unit_defect = abs(_dot(nu, nu) - 1.0)
     if not unit_defect <= ADMISSION_TOL:
         raise NotUnit(f"|nu|^2 - 1 = {unit_defect:.3e} exceeds {ADMISSION_TOL:.1e}")
@@ -172,7 +176,7 @@ def magnetic_form(nu: Vec3, u: Vec3, v: Vec3, c2: float) -> float:
         t = abs(_dot(w, nu))
         if not t <= ADMISSION_TOL:
             raise NotTangent(f"<{label}, nu> = {t:.3e} exceeds {ADMISSION_TOL:.1e}")
-    return -float(c2) * _dot(_cross(_cross(nu, u), _cross(nu, v)), nu)
+    return -c2 * _dot(_cross(_cross(nu, u), _cross(nu, v)), nu)
 
 
 def casimir_fields(space: SpaceId) -> tuple[ScalarField, ScalarField]:

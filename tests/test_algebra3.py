@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -76,6 +77,13 @@ def test_vee_rejects_non_antisymmetric():
         m[entry] = math.nan
         with pytest.raises(NotAntisymmetric):
             vee(m)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (2, 2), (3,), (3, 3, 1)], ids=["4x4", "2x2", "vector", "3x3x1"])
+def test_vee_rejects_a_matrix_that_is_not_3x3(shape):
+    # a 4x4 gave the vee of its top-left block, a 2x2 or a 3-vector an IndexError
+    with pytest.raises(ValueError, match=re.escape(f"matrix must be 3x3, got shape {shape}")):
+        vee(np.zeros(shape))
 
 
 def test_hat_inverts_vee_on_antisymmetric():

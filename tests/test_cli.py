@@ -639,6 +639,102 @@ def test_csv_text(tmp_path, space):
         assert f.read() == "".join(line + "\n" for line in lines).encode()
 
 
+def _reduced_trajectory(samples):
+    """A reduced-chart Trajectory of the given number of samples."""
+    t = np.linspace(0.0, 1.0, samples)
+    z = np.outer(t + 0.5, np.arange(1.0, 13.0))
+    return Trajectory(SpaceId.Reduced, t=t, z=z, energy=t, c1=t + 1.0, c2=-t, ortho_defect=0.0 * t)
+
+
+def _fresh_csv(tmp_path, traj):
+    """The bytes write_csv gives at a path that did not exist."""
+    path = tmp_path / "fresh.csv"
+    assert not path.exists()
+    write_csv(str(path), traj)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("longer", [True, False], ids=["longer", "shorter"])
+def test_write_csv_over_an_existing_file(tmp_path, longer):
+    traj = _reduced_trajectory(20)
+    want = _fresh_csv(tmp_path, traj)
+    out = tmp_path / "o.csv"
+    out.write_bytes(b"x" * (len(want) + 4096 if longer else 10))
+    write_csv(str(out), traj)
+    assert out.read_bytes() == want
+
+
+def test_write_csv_creates_a_missing_file_like_open_w(tmp_path):
+    # no _probe_out first: write_csv creates the file itself, with the mode
+    # open(path, "w") gives a new file under the same umask
+    traj = _reduced_trajectory(3)
+    out = tmp_path / "o.csv"
+    write_csv(str(out), traj)
+    with open(tmp_path / "w.csv", "w", encoding="utf-8"):
+        pass
+    assert out.read_bytes() == _fresh_csv(tmp_path, traj)
+    assert out.stat().st_mode == (tmp_path / "w.csv").stat().st_mode
+
+
+def test_write_csv_through_a_symlink_keeps_the_link(tmp_path):
+    traj = _reduced_trajectory(5)
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"stale\n" * 1000)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    write_csv(str(link), traj)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == _fresh_csv(tmp_path, traj)
+
+
+def test_write_csv_opens_without_o_trunc(tmp_path, monkeypatch):
+    # an existing --out is rewritten in place and cut to length, never
+    # truncated to zero first
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    out = tmp_path / "o.csv"
+    out.write_bytes(b"x" * 100_000)
+    write_csv(str(out), _reduced_trajectory(4))
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+    assert flags[0] & os.O_WRONLY and flags[0] & os.O_CREAT
+
+
+def test_simulate_twice_into_one_out(tmp_path):
+    long_run = write_config(tmp_path, FREE_TOP_REDUCED, "long.json")
+    short_run = write_config(tmp_path, dict(FREE_TOP_REDUCED, T=0.1), "short.json")
+    fresh, out = str(tmp_path / "fresh.csv"), str(tmp_path / "o.csv")
+    assert main(["simulate", "--config", short_run, "--out", fresh]) == 0
+    assert main(["simulate", "--config", long_run, "--out", out]) == 0
+    long_size = os.path.getsize(out)
+    assert main(["simulate", "--config", short_run, "--out", out]) == 0
+    with open(fresh, "rb") as f, open(out, "rb") as g:
+        want = f.read()
+        assert g.read() == want and len(want) < long_size
+
+
+def test_simulate_into_dev_null(tmp_path):
+    # a character device cannot be cut to length; it is only written
+    cfg = write_config(tmp_path, dict(FREE_TOP_REDUCED, T=0.1))
+    assert main(["simulate", "--config", cfg, "--out", os.devnull]) == 0
+
+
+def test_simulate_into_a_pipe(tmp_path):
+    # --out /dev/stdout with stdout a pipe: the CSV goes down the pipe
+    cfg = write_config(tmp_path, dict(FREE_TOP_REDUCED, T=0.1))
+    fresh = str(tmp_path / "fresh.csv")
+    assert main(["simulate", "--config", cfg, "--out", fresh]) == 0
+    proc = _run_cli("simulate", "--config", cfg, "--out", "/dev/stdout")
+    assert proc.returncode == 0, proc.stderr
+    with open(fresh, encoding="utf-8") as f:
+        assert proc.stdout.startswith(f.read())
+
+
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path, FREE_TOP_REDUCED)
     out = str(tmp_path / "traj.csv")

@@ -284,6 +284,13 @@ def test_magnetic_form_rejects_a_nan(k, error):
         magnetic_form(*args, 1.0)
 
 
+@pytest.mark.parametrize("c2", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_magnetic_form_rejects_a_non_finite_c2(c2):
+    # nan gave nan and inf gave -inf
+    with pytest.raises(ValueError, match=re.escape(f"c2 = {c2} must be finite")):
+        magnetic_form(*TANGENT_FRAME, c2)
+
+
 def orbit_form_residual(seed: int = 0, points: int = 50) -> float:
     """Worst |{f, g}(z) - (Omega_can(X_f, X_g) - B(nu, dnu_f, dnu_g, C2))| over
     seeded Se3Dual points with |nu| = 1 and linear fields f = a . z, g = b . z.
