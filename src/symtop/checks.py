@@ -18,12 +18,13 @@ by the production structure matrices; the two paths must agree exactly.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from . import dynamics, orbits, poisson, reduction
 from .algebra3 import _cross, _dot, _norm, max_or_nan
-from .phase import LAYOUTS, Se3DualPoint, SpaceId, _Frozen, random_chart_point, random_unit
+from .phase import LAYOUTS, Se3DualPoint, SpaceId, _Frozen, _random_unit, _uniform, random_chart_point
 
 ALL_SPACES = tuple(SpaceId)
 
@@ -71,8 +72,9 @@ def oracle_structure_matrix(space: SpaceId, z: np.ndarray) -> np.ndarray:
         for i in range(3):
             put(lay.x.start + i, lay.p.start + i, 1.0)
 
+    w = z.tolist()  # z read once; every value put below is a Python float
     pi = [lay.pi_entry(i) for i in range(3)]
-    pv = z[lay.pi]
+    pv = w[lay.pi]
     put(pi[0], pi[1], pv[2])
     put(pi[1], pi[2], pv[0])
     put(pi[2], pi[0], pv[1])
@@ -80,7 +82,7 @@ def oracle_structure_matrix(space: SpaceId, z: np.ndarray) -> np.ndarray:
     # cyclic pattern shared by nu and every attitude column
     def vector_rule(idx):
         # idx[i] = chart index of component i of the coupled vector
-        v = z[[idx[0], idx[1], idx[2]]]
+        v = [w[i] for i in idx]
         put(pi[0], idx[1], v[2])
         put(pi[0], idx[2], -v[1])
         put(pi[1], idx[2], v[0])
@@ -102,6 +104,17 @@ def _worst(residuals) -> float:
     return max_or_nan([0.0, *residuals])
 
 
+def _size(name: str, n) -> None:
+    """ValueError naming the argument unless the sample count n is an
+    integer (operator.index accepts it) >= 0; 0 runs no samples."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ValueError(f"{name} = {n!r} must be an integer >= 0")
+
+
 def _chart_points(space: SpaceId, rng: np.random.Generator, count: int):
     """count chart points of space, drawn one after another from rng."""
     return (random_chart_point(space, rng) for _ in range(count))
@@ -109,6 +122,7 @@ def _chart_points(space: SpaceId, rng: np.random.Generator, count: int):
 
 def check_brackets(seed: int = 0, points_per_space: int = 250) -> list[CheckResult]:
     """Production structure matrices vs the literal oracle; exact equality."""
+    _size("points_per_space", points_per_space)
     rng = np.random.default_rng([seed, 7919])
     return [
         CheckResult(f"brackets/{space.value}", _worst(
@@ -121,6 +135,7 @@ def check_brackets(seed: int = 0, points_per_space: int = 250) -> list[CheckResu
 
 def check_jacobi(seed: int = 0, points: int = 100) -> list[CheckResult]:
     """Cyclic Jacobi residual over every coordinate triple, all four charts."""
+    _size("points", points)
     rng = np.random.default_rng([seed, 104729])
     return [
         CheckResult(f"jacobi/{space.value}", _worst(
@@ -134,6 +149,7 @@ def check_jacobi(seed: int = 0, points: int = 100) -> list[CheckResult]:
 def check_poisson_map(seed: int = 0, points: int = 100) -> list[CheckResult]:
     """Projection defect P Lambda_src P^T - Lambda_dst o P over every pair of
     reduced coordinates, both projections."""
+    _size("points", points)
     rng = np.random.default_rng([seed, 15485863])
     out = []
     for reduced_space in (SpaceId.Reduced, SpaceId.Se3Dual):
@@ -149,9 +165,10 @@ def check_poisson_map(seed: int = 0, points: int = 100) -> list[CheckResult]:
 
 
 def _random_dual_point(rng: np.random.Generator) -> Se3DualPoint:
-    return Se3DualPoint(
-        nu=random_unit(rng) * rng.uniform(0.5, 1.5), pi=rng.uniform(-1, 1, 3)
-    )
+    """(nu, pi) with nu = s * unit, s uniform in [0.5, 1.5], and pi uniform in [-1, 1]^3."""
+    u = _random_unit(rng)
+    s = _uniform(rng, 0.5, 1.5)
+    return Se3DualPoint(nu=np.array([x * s for x in u]), pi=np.array(_uniform(rng, -1.0, 1.0, 3)))
 
 
 def _coadjoint_drift(rng: np.random.Generator) -> tuple[float, float]:
@@ -166,6 +183,8 @@ def _coadjoint_drift(rng: np.random.Generator) -> tuple[float, float]:
 def check_casimirs(seed: int = 0, pairs: int = 1000, fields: int = 100) -> list[CheckResult]:
     """Coadjoint invariance of both Casimirs, and vanishing brackets with
     random polynomial fields."""
+    _size("pairs", pairs)
+    _size("fields", fields)
     rng = np.random.default_rng(seed)
     worst = _worst(d for _ in range(pairs) for d in _coadjoint_drift(rng))
     res = [CheckResult("casimirs/coadjoint-invariance", worst, 1e-12, pairs)]
@@ -184,25 +203,31 @@ def check_casimirs(seed: int = 0, pairs: int = 1000, fields: int = 100) -> list[
 def random_same_level_pair(
     rng: np.random.Generator, force_antipodal: bool = False, force_aligned: bool = False
 ) -> tuple[Se3DualPoint, Se3DualPoint]:
-    """Two random points sharing a Casimir level with c1 = 1."""
-    nu1 = random_unit(rng)
-    pi1 = rng.uniform(-1, 1, 3)
-    n1 = nu1.tolist()
-    c2 = _dot(n1, pi1.tolist())
+    """Two random points sharing a Casimir level with c1 = 1; the second
+    axis is the first's negative (force_antipodal), the first itself
+    (force_aligned) or drawn, and asking for both is a ValueError."""
+    if force_antipodal and force_aligned:
+        raise ValueError("force_antipodal and force_aligned exclude each other")
+    n1 = _random_unit(rng)
+    p1 = _uniform(rng, -1.0, 1.0, 3)
+    c2 = _dot(n1, p1)
     if force_antipodal:
         n2 = [-x for x in n1]
     elif force_aligned:
         n2 = n1
     else:
-        n2 = random_unit(rng).tolist()
-    w = rng.uniform(-1, 1, 3).tolist()
+        n2 = _random_unit(rng)
+    w = _uniform(rng, -1.0, 1.0, 3)
     wn = _dot(w, n2)
     pi2 = [c2 * x + (y - wn * x) for x, y in zip(n2, w)]
-    return Se3DualPoint(nu=nu1, pi=pi1), Se3DualPoint(nu=np.array(n2), pi=np.array(pi2))
+    q1 = Se3DualPoint(nu=np.array(n1), pi=np.array(p1))
+    return q1, Se3DualPoint(nu=np.array(n2), pi=np.array(pi2))
 
 
 def check_orbits(seed: int = 0, pairs: int = 1000) -> list[CheckResult]:
-    """Constructive transitivity on joint levels, and magnetic-form identities."""
+    """Constructive transitivity on joint levels, and magnetic-form identities;
+    the magnetic lines always take 200 samples."""
+    _size("pairs", pairs)
     rng = np.random.default_rng(seed)
     worst = _worst(_pair_residual(rng, k) for k in range(pairs))
     res = [CheckResult("orbits/witness-transitivity", worst, 1e-9, pairs)]
@@ -224,18 +249,17 @@ def _pair_residual(rng: np.random.Generator, k: int) -> float:
 def _magnetic_residuals(rng: np.random.Generator) -> tuple[float, float, float]:
     """Antisymmetry, representative-shift and zero-level residuals of the
     magnetic form at one random (nu, u, v, c2)."""
-    nu = random_unit(rng)
-    u = orbits.random_tangent(rng, nu)
-    v = orbits.random_tangent(rng, nu)
-    c2 = rng.uniform(-2, 2)
-    m = orbits.magnetic_form(nu, u, v, c2)
-    anti = abs(m + orbits.magnetic_form(nu, v, u, c2))
+    n = _random_unit(rng)
+    u = orbits._random_tangent(rng, n)
+    v = orbits._random_tangent(rng, n)
+    c2 = _uniform(rng, -2.0, 2.0)
+    m = orbits.magnetic_form(n, u, v, c2)
+    anti = abs(m + orbits.magnetic_form(n, v, u, c2))
     # shift the representative xi by a multiple of nu and re-evaluate directly
-    lam = rng.uniform(-2, 2)
-    n = nu.tolist()
-    xi = [x + lam * y for x, y in zip(_cross(n, u.tolist()), n)]
-    shifted = -c2 * _dot(_cross(xi, _cross(n, v.tolist())), n)
-    return anti, abs(shifted - m), abs(orbits.magnetic_form(nu, u, v, 0.0))
+    lam = _uniform(rng, -2.0, 2.0)
+    xi = [x + lam * y for x, y in zip(_cross(n, u), n)]
+    shifted = -c2 * _dot(_cross(xi, _cross(n, v)), n)
+    return anti, abs(shifted - m), abs(orbits.magnetic_form(n, u, v, 0.0))
 
 
 PRESET_POTENTIALS: dict[str, dynamics.Potential] = {
@@ -253,6 +277,7 @@ PRESET_BODY = dynamics.BodyParams(M=1.0, I1=1.0, I3=0.5)
 def check_gradients(seed: int = 0, points: int = 100) -> list[CheckResult]:
     """Analytic gradients of every potential preset and both Hamiltonian
     fields against central finite differences (relative to gradient scale)."""
+    _size("points", points)
     rng = np.random.default_rng(seed)
     out = []
     for name, pot in PRESET_POTENTIALS.items():
@@ -269,16 +294,25 @@ def check_gradients(seed: int = 0, points: int = 100) -> list[CheckResult]:
 def _potential_gradient_errors(rng: np.random.Generator, pot: dynamics.Potential) -> tuple[float, float]:
     """Largest finite-difference error of grad_x and of grad_nu at a random
     (x, nu), each relative to max(|grad_x|, |grad_nu|, 1).  x and nu are
-    drawn as float lists once, so each difference converts nothing."""
+    drawn as float triples (x = s * unit with s uniform in [0.8, 2.0], nu a
+    unit), and the errors are taken on floats, so nothing is converted but
+    fd_gradient's result."""
     bp = PRESET_BODY
-    x = (random_unit(rng) * rng.uniform(0.8, 2.0)).tolist()
-    nu = random_unit(rng).tolist()
+    u = _random_unit(rng)
+    s = _uniform(rng, 0.8, 2.0)
+    x = [c * s for c in u]
+    nu = _random_unit(rng)
     gx = pot.grad_x(x, nu, bp)
     gn = pot.grad_nu(x, nu, bp)
-    fx = poisson.fd_gradient(lambda xx: pot.value(xx, nu, bp), x)
-    fn = poisson.fd_gradient(lambda nn: pot.value(x, nn, bp), nu)
+    fx = poisson.fd_gradient(lambda xx: pot.value(xx, nu, bp), x).tolist()
+    fn = poisson.fd_gradient(lambda nn: pot.value(x, nn, bp), nu).tolist()
     scale = max(_norm(*gx), _norm(*gn), 1.0)
-    return float(np.abs(gx - fx).max() / scale), float(np.abs(gn - fn).max() / scale)
+    return _max_error(gx, fx) / scale, _max_error(gn, fn) / scale
+
+
+def _max_error(a, b) -> float:
+    """max|a_i - b_i| of two float sequences, NaN if any difference is."""
+    return max_or_nan([abs(x - y) for x, y in zip(a, b)])
 
 
 def _field_gradient_error(fld: poisson.ScalarField, z: np.ndarray) -> float:

@@ -39,12 +39,11 @@ from .algebra3 import (
     _frame,
     _matmul,
     _matvec,
-    cross,
     max_or_nan,
     require_rotation,
 )
 from .errors import NotSameLevel, NotTangent, NotUnit, ZeroNu
-from .phase import LAYOUTS, Se3DualPoint, SpaceId, _Frozen, _shape3, _vec3, random_rotation
+from .phase import LAYOUTS, Se3DualPoint, SpaceId, _Frozen, _shape3, _uniform, _vec3, random_rotation
 from .poisson import ScalarField
 
 
@@ -64,12 +63,17 @@ class SE3Element(_Frozen):
 
 def random_se3(rng: np.random.Generator) -> SE3Element:
     """Random group element: a uniform in [-1, 1]^3, then A = random_rotation."""
-    return SE3Element(a=rng.uniform(-1, 1, 3), A=random_rotation(rng))
+    return SE3Element(a=np.array(_uniform(rng, -1.0, 1.0, 3)), A=random_rotation(rng))
 
 
 def random_tangent(rng: np.random.Generator, nu: Vec3) -> Vec3:
     """nu x w for w uniform in [-1, 1]^3: a random vector orthogonal to nu."""
-    return cross(nu, rng.uniform(-1, 1, 3))
+    return np.array(_random_tangent(rng, nu.tolist()))
+
+
+def _random_tangent(rng: np.random.Generator, nu) -> list[float]:
+    """random_tangent at the float triple nu."""
+    return _cross(nu, _uniform(rng, -1.0, 1.0, 3))
 
 
 class OrbitLevel(_Frozen):
@@ -87,22 +91,36 @@ class OrbitLevel(_Frozen):
 
 def casimirs(q: Se3DualPoint) -> OrbitLevel:
     """(|nu|^2, <nu, pi>)."""
-    nu = q.nu.tolist()
-    return OrbitLevel(c1=_dot(nu, nu), c2=_dot(nu, q.pi.tolist()))
+    c1, c2 = _casimirs(q.nu.tolist(), q.pi.tolist())
+    return OrbitLevel(c1=c1, c2=c2)
+
+
+def _casimirs(nu, pi) -> tuple[float, float]:
+    """casimirs of the float triples nu and pi, as (c1, c2)."""
+    return _dot(nu, nu), _dot(nu, pi)
 
 
 def coadjoint(g: SE3Element, q: Se3DualPoint) -> Se3DualPoint:
     """(nu, pi) -> (A nu, a x A nu + A pi)."""
-    rot = g.A.ravel().tolist()
-    anu = _matvec(rot, q.nu.tolist())
-    pi = [x + y for x, y in zip(_cross(g.a.tolist(), anu), _matvec(rot, q.pi.tolist()))]
+    anu, pi = _coadjoint(g.a.tolist(), g.A.ravel().tolist(), q.nu.tolist(), q.pi.tolist())
     return Se3DualPoint(nu=np.array(anu), pi=np.array(pi))
+
+
+def _coadjoint(a, rot, nu, pi) -> tuple[list[float], list[float]]:
+    """coadjoint of the float triple a, the nine row-major entries rot of A
+    and the float triples nu and pi."""
+    anu = _matvec(rot, nu)
+    return anu, [x + y for x, y in zip(_cross(a, anu), _matvec(rot, pi))]
 
 
 def on_level(q: Se3DualPoint, level: OrbitLevel, tol: float) -> bool:
     """True iff both Casimirs of q match the level within tol."""
-    c = casimirs(q)
-    return abs(c.c1 - level.c1) <= tol and abs(c.c2 - level.c2) <= tol
+    return _on_level(*_casimirs(q.nu.tolist(), q.pi.tolist()), level.c1, level.c2, tol)
+
+
+def _on_level(c1: float, c2: float, l1: float, l2: float, tol: float) -> bool:
+    """on_level of Casimirs (c1, c2) and the level (l1, l2)."""
+    return abs(c1 - l1) <= tol and abs(c2 - l2) <= tol
 
 
 def witness_tol(q: Se3DualPoint, level: OrbitLevel) -> float:
@@ -113,7 +131,12 @@ def witness_tol(q: Se3DualPoint, level: OrbitLevel) -> float:
     scales with s; for |nu|, |pi| <= 1 it is WITNESS_TOL.  C1 at or below it
     counts as nu = 0.
     """
-    return WITNESS_TOL * max(1.0, level.c1, math.hypot(*q.nu.tolist()) * math.hypot(*q.pi.tolist()))
+    return _witness_tol(q.nu.tolist(), q.pi.tolist(), level.c1)
+
+
+def _witness_tol(nu, pi, c1: float) -> float:
+    """witness_tol at the float triples nu and pi, whose C1 is c1."""
+    return WITNESS_TOL * max(1.0, c1, math.hypot(*nu) * math.hypot(*pi))
 
 
 def same_orbit_witness(q1: Se3DualPoint, q2: Se3DualPoint) -> SE3Element:
@@ -126,20 +149,19 @@ def same_orbit_witness(q1: Se3DualPoint, q2: Se3DualPoint) -> SE3Element:
     a = nu2 x (pi2 - A pi1) / c1, which solves a x nu2 = pi2 - A pi1 because
     the right side is orthogonal to nu2 on a common level.
     """
-    l1 = casimirs(q1)
-    tol = witness_tol(q1, l1)
-    if not on_level(q2, l1, tol):
-        l2 = casimirs(q2)
+    nu1, pi1, nu2, pi2 = q1.nu.tolist(), q1.pi.tolist(), q2.nu.tolist(), q2.pi.tolist()
+    c1, c2 = _casimirs(nu1, pi1)
+    tol = _witness_tol(nu1, pi1, c1)
+    d1, d2 = _casimirs(nu2, pi2)
+    if not _on_level(d1, d2, c1, c2, tol):
         raise NotSameLevel(
-            f"levels ({l1.c1:.6g}, {l1.c2:.6g}) and ({l2.c1:.6g}, {l2.c2:.6g}) differ beyond {tol:.1e}"
+            f"levels ({c1:.6g}, {c2:.6g}) and ({d1:.6g}, {d2:.6g}) differ beyond {tol:.1e}"
         )
-    if l1.c1 <= tol:
-        raise ZeroNu(f"c1 = {l1.c1:.3e} too small for an orbit witness")
-    nu2 = q2.nu.tolist()
-    f1 = _frame(q1.nu.tolist())
+    if c1 <= tol:
+        raise ZeroNu(f"c1 = {c1:.3e} too small for an orbit witness")
+    f1 = _frame(nu1)
     rot = _matmul(_frame(nu2), f1[0::3] + f1[1::3] + f1[2::3])  # F(nu2) F(nu1)^T
-    d = [x - y for x, y in zip(q2.pi.tolist(), _matvec(rot, q1.pi.tolist()))]
-    c1 = l1.c1
+    d = [x - y for x, y in zip(pi2, _matvec(rot, pi1))]
     return SE3Element(a=np.array([x / c1 for x in _cross(nu2, d)]), A=np.array(rot).reshape(3, 3))
 
 

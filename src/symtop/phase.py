@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .algebra3 import ADMISSION_TOL, Mat3, Vec3, _dot, norm3, require_rotation
+from .algebra3 import ADMISSION_TOL, Mat3, Vec3, _dot, _norm, require_rotation
 from .errors import DimensionMismatch
 
 
@@ -267,13 +267,29 @@ def unflatten(space: SpaceId, z: np.ndarray) -> State:
     return _STATE_TYPES[space](**{name: z[block].reshape(shape) for name, block, shape in _FIELDS[space]})
 
 
-def random_rotation(rng: np.random.Generator) -> Mat3:
-    """Haar-uniform rotation: Shoemake's (1992) matrix of a unit quaternion
-    (w, x, y, z) by Marsaglia's (1972) method, (w, x) and (y, z) in the unit
-    disc by rejection from uniform(-1, 1, 4), then (y, z) scaled onto S^3.
-    Only +, -, *, / and one sqrt; 2x, 2y, 2z keep the array expression's bits."""
+def _uniform(rng: np.random.Generator, lo: float, hi: float, n: int | None = None) -> list[float] | float:
+    """rng.uniform(lo, hi, n) as a float list, or with n None as one float:
+    numpy's lo + (hi - lo) * u on the raw doubles u of rng.random, so the
+    same draws of the same stream, bit for bit, without uniform's per-call
+    argument handling."""
+    d = hi - lo
+    if n is None:
+        return lo + d * rng.random()
+    return [lo + d * u for u in rng.random(n).tolist()]
+
+
+def _random_unit(rng: np.random.Generator) -> list[float]:
+    """random_unit as a float triple: rng.normal(size=3) is numpy's
+    0.0 + 1.0 * x on the raw standard normals x, divided by their length."""
+    v0, v1, v2 = [0.0 + 1.0 * x for x in rng.standard_normal(3).tolist()]
+    n = _norm(v0, v1, v2)
+    return [v0 / n, v1 / n, v2 / n]
+
+
+def _random_rotation(rng: np.random.Generator) -> list[float]:
+    """random_rotation as nine row-major floats."""
     while True:
-        w, x, y, z = rng.uniform(-1.0, 1.0, 4).tolist()
+        w, x, y, z = _uniform(rng, -1.0, 1.0, 4)
         s1, s2 = w * w + x * x, y * y + z * z
         if s1 < 1.0 and 0.0 < s2 < 1.0:
             break
@@ -281,20 +297,28 @@ def random_rotation(rng: np.random.Generator) -> Mat3:
     y, z = y * k, z * k
     x2, y2, z2 = x + x, y + y, z + z
     xx, yy, zz, xy, xz, yz, wx, wy, wz = x * x2, y * y2, z * z2, x * y2, x * z2, y * z2, w * x2, w * y2, w * z2
-    return np.array([1.0 - (yy + zz), xy - wz, xz + wy, xy + wz, 1.0 - (xx + zz), yz - wx,
-                     xz - wy, yz + wx, 1.0 - (xx + yy)]).reshape(3, 3)
+    return [1.0 - (yy + zz), xy - wz, xz + wy, xy + wz, 1.0 - (xx + zz), yz - wx,
+            xz - wy, yz + wx, 1.0 - (xx + yy)]
+
+
+def random_rotation(rng: np.random.Generator) -> Mat3:
+    """Haar-uniform rotation: Shoemake's (1992) matrix of a unit quaternion
+    (w, x, y, z) by Marsaglia's (1972) method, (w, x) and (y, z) in the unit
+    disc by rejection from uniform(-1, 1, 4), then (y, z) scaled onto S^3.
+    Only +, -, *, / and one sqrt; 2x, 2y, 2z keep the array expression's bits."""
+    return np.array(_random_rotation(rng)).reshape(3, 3)
 
 
 def random_unit(rng: np.random.Generator) -> Vec3:
-    v = rng.normal(size=3)
-    return v / norm3(v)
+    """Uniform on the unit sphere: a standard normal 3-vector over its length."""
+    return np.array(_random_unit(rng))
 
 
-def _random_component(rng: np.random.Generator) -> Vec3:
-    return rng.uniform(-1, 1, 3)
+def _random_component(rng: np.random.Generator) -> list[float]:
+    return _uniform(rng, -1.0, 1.0, 3)
 
 
-_DRAWS = {"R": random_rotation, "nu": random_unit}
+_DRAWS = {"R": _random_rotation, "nu": _random_unit}
 
 
 def random_state(space: SpaceId, seed: int | np.random.Generator) -> State:
@@ -305,15 +329,16 @@ def random_state(space: SpaceId, seed: int | np.random.Generator) -> State:
 
 
 def random_chart_point(space: SpaceId, seed: int | np.random.Generator) -> np.ndarray:
-    """Flat chart vector of random_state(space, seed): the draws written into
-    one array, with no state built or validated.
+    """Flat chart vector of random_state(space, seed): the draws written as
+    floats into one list, in the state's field order, and made one array,
+    with no state built or validated.
 
     seed is an int, which seeds a new generator, or a Generator, which is
     drawn from as it stands (np.random.default_rng returns it unchanged), so
     successive calls on one Generator give successive points of its stream.
     """
     rng = np.random.default_rng(seed)
-    z = np.empty(LAYOUTS[space].dim)
+    z = [0.0] * LAYOUTS[space].dim
     for name, block, _ in _FIELDS[space]:
-        z[block] = _DRAWS.get(name, _random_component)(rng).ravel()
-    return z
+        z[block] = _DRAWS.get(name, _random_component)(rng)
+    return np.array(z)

@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch
-from .phase import LAYOUTS, SpaceId, _Record, chart_vector, dim
+from .phase import LAYOUTS, SpaceId, _Record, _uniform, chart_vector, dim
 
 
 def _build_tensors(space: SpaceId) -> tuple[np.ndarray, np.ndarray]:
@@ -175,10 +175,10 @@ def random_polynomial(space: SpaceId, rng: np.random.Generator, scale: float = 0
     """Random quadratic c + a . z + z . Q z / 2 with exact gradient a + Q z,
     for property tests; every dot product is a left-to-right float sum."""
     n = dim(space)
-    c = rng.uniform(-scale, scale)
-    a = rng.uniform(-scale, scale, n)
-    q = rng.uniform(-scale, scale, (n, n))
-    a, q = a.tolist(), (0.5 * (q + q.T)).tolist()
+    c = _uniform(rng, -scale, scale)
+    a = _uniform(rng, -scale, scale, n)
+    q = rng.uniform(-scale, scale, (n, n))  # n * n draws: cheaper symmetrized as one array
+    q = (0.5 * (q + q.T)).tolist()
 
     def qz(z):
         return [dot_floats(row, z) for row in q]

@@ -72,3 +72,26 @@ def test_suites_draw_from_one_generator_per_call(monkeypatch):
         seeds.clear()
         checks.SUITES[suite](seed=4, **SMALL[suite])
         assert len(seeds) == 1, (suite, seeds)
+
+
+# The size arguments of each suite.
+SIZE_ARGS = [(suite, arg) for suite, sizes in SMALL.items() for arg in sizes]
+
+
+@pytest.mark.parametrize("suite, arg", SIZE_ARGS)
+@pytest.mark.parametrize("bad", [-1, -5, 2.0, 2.5, "3", None])
+def test_a_suite_rejects_a_size_that_is_not_a_nonnegative_integer(suite, arg, bad):
+    with pytest.raises(ValueError, match=f"^{arg} = {bad!r} must be an integer >= 0$"):
+        checks.SUITES[suite](seed=0, **{**SMALL[suite], arg: bad})
+
+
+@pytest.mark.parametrize("suite, arg", SIZE_ARGS)
+def test_a_suite_of_size_zero_passes(suite, arg):
+    results = checks.SUITES[suite](seed=0, **{**SMALL[suite], arg: 0})
+    assert results and all(r.passed for r in results)
+    assert any(r.samples == 0 for r in results)
+
+
+def test_same_level_pair_rejects_both_forced_axes():
+    with pytest.raises(ValueError, match="force_antipodal and force_aligned exclude each other"):
+        checks.random_same_level_pair(np.random.default_rng(0), force_antipodal=True, force_aligned=True)

@@ -23,7 +23,15 @@ import pytest
 from symtop.algebra3 import exp_so3, hat, orthogonality_defect, rotation_defect
 from symtop.checks import random_same_level_pair
 from symtop.orbits import casimirs, coadjoint, random_se3, same_orbit_witness
-from symtop.phase import Se3DualPoint, SpaceId, random_chart_point, random_rotation
+from symtop.phase import (
+    LAYOUTS,
+    Se3DualPoint,
+    SpaceId,
+    _random_unit,
+    _uniform,
+    random_chart_point,
+    random_rotation,
+)
 from symtop.reduction import z_rotation
 
 CHART_POINTS_SHA256 = "41f9e375db4f5aebc03322818989e6cf86487c6d5b2ff9827d4d4355094d33a5"
@@ -291,3 +299,60 @@ def test_random_se3_matches_array_expression(seed):
         g = random_se3(rng)
         a = ref.uniform(-1, 1, 3)
         assert g.a.tobytes() == a.tobytes() and g.A.tobytes() == random_rotation_reference(ref).tobytes()
+
+
+# Every (lo, hi) the package draws uniform samples from.
+UNIFORM_RANGES = [(-1.0, 1.0), (0.5, 1.5), (0.8, 2.0), (-2.0, 2.0), (-0.5, 0.5)]
+
+
+@pytest.mark.parametrize("lo, hi", UNIFORM_RANGES)
+def test_uniform_draws_generator_uniform_bits_from_its_stream(lo, hi):
+    rng, ref = np.random.default_rng(21), np.random.default_rng(21)
+    assert np.array(_uniform(rng, lo, hi, 100_000)).tobytes() == ref.uniform(lo, hi, 100_000).tobytes()
+    # one float at a time, and in triples, as the samplers draw them
+    singles = np.array([_uniform(rng, lo, hi) for _ in range(20_000)])
+    assert singles.tobytes() == np.array([ref.uniform(lo, hi) for _ in range(20_000)]).tobytes()
+    triples = np.array([_uniform(rng, lo, hi, 3) for _ in range(20_000)])
+    assert triples.tobytes() == np.array([ref.uniform(lo, hi, 3) for _ in range(20_000)]).tobytes()
+    assert rng.random() == ref.random()  # and left the stream where uniform leaves it
+
+
+def test_random_unit_draws_normal_over_its_norm_from_its_stream():
+    rng, ref = np.random.default_rng(22), np.random.default_rng(22)
+    got = np.array([_random_unit(rng) for _ in range(100_000)])
+    want = np.array([v / norm_left_to_right(v) for v in (ref.normal(size=3) for _ in range(100_000))])
+    assert got.tobytes() == want.tobytes()
+    assert rng.random() == ref.random()
+
+
+# Each state type's fields, in the order random_chart_point draws them.
+DRAW_ORDER = {
+    SpaceId.CotSO3: ("r", "pi"),
+    SpaceId.Se3Dual: ("nu", "pi"),
+    SpaceId.CotSE3: ("x", "r", "p", "pi"),
+    SpaceId.Reduced: ("x", "p", "nu", "pi"),
+}
+
+
+def random_chart_point_reference(space, rng):
+    """The array construction: np.empty, each block written in draw order
+    with random_rotation_reference, normal(size=3) over its norm, or
+    uniform(-1, 1, 3)."""
+    z = np.empty(LAYOUTS[space].dim)
+    for block in DRAW_ORDER[space]:
+        if block == "r":
+            z[LAYOUTS[space].r] = random_rotation_reference(rng).ravel()
+        elif block == "nu":
+            v = rng.normal(size=3)
+            z[LAYOUTS[space].nu] = v / norm_left_to_right(v)
+        else:
+            z[getattr(LAYOUTS[space], block)] = rng.uniform(-1, 1, 3)
+    return z
+
+
+@pytest.mark.parametrize("space", list(SpaceId))
+def test_random_chart_point_matches_array_construction(space):
+    rng, ref = np.random.default_rng(23), np.random.default_rng(23)
+    for _ in range(2000):
+        assert random_chart_point(space, rng).tobytes() == random_chart_point_reference(space, ref).tobytes()
+    assert rng.random() == ref.random()

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symtop import orbits
@@ -189,6 +189,87 @@ def test_witness_rejects_different_levels():
 def test_witness_rejects_zero_nu():
     with pytest.raises(ZeroNu):
         same_orbit_witness(q([0, 0, 0], [1, 0, 0]), q([0, 0, 0], [0, 1, 0]))
+
+
+_NU_SCALE = st.sampled_from([1.0, 1e-3, 3e-5, 3.1e-5, 1e-5, 1e-6, 0.0, 1e4])
+
+
+@st.composite
+def _pairs_at_the_witness_tolerance(draw):
+    """(q1, q2) with q2 an image of q1 under the coadjoint action, or q1 with
+    C2 or C1 moved by t around +-witness_tol: t is the tolerance, one ulp
+    inside or past it, or a fraction or multiple of it."""
+    q1 = q(draw(_VEC) * draw(_NU_SCALE), draw(_VEC))
+    kind = draw(st.sampled_from(["image", "c2", "c1"]))
+    if kind == "image":
+        return q1, coadjoint(random_se3(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))), q1)
+    level = casimirs(q1)
+    tol = witness_tol(q1, level)
+    t = draw(st.sampled_from([
+        tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0), 0.5 * tol, 2.0 * tol, 0.0,
+    ])) * draw(st.sampled_from([1.0, -1.0]))
+    if level.c1 <= tol:  # nu counts as zero; t / c1 could overflow
+        return q1, q(q1.nu, q1.pi + t)
+    if kind == "c2":  # <nu, pi + t nu / c1> = c2 + t, up to rounding
+        return q1, q(q1.nu, q1.pi + (t / level.c1) * q1.nu)
+    s = math.sqrt(max(0.0, 1.0 + t / level.c1))  # |s nu|^2 = c1 + t, <s nu, pi / s> = c2
+    return q1, q(s * q1.nu, q1.pi / s if s > 0.0 else q1.pi)
+
+
+# a * a == 1e-9 == witness_tol at |nu| <= 1e-4, |pi| <= 1, so with C2 = 0:
+_A = math.sqrt(1e-9)
+_A_DOWN, _A_UP = float(np.nextafter(_A, 0.0)), float(np.nextafter(_A, 1.0))
+_EDGE_PAIRS = [
+    # C1 = tol, exactly and just past: a zero nu, then a witness
+    (q([0, 0, _A], [0, 0, 0]), q([0, 0, _A], [0, 0, 0])),
+    (q([0, 0, _A_UP], [0, 0, 0]), q([0, 0, _A_UP], [0, 0, 0])),
+    # |C1' - C1| = |1e-9 - 2e-9| = tol exactly, then just past
+    (q([_A, _A, 0], [0, 0, 0]), q([0, 0, _A], [0, 0, 0])),
+    (q([_A, _A, 0], [0, 0, 0]), q([0, 0, _A_DOWN], [0, 0, 0])),
+    # |C2' - C2| = 1e-9 = tol at C1 = 1 exactly, then just past
+    (q([0, 0, 1], [0, 0, 0]), q([0, 0, 1], [0, 0, 1e-9])),
+    (q([0, 0, 1], [0, 0, 0]), q([0, 0, 1], [0, 0, float(np.nextafter(1e-9, 1.0))])),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pairs_at_the_witness_tolerance())
+@example(_EDGE_PAIRS[0])
+@example(_EDGE_PAIRS[1])
+@example(_EDGE_PAIRS[2])
+@example(_EDGE_PAIRS[3])
+@example(_EDGE_PAIRS[4])
+@example(_EDGE_PAIRS[5])
+def test_witness_follows_its_public_predicates(pair):
+    q1, q2 = pair
+    level = casimirs(q1)
+    tol = witness_tol(q1, level)
+    same_level = on_level(q2, level, tol)
+    try:
+        g = same_orbit_witness(q1, q2)
+    except NotSameLevel as e:
+        assert not same_level
+        l2 = casimirs(q2)
+        assert str(e) == (f"levels ({level.c1:.6g}, {level.c2:.6g}) and ({l2.c1:.6g}, {l2.c2:.6g})"
+                          f" differ beyond {tol:.1e}")
+    except ZeroNu as e:
+        assert same_level and level.c1 <= tol
+        assert str(e) == f"c1 = {level.c1:.3e} too small for an orbit witness"
+    else:
+        assert same_level and not level.c1 <= tol
+        assert isinstance(g, SE3Element)
+
+
+def test_edge_pairs_sit_on_both_sides_of_the_tolerance():
+    # the outcomes the exact pairs above were built for, in their order
+    outcomes = []
+    for q1, q2 in _EDGE_PAIRS:
+        try:
+            same_orbit_witness(q1, q2)
+            outcomes.append("witness")
+        except (NotSameLevel, ZeroNu) as e:
+            outcomes.append(type(e).__name__)
+    assert outcomes == ["ZeroNu", "witness", "witness", "NotSameLevel", "witness", "NotSameLevel"]
 
 
 def test_magnetic_form_frozen_example():
