@@ -292,18 +292,18 @@ def check_gradients(seed: int = 0, points: int = 100) -> list[CheckResult]:
 
 
 def _potential_gradient_errors(rng: np.random.Generator, pot: dynamics.Potential) -> tuple[float, float]:
-    """Largest finite-difference error of grad_x and of grad_nu at a random
-    (x, nu), each relative to max(|grad_x|, |grad_nu|, 1).  x and nu are
-    drawn as float triples (x = s * unit with s uniform in [0.8, 2.0], nu a
-    unit), and the errors are taken on floats, so nothing is converted but
-    fd_gradient's result."""
+    """Largest finite-difference error of the dV/dx and of the dV/dnu half of
+    pot.grad, read once, at a random (x, nu), each relative to
+    max(|dV/dx|, |dV/dnu|, 1).  x and nu are drawn as float triples
+    (x = s * unit with s uniform in [0.8, 2.0], nu a unit), and the errors
+    are taken on floats, so nothing is converted but fd_gradient's result."""
     bp = PRESET_BODY
     u = _random_unit(rng)
     s = _uniform(rng, 0.8, 2.0)
     x = [c * s for c in u]
     nu = _random_unit(rng)
-    gx = pot.grad_x(x, nu, bp)
-    gn = pot.grad_nu(x, nu, bp)
+    g = pot.grad(x, nu, bp)
+    gx, gn = g[:3], g[3:]
     fx = poisson.fd_gradient(lambda xx: pot.value(xx, nu, bp), x).tolist()
     fn = poisson.fd_gradient(lambda nn: pot.value(x, nn, bp), nu).tolist()
     scale = max(_norm(*gx), _norm(*gn), 1.0)

@@ -28,7 +28,10 @@ A step runs on Python floats: the Hamiltonian gradient, the vector field
 (poisson.vector_field_floats), the stage sums and the repair work on floats,
 because at chart dimension 18 or less numpy's per-call overhead costs more
 than the arithmetic.  Fields and potentials take Python floats only (see
-poisson.ScalarField and Potential), so no layer below step converts.
+poisson.ScalarField and Potential), so no layer below step converts.  Each
+RK4 stage makes one Hamiltonian-gradient call, which makes one
+Potential.grad call for both halves of dV, and one call of the chart's
+written-out field kernel.
 <nu, pi> in the spin term and |nu| in the repair are plain float sums; R is
 repaired by algebra3's polar kernel, whose Newton update and stop test also
 run on floats.  simulate carries the state from step to step as a float
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -62,6 +65,7 @@ from .poisson import ScalarField, vector_field_floats
 from .poisson import ham_vector_field  # noqa: F401  (bench/tracing.py wraps both names; bench/tests checks)
 
 Float3 = tuple[float, float, float]
+Float6 = tuple[float, float, float, float, float, float]
 
 
 class BodyParams(_Frozen):
@@ -80,13 +84,16 @@ class BodyParams(_Frozen):
 class Potential:
     """Interface for V(x, nu) with analytic gradients.
 
-    Implementations supply value, grad_x and grad_nu, each gradient defined
-    in the class's own body, because bench/tracing.py patches vars(cls).
-    The gradients are the production path; finite differences only verify
-    them.  All three take x and nu as float triples, tuples or lists of three
-    Python floats, as the Hamiltonian passes them.  value returns a float;
-    grad_x and grad_nu return a tuple of three Python floats, not an
-    ndarray: wrap it in np.array before arithmetic.
+    Implementations supply value and grad.  grad returns dV/dx and then
+    dV/dnu as one tuple of six Python floats; it is the one home of each
+    gradient formula, and the Hamiltonian's gradient calls it once.  grad_x
+    and grad_nu are views of its two halves, kept because bench/tracing.py
+    patches them through vars(cls), so each potential below binds them in its
+    own body.  The gradients are the production path; finite differences
+    only verify them.  All take x and nu as float triples, tuples or lists
+    of three Python floats, as the Hamiltonian passes them.  value returns a
+    float and the gradients tuples of Python floats, not an ndarray: wrap
+    one in np.array before arithmetic.
 
     The four potentials below are also frozen value types (phase._Frozen):
     each __init__ validates its parameters and stores them once, with the
@@ -96,11 +103,14 @@ class Potential:
     def value(self, x: Sequence[float], nu: Sequence[float], bp: BodyParams) -> float:
         raise NotImplementedError
 
-    def grad_x(self, x: Sequence[float], nu: Sequence[float], bp: BodyParams) -> Float3:
+    def grad(self, x: Sequence[float], nu: Sequence[float], bp: BodyParams) -> Float6:
         raise NotImplementedError
 
+    def grad_x(self, x: Sequence[float], nu: Sequence[float], bp: BodyParams) -> Float3:
+        return self.grad(x, nu, bp)[:3]
+
     def grad_nu(self, x: Sequence[float], nu: Sequence[float], bp: BodyParams) -> Float3:
-        raise NotImplementedError
+        return self.grad(x, nu, bp)[3:]
 
 
 class ZeroPotential(Potential, _Frozen):
@@ -109,11 +119,10 @@ class ZeroPotential(Potential, _Frozen):
     def value(self, x, nu, bp):
         return 0.0
 
-    def grad_x(self, x, nu, bp):
-        return 0.0, 0.0, 0.0
+    def grad(self, x, nu, bp):
+        return 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
 
-    def grad_nu(self, x, nu, bp):
-        return 0.0, 0.0, 0.0
+    grad_x, grad_nu = Potential.grad_x, Potential.grad_nu
 
 
 class LinearGravity(Potential, _Frozen):
@@ -145,13 +154,15 @@ class LinearGravity(Potential, _Frozen):
         h0, h1, h2 = self._ghat
         return bp.M * (g0 * x0 + g1 * x1 + g2 * x2) + self.chi * (h0 * n0 + h1 * n1 + h2 * n2)
 
-    def grad_x(self, x, nu, bp):
+    def grad(self, x, nu, bp):
         m = bp.M
         g0, g1, g2 = self._g
-        return m * g0, m * g1, m * g2
+        return m * g0, m * g1, m * g2, *self._grad_nu
+
+    grad_x = Potential.grad_x
 
     def grad_nu(self, x, nu, bp):
-        return self._grad_nu
+        return self._grad_nu  # grad's constant half, read without bp
 
 
 # |x| below which the dipole field counts as singular.  Far above the point
@@ -202,29 +213,34 @@ class DipolePotential(Potential, _Frozen):
         n0, n1, n2 = nu
         return -self.m * (n0 * b0 + n1 * b1 + n2 * b2)
 
-    def grad_nu(self, x, nu, bp):
-        m = self.m
-        b0, b1, b2 = self._field(x)
-        return -m * b0, -m * b1, -m * b2
-
-    def grad_x(self, x, nu, bp):
-        # J_b nu with the (symmetric) dipole-field Jacobian contracted analytically:
-        # J_b nu = 3 (nu <mu,x> + x <mu,nu> + mu <x,nu>) / r^5 - 15 <mu,x> <x,nu> x / r^7.
+    def grad(self, x, nu, bp):
+        # dV/dx = -m J_b nu, with the (symmetric) dipole-field Jacobian contracted analytically:
+        # J_b nu = 3 (nu <mu,x> + x <mu,nu> + mu <x,nu>) / r^5 - 15 <mu,x> <x,nu> x / r^7;
+        # dV/dnu = -m b(x), b as in _field.  r^2, its root and <mu,x> are taken once.
         x0, x1, x2 = x
         n0, n1, n2 = nu
         u0, u1, u2 = self._mu
+        m = self.m
         r2 = _dipole_r2(x0, x1, x2)
-        r5 = r2 * r2 * math.sqrt(r2)
+        r = math.sqrt(r2)
+        r3 = r2 * r
+        r5 = r2 * r2 * r
         mx = u0 * x0 + u1 * x1 + u2 * x2
         mn = u0 * n0 + u1 * n1 + u2 * n2
         xn = x0 * n0 + x1 * n1 + x2 * n2
-        a = -3.0 * self.m / r5
-        c = 15.0 * self.m * mx * xn / (r5 * r2)
+        a = -3.0 * m / r5
+        c = 15.0 * m * mx * xn / (r5 * r2)
+        b = 3.0 * mx / r2
         return (
             a * (n0 * mx + x0 * mn + u0 * xn) + c * x0,
             a * (n1 * mx + x1 * mn + u1 * xn) + c * x1,
             a * (n2 * mx + x2 * mn + u2 * xn) + c * x2,
+            -m * ((b * x0 - u0) / r3),
+            -m * ((b * x1 - u1) / r3),
+            -m * ((b * x2 - u2) / r3),
         )
+
+    grad_x, grad_nu = Potential.grad_x, Potential.grad_nu
 
 
 class SumPotential(Potential, _Frozen):
@@ -244,25 +260,17 @@ class SumPotential(Potential, _Frozen):
             v += t.value(x, nu, bp)
         return v
 
-    def grad_x(self, x, nu, bp):
-        return _sum3(t.grad_x(x, nu, bp) for t in self.terms)
+    def grad(self, x, nu, bp):
+        # componentwise, in order from the first term's floats, not from 0.0,
+        # which would turn a -0.0 into 0.0
+        terms = iter(self.terms)
+        s0, s1, s2, s3, s4, s5 = next(terms).grad(x, nu, bp)
+        for t in terms:
+            a0, a1, a2, a3, a4, a5 = t.grad(x, nu, bp)
+            s0, s1, s2, s3, s4, s5 = s0 + a0, s1 + a1, s2 + a2, s3 + a3, s4 + a4, s5 + a5
+        return s0, s1, s2, s3, s4, s5
 
-    def grad_nu(self, x, nu, bp):
-        return _sum3(t.grad_nu(x, nu, bp) for t in self.terms)
-
-
-def _sum3(triples: Iterable[Float3]) -> Float3:
-    """Componentwise sum of float triples, added in order into three floats.
-
-    The sum starts from the first triple, not from 0.0, which would turn a
-    -0.0 into 0.0; a generator argument builds no list per call."""
-    it = iter(triples)
-    s0, s1, s2 = next(it)
-    for a0, a1, a2 in it:
-        s0 += a0
-        s1 += a1
-        s2 += a2
-    return s0, s1, s2
+    grad_x, grad_nu = Potential.grad_x, Potential.grad_nu
 
 
 def spin_coefficient(bp: BodyParams) -> float:
@@ -306,9 +314,7 @@ def hamiltonian_field(space: SpaceId, bp: BodyParams, potential: Potential) -> S
 
     def grad(z):
         x0, x1, x2, p0, p1, p2, n0, n1, n2, q0, q1, q2 = take(z)
-        x, nu = (x0, x1, x2), (n0, n1, n2)
-        gx0, gx1, gx2 = potential.grad_x(x, nu, bp)
-        gn0, gn1, gn2 = potential.grad_nu(x, nu, bp)
+        gx0, gx1, gx2, gn0, gn1, gn2 = potential.grad((x0, x1, x2), (n0, n1, n2), bp)
         gq0, gq1, gq2 = q0 / i1, q1 / i1, q2 / i1
         if kappa:
             spin = 2.0 * kappa * (n0 * q0 + n1 * q1 + n2 * q2)
@@ -328,13 +334,13 @@ HORIZON_TOL = 1e-9
 def step_count(T: float, dt: float) -> int:
     """Number of steps dt that make up the horizon T.
 
-    Raises ValueError unless T and dt are positive and T is a whole number
-    of steps within HORIZON_TOL * T, so a run ends exactly at T.
+    Raises ValueError unless T is positive, dt positive and finite, and T a
+    whole number of steps within HORIZON_TOL * T, so a run ends exactly at T.
     """
     if not T > 0.0:
         raise ValueError(f"T = {T!r} must be positive")
-    if not dt > 0.0:
-        raise ValueError(f"dt = {dt!r} must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt = {dt!r} must be positive and finite")
     steps = T / dt
     if not math.isfinite(steps) or abs(round(steps) * dt - T) > HORIZON_TOL * T:
         raise ValueError(f"T = {T!r} is not a whole number of steps dt = {dt!r}")
@@ -374,8 +380,8 @@ def step(
         raise DimensionMismatch(f"Hamiltonian lives on {h.space.value}, not {space.value}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not dt > 0.0:
-        raise ValueError(f"dt = {dt} must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt = {dt} must be positive and finite")
     as_list = isinstance(z, list)
     if as_list and len(z) != LAYOUTS[space].dim:
         raise DimensionMismatch(f"{space.value} chart has dim {LAYOUTS[space].dim}, got {len(z)} floats")

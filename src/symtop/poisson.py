@@ -28,7 +28,7 @@ One eps rule covers pi, nu and the columns of R: _build_tensors writes it once
 over pi and the (start, stride) blocks of Layout.vectors.  Each R column is
 coupled separately, so a third-column entry brackets with third-column entries
 only; nu = tau(R) is that column, which is why the projection is Poisson.  The
-tensors and the other per-chart tables below are built at import.
+tensors are built at import.
 
 Sign convention: trajectories follow zdot_a = Lambda_ab dH/dz_b, so the
 translational block yields the standard xdot = dH/dp, pdot = -dH/dx.
@@ -40,9 +40,12 @@ for each column of R,
     xdot = dH/dp,   pdot = -dH/dx,   vdot = dH/dpi x v,
     pidot = dH/dpi x pi + sum_v dH/dv x v.
 
-The integrator calls it on Python floats at every RK4 stage, and
-ham_vector_field is its ndarray form; the tensors stay the independent
-reference both are tested against.
+Each chart's kernel is written out by hand on Python floats, and the
+integrator calls it at every RK4 stage; ham_vector_field is its ndarray
+form.  The tensors do not read the kernels, so they certify them exactly:
+the field is affine in z and linear in g, and the tests compare every
+kernel with structure_matrix(space, z) @ g at z = 0 and each unit z, for
+each unit g, with ==.
 """
 
 from __future__ import annotations
@@ -200,47 +203,78 @@ def bracket(f: ScalarField, g: ScalarField, z: np.ndarray) -> float:
     return dot_floats(f.grad(w), [dot_floats(row, dg) for row in lam])
 
 
-# Per chart: (dim, x start, p start, pi start, Layout.vectors).
-_FIELD_TABLES = {
-    space: (lay.dim, lay.x and lay.x.start, lay.p and lay.p.start, lay.pi.start, lay.vectors)
-    for space, lay in LAYOUTS.items()
-}
+# One kernel per chart: zdot = Lambda(z) g written out, z and g each unpacked
+# in one statement (q = pi, v = nu, rjk = R_jk; w, u, ajk, gx, gp the entries
+# of g at pi, nu, R_jk, x, p).  Every sum keeps the order of the rule above:
+# pidot starts from w x pi and adds dH/dv x v for nu, or for R's columns 0, 1, 2.
+def _cotso3(z, g):
+    r00, r01, r02, r10, r11, r12, r20, r21, r22, q0, q1, q2 = z
+    a00, a01, a02, a10, a11, a12, a20, a21, a22, w0, w1, w2 = g
+    return [
+        w1 * r20 - w2 * r10, w1 * r21 - w2 * r11, w1 * r22 - w2 * r12,
+        w2 * r00 - w0 * r20, w2 * r01 - w0 * r21, w2 * r02 - w0 * r22,
+        w0 * r10 - w1 * r00, w0 * r11 - w1 * r01, w0 * r12 - w1 * r02,
+        w1 * q2 - w2 * q1 + (a10 * r20 - a20 * r10) + (a11 * r21 - a21 * r11) + (a12 * r22 - a22 * r12),
+        w2 * q0 - w0 * q2 + (a20 * r00 - a00 * r20) + (a21 * r01 - a01 * r21) + (a22 * r02 - a02 * r22),
+        w0 * q1 - w1 * q0 + (a00 * r10 - a10 * r00) + (a01 * r11 - a11 * r01) + (a02 * r12 - a12 * r02),
+    ]
 
 
-def vector_field_floats(space: SpaceId, z: list[float], g: Sequence[float]) -> list[float]:
+def _se3dual(z, g):
+    v0, v1, v2, q0, q1, q2 = z
+    u0, u1, u2, w0, w1, w2 = g
+    return [
+        w1 * v2 - w2 * v1, w2 * v0 - w0 * v2, w0 * v1 - w1 * v0,
+        w1 * q2 - w2 * q1 + (u1 * v2 - u2 * v1),
+        w2 * q0 - w0 * q2 + (u2 * v0 - u0 * v2),
+        w0 * q1 - w1 * q0 + (u0 * v1 - u1 * v0),
+    ]
+
+
+def _cotse3(z, g):
+    _, _, _, _, _, _, r00, r01, r02, r10, r11, r12, r20, r21, r22, q0, q1, q2 = z
+    gx0, gx1, gx2, gp0, gp1, gp2, a00, a01, a02, a10, a11, a12, a20, a21, a22, w0, w1, w2 = g
+    return [
+        gp0, gp1, gp2, -gx0, -gx1, -gx2,
+        w1 * r20 - w2 * r10, w1 * r21 - w2 * r11, w1 * r22 - w2 * r12,
+        w2 * r00 - w0 * r20, w2 * r01 - w0 * r21, w2 * r02 - w0 * r22,
+        w0 * r10 - w1 * r00, w0 * r11 - w1 * r01, w0 * r12 - w1 * r02,
+        w1 * q2 - w2 * q1 + (a10 * r20 - a20 * r10) + (a11 * r21 - a21 * r11) + (a12 * r22 - a22 * r12),
+        w2 * q0 - w0 * q2 + (a20 * r00 - a00 * r20) + (a21 * r01 - a01 * r21) + (a22 * r02 - a02 * r22),
+        w0 * q1 - w1 * q0 + (a00 * r10 - a10 * r00) + (a01 * r11 - a11 * r01) + (a02 * r12 - a12 * r02),
+    ]
+
+
+def _reduced(z, g):
+    _, _, _, _, _, _, v0, v1, v2, q0, q1, q2 = z
+    gx0, gx1, gx2, gp0, gp1, gp2, u0, u1, u2, w0, w1, w2 = g
+    return [
+        gp0, gp1, gp2, -gx0, -gx1, -gx2,
+        w1 * v2 - w2 * v1, w2 * v0 - w0 * v2, w0 * v1 - w1 * v0,
+        w1 * q2 - w2 * q1 + (u1 * v2 - u2 * v1),
+        w2 * q0 - w0 * q2 + (u2 * v0 - u0 * v2),
+        w0 * q1 - w1 * q0 + (u0 * v1 - u1 * v0),
+    ]
+
+
+_KERNELS = {SpaceId.CotSO3: _cotso3, SpaceId.Se3Dual: _se3dual, SpaceId.CotSE3: _cotse3, SpaceId.Reduced: _reduced}
+
+
+def vector_field_floats(space: SpaceId, z: Sequence[float], g: Sequence[float]) -> list[float]:
     """Chart tangent vector zdot_a = Lambda(z)_ab g_b in closed form, with z and
     the gradient g = dH/dz at z given as sequences of Python floats.
-    DimensionMismatch unless g has the chart's length.
+    DimensionMismatch unless z and g both have the chart's length.
 
     At chart dimension 18 or less, per-call numpy overhead would cost more
     than the arithmetic, so the RK4 step stays on floats and calls this
     directly; ham_vector_field is its ndarray form.
     """
-    n, x0, p0, s, vectors = _FIELD_TABLES[space]
-    if len(g) != n:
-        raise DimensionMismatch(f"gradient has {len(g)} entries, {space.value} chart {n}")
-    out = [0.0] * n
-    w0, w1, w2 = g[s], g[s + 1], g[s + 2]
-    q0, q1, q2 = z[s], z[s + 1], z[s + 2]
-    # pidot = w x pi + sum over vector blocks v of dH/dv x v, with w = dH/dpi
-    t0 = w1 * q2 - w2 * q1
-    t1 = w2 * q0 - w0 * q2
-    t2 = w0 * q1 - w1 * q0
-    for a, d in vectors:
-        b, c = a + d, a + 2 * d
-        v0, v1, v2 = z[a], z[b], z[c]
-        u0, u1, u2 = g[a], g[b], g[c]
-        out[a] = w1 * v2 - w2 * v1
-        out[b] = w2 * v0 - w0 * v2
-        out[c] = w0 * v1 - w1 * v0
-        t0 += u1 * v2 - u2 * v1
-        t1 += u2 * v0 - u0 * v2
-        t2 += u0 * v1 - u1 * v0
-    out[s], out[s + 1], out[s + 2] = t0, t1, t2
-    if x0 is not None:
-        out[x0:x0 + 3] = g[p0:p0 + 3]
-        out[p0], out[p0 + 1], out[p0 + 2] = -g[x0], -g[x0 + 1], -g[x0 + 2]
-    return out
+    try:
+        return _KERNELS[space](z, g)
+    except ValueError:  # a kernel's unpack of z or g, the only ValueError it raises
+        n = LAYOUTS[space].dim
+        raise DimensionMismatch(f"{space.value} chart has dim {n}; z has {len(z)} entries, "
+                                f"the gradient {len(g)}") from None
 
 
 def ham_vector_field(h: ScalarField, z: np.ndarray) -> np.ndarray:

@@ -444,6 +444,19 @@ def test_step_count_rejects(T, dt):
         step_count(T, dt)
 
 
+def test_an_infinite_step_is_rejected_naming_dt():
+    # round(1.0 / inf) * inf is NaN, which passed the horizon test: simulate
+    # gave one sample at t = 0, and step reached a dipole at x = inf
+    with pytest.raises(ValueError, match=r"^dt = inf must be positive and finite$"):
+        step_count(1.0, math.inf)
+    h = hamiltonian_field(SpaceId.Reduced, BP, PRESET_POTENTIALS["dipole"])
+    z0 = flatten(reduced_point(), SpaceId.Reduced)
+    with pytest.raises(ValueError, match=r"^dt = inf must be positive and finite$"):
+        simulate(h, z0, math.inf, 1.0)
+    with pytest.raises(ValueError, match=r"^dt = inf must be positive and finite$"):
+        step(SpaceId.Reduced, h, z0.tolist(), math.inf)
+
+
 def test_free_top_analytic_at_zero():
     s = reduced_point()
     out = free_top_analytic(s, 0.0, BP)
@@ -594,11 +607,12 @@ def test_momentum_map_conserved_about_symmetry_axes(space, name):
 @pytest.mark.parametrize("defect", ["grad_x-negated", "grad_nu-zero"])
 @pytest.mark.parametrize("space", [SpaceId.CotSE3, SpaceId.Reduced], ids=["full", "reduced"])
 def test_momentum_map_catches_a_planted_dipole_defect(monkeypatch, space, defect):
+    # planted in grad, the one gradient call of the Hamiltonian
+    grad = DipolePotential.grad
     if defect == "grad_x-negated":
-        grad_x = DipolePotential.grad_x
-        monkeypatch.setattr(DipolePotential, "grad_x", lambda *a: tuple(-g for g in grad_x(*a)))
+        monkeypatch.setattr(DipolePotential, "grad", lambda *a: tuple(-g for g in grad(*a)[:3]) + grad(*a)[3:])
     else:
-        monkeypatch.setattr(DipolePotential, "grad_nu", lambda *a: (0.0, 0.0, 0.0))
+        monkeypatch.setattr(DipolePotential, "grad", lambda *a: grad(*a)[:3] + (0.0, 0.0, 0.0))
     assert momentum_drift(space, *MOMENTUM_CASES["dipole"]) > MOMENTUM_TOL
 
 
@@ -694,6 +708,19 @@ def test_every_field_builder_rejects_a_chart_vector_of_the_wrong_shape(space):
                 f(bad)
             with pytest.raises(DimensionMismatch):
                 f.gradient(bad)
+
+
+def test_potential_grad_is_both_halves_and_a_one_term_sum_keeps_its_bits():
+    # grad_x and grad_nu are views of grad; SumPotential adds from the first
+    # term's floats, so a -0.0 survives a one-term sum
+    signed = [LinearGravity(g=[-0.0, 0.0, -1.0], chi=0.3), DipolePotential(m=0.05, mu=[0.0, -0.0, 1.0])]
+    for pot in [*PRESET_POTENTIALS.values(), ZeroPotential(), *signed]:
+        for x, nu in (((1.0, 0.0, -0.0), (0.0, -0.0, 1.0)), ((0.3, -0.2, 1.1), (-0.6, 0.0, 0.8))):
+            g = pot.grad(x, nu, BP)
+            assert type(g) is tuple and len(g) == 6 and all(type(c) is float for c in g)
+            assert pot.grad_x(x, nu, BP) + pot.grad_nu(x, nu, BP) == g
+            assert np.array(SumPotential((pot,)).grad(x, nu, BP)).tobytes() == np.array(g).tobytes()
+    assert str(SumPotential((signed[0],)).grad((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), BP)[0]) == "-0.0"
 
 
 def test_potential_methods_return_floats_on_float_triples():

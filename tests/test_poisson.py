@@ -225,6 +225,32 @@ def test_closed_form_vector_field_matches_structure_matrix():
             assert err <= 1e-14 * max(1.0, np.abs(g).max()), (h.name, space, seed, err)
 
 
+@pytest.mark.parametrize("space", ALL, ids=lambda s: s.value)
+def test_field_kernel_equals_the_tensors_at_every_unit_pair(space):
+    # The field is affine in z and linear in g, so z in {0, e_1 .. e_n} with
+    # g in {e_1 .. e_n} pins the written-out kernel down; every product there
+    # is of 0 and +-1, so the comparison is exact.
+    n = LAYOUTS[space].dim
+    units = np.eye(n)
+    for z in [np.zeros(n), *units]:
+        for g in units:
+            got = poisson.vector_field_floats(space, z.tolist(), g.tolist())
+            assert got == (structure_matrix(space, z) @ g).tolist(), (z, g)
+
+
+@pytest.mark.parametrize("space", ALL, ids=lambda s: s.value)
+def test_field_kernel_rejects_z_or_g_of_the_wrong_length(space):
+    z = random_chart_point(space, 0).tolist()
+    g = random_chart_point(space, 1).tolist()
+    n = len(z)
+    for bad in (z[:-1], z + [0.0]):
+        with pytest.raises(DimensionMismatch, match=f"dim {n}; z has {len(bad)} entries, the gradient {n}$"):
+            poisson.vector_field_floats(space, bad, g)
+    for bad in (g[:-1], g + [0.0]):
+        with pytest.raises(DimensionMismatch, match=f"dim {n}; z has {n} entries, the gradient {len(bad)}$"):
+            poisson.vector_field_floats(space, z, bad)
+
+
 def test_spin_rate_matches_structure_product():
     # h = |pi|^2 / (2 I1) on the dual: nudot must equal Lambda grad h rows
     lay = LAYOUTS[SpaceId.Se3Dual]
