@@ -27,7 +27,6 @@ from .orbits import (
     casimirs,
     coadjoint,
     magnetic_form,
-    on_level,
     same_orbit_witness,
 )
 from .phase import (

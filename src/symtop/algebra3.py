@@ -62,15 +62,18 @@ ADMISSION_TOL = 1e-9
 REPAIR_LIMIT = 0.1
 
 
+def _shape33(m, name: str) -> Mat3:
+    """m as a float array; ValueError naming its shape unless it is 3x3."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3):
+        raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
+    return m
+
+
 def hat(v: Vec3) -> Mat3:
     """Antisymmetric matrix of the cross product: hat(v) @ w == v x w."""
     v0, v1, v2 = np.asarray(v, dtype=float).tolist()
     return np.array([0.0, -v2, v1, v2, 0.0, -v0, -v1, v0, 0.0]).reshape(3, 3)
-
-
-def cross(a: Vec3, b: Vec3) -> Vec3:
-    """a x b of two float 3-vectors."""
-    return np.array(_cross(a.tolist(), b.tolist()))
 
 
 def _cross(a, b) -> list[float]:
@@ -88,9 +91,7 @@ def vee(m: Mat3) -> Vec3:
     returned vector is the average of the two off-diagonal copies, so
     vee(hat(v)) reproduces v exactly.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"matrix must be 3x3, got shape {m.shape}")
+    m = _shape33(m, "matrix")
     defect = np.abs(m + m.T).max()
     if not defect <= ADMISSION_TOL:
         raise NotAntisymmetric(f"antisymmetry defect {defect:.3e} exceeds {ADMISSION_TOL:.1e}")
@@ -153,16 +154,11 @@ def max_or_nan(values) -> float:
     return math.nan if math.isnan(sum(values)) else max(values)
 
 
-def orthogonality_defect(m: Mat3) -> float:
-    """max|M^T M - I|, zero exactly on orthogonal matrices; NaN if any entry
-    of M^T M is NaN."""
-    return _gram_defect(*np.asarray(m, dtype=float).ravel().tolist())
-
-
 def _gram_defect(a, b, c, d, e, f, g, h, i) -> float:
-    """orthogonality_defect of the row-major entries of M.  Each Gram entry
-    is a column dot product summed top to bottom, so M^T M is exactly
-    symmetric and its upper triangle holds every distinct entry."""
+    """Orthogonality defect max|M^T M - I| of the row-major entries of M:
+    zero exactly on orthogonal matrices, NaN if any entry of M^T M is NaN.
+    Each Gram entry is a column dot product summed top to bottom, so M^T M
+    is exactly symmetric and its upper triangle holds every distinct entry."""
     return max_or_nan((
         abs(a * a + d * d + g * g - 1.0), abs(a * b + d * e + g * h), abs(a * c + d * f + g * i),
         abs(b * b + e * e + h * h - 1.0), abs(b * c + e * f + h * i), abs(c * c + f * f + i * i - 1.0),
@@ -171,8 +167,8 @@ def _gram_defect(a, b, c, d, e, f, g, h, i) -> float:
 
 def rotation_defect(m: Mat3) -> float:
     """Combined admission defect: max of orthogonality defect and |det - 1|;
-    NaN if either is NaN."""
-    entries = np.asarray(m, dtype=float).ravel().tolist()
+    NaN if either is NaN.  ValueError unless m is 3x3."""
+    entries = _shape33(m, "rotation").ravel().tolist()
     a, b, c, d, e, f, g, h, i = entries
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     det_defect = abs(det - 1.0)
@@ -183,10 +179,9 @@ def rotation_defect(m: Mat3) -> float:
 
 def require_rotation(m: Mat3) -> Mat3:
     """Validate rotation invariants (orthogonal, det +1, within ADMISSION_TOL)
-    and return the matrix; a non-finite matrix is rejected too."""
+    and return the matrix; a non-finite matrix is rejected too, and any shape
+    but 3x3 (rotation_defect's ValueError)."""
     m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"rotation must be 3x3, got shape {m.shape}")
     d = rotation_defect(m)
     if not d <= ADMISSION_TOL:
         raise ValueError(f"rotation defect {d:.3e} exceeds admission tolerance {ADMISSION_TOL:.1e}")
@@ -232,10 +227,12 @@ def reorthonormalize(m: Mat3) -> Mat3:
     by Gershgorin its eigenvalues are >= 0.7 and |det M| >= 0.7^1.5 > 0; each
     Newton step maps a singular value s to (s + 1/s)/2 >= 1, so the cofactor
     inverse never divides by zero.  The stop test and the limit read
-    orthogonality_defect; the iteration runs on the nine entries as floats.
+    the orthogonality defect (_gram_defect); the iteration runs on the nine
+    entries as floats.
     A matrix already within 1e-15 of orthogonal is returned as it is.
+    ValueError unless m is 3x3.
     """
-    m = np.asarray(m, dtype=float)
+    m = _shape33(m, "matrix")
     entries = m.ravel().tolist()
     r = _polar(entries)
     return m if r is entries else np.array(r).reshape(3, 3)

@@ -159,10 +159,7 @@ class LinearGravity(Potential, _Frozen):
         g0, g1, g2 = self._g
         return m * g0, m * g1, m * g2, *self._grad_nu
 
-    grad_x = Potential.grad_x
-
-    def grad_nu(self, x, nu, bp):
-        return self._grad_nu  # grad's constant half, read without bp
+    grad_x, grad_nu = Potential.grad_x, Potential.grad_nu
 
 
 # |x| below which the dipole field counts as singular.  Far above the point

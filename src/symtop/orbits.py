@@ -113,16 +113,6 @@ def _coadjoint(a, rot, nu, pi) -> tuple[list[float], list[float]]:
     return anu, [x + y for x, y in zip(_cross(a, anu), _matvec(rot, pi))]
 
 
-def on_level(q: Se3DualPoint, level: OrbitLevel, tol: float) -> bool:
-    """True iff both Casimirs of q match the level within tol."""
-    return _on_level(*_casimirs(q.nu.tolist(), q.pi.tolist()), level.c1, level.c2, tol)
-
-
-def _on_level(c1: float, c2: float, l1: float, l2: float, tol: float) -> bool:
-    """on_level of Casimirs (c1, c2) and the level (l1, l2)."""
-    return abs(c1 - l1) <= tol and abs(c2 - l2) <= tol
-
-
 def witness_tol(q: Se3DualPoint, level: OrbitLevel) -> float:
     """Level-match tolerance of same_orbit_witness at q, whose Casimirs are
     level: WITNESS_TOL * s with s = max(1, C1, |nu||pi|).
@@ -153,7 +143,7 @@ def same_orbit_witness(q1: Se3DualPoint, q2: Se3DualPoint) -> SE3Element:
     c1, c2 = _casimirs(nu1, pi1)
     tol = _witness_tol(nu1, pi1, c1)
     d1, d2 = _casimirs(nu2, pi2)
-    if not _on_level(d1, d2, c1, c2, tol):
+    if not (abs(d1 - c1) <= tol and abs(d2 - c2) <= tol):
         raise NotSameLevel(
             f"levels ({c1:.6g}, {c2:.6g}) and ({d1:.6g}, {d2:.6g}) differ beyond {tol:.1e}"
         )

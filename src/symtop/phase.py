@@ -279,8 +279,9 @@ def _uniform(rng: np.random.Generator, lo: float, hi: float, n: int | None = Non
 
 
 def _random_unit(rng: np.random.Generator) -> list[float]:
-    """random_unit as a float triple: rng.normal(size=3) is numpy's
-    0.0 + 1.0 * x on the raw standard normals x, divided by their length."""
+    """Uniform on the unit sphere, as a float triple: a standard normal
+    3-vector over its length.  rng.normal(size=3) is numpy's 0.0 + 1.0 * x
+    on the raw standard normals x, so these are its bits."""
     v0, v1, v2 = [0.0 + 1.0 * x for x in rng.standard_normal(3).tolist()]
     n = _norm(v0, v1, v2)
     return [v0 / n, v1 / n, v2 / n]
@@ -307,11 +308,6 @@ def random_rotation(rng: np.random.Generator) -> Mat3:
     disc by rejection from uniform(-1, 1, 4), then (y, z) scaled onto S^3.
     Only +, -, *, / and one sqrt; 2x, 2y, 2z keep the array expression's bits."""
     return np.array(_random_rotation(rng)).reshape(3, 3)
-
-
-def random_unit(rng: np.random.Generator) -> Vec3:
-    """Uniform on the unit sphere: a standard normal 3-vector over its length."""
-    return np.array(_random_unit(rng))
 
 
 def _random_component(rng: np.random.Generator) -> list[float]:

@@ -40,12 +40,16 @@ for each column of R,
     xdot = dH/dp,   pdot = -dH/dx,   vdot = dH/dpi x v,
     pidot = dH/dpi x pi + sum_v dH/dv x v.
 
-Each chart's kernel is written out by hand on Python floats, and the
-integrator calls it at every RK4 stage; ham_vector_field is its ndarray
-form.  The tensors do not read the kernels, so they certify them exactly:
-the field is affine in z and linear in g, and the tests compare every
-kernel with structure_matrix(space, z) @ g at z = 0 and each unit z, for
-each unit g, with ==.
+The two written-out kernels, those of CotSE3 and Reduced, work by hand on
+Python floats, and the integrator calls them at every RK4 stage;
+ham_vector_field is their ndarray form.  T*SE(3) is T*R^3 x T*SO(3) and the
+reduced space T*R^3 x se(3)*, so the CotSO3 and Se3Dual fields are the
+rotational rows of those two kernels at x = p = 0: each is called with six
+leading zeros, which its rotational rows never read.  The tensors do not
+read the kernels, so they certify them exactly: the field is affine in z
+and linear in g, and the tests compare every chart's field with
+structure_matrix(space, z) @ g at z = 0 and each unit z, for each unit g,
+with ==.
 """
 
 from __future__ import annotations
@@ -203,34 +207,11 @@ def bracket(f: ScalarField, g: ScalarField, z: np.ndarray) -> float:
     return dot_floats(f.grad(w), [dot_floats(row, dg) for row in lam])
 
 
-# One kernel per chart: zdot = Lambda(z) g written out, z and g each unpacked
-# in one statement (q = pi, v = nu, rjk = R_jk; w, u, ajk, gx, gp the entries
-# of g at pi, nu, R_jk, x, p).  Every sum keeps the order of the rule above:
-# pidot starts from w x pi and adds dH/dv x v for nu, or for R's columns 0, 1, 2.
-def _cotso3(z, g):
-    r00, r01, r02, r10, r11, r12, r20, r21, r22, q0, q1, q2 = z
-    a00, a01, a02, a10, a11, a12, a20, a21, a22, w0, w1, w2 = g
-    return [
-        w1 * r20 - w2 * r10, w1 * r21 - w2 * r11, w1 * r22 - w2 * r12,
-        w2 * r00 - w0 * r20, w2 * r01 - w0 * r21, w2 * r02 - w0 * r22,
-        w0 * r10 - w1 * r00, w0 * r11 - w1 * r01, w0 * r12 - w1 * r02,
-        w1 * q2 - w2 * q1 + (a10 * r20 - a20 * r10) + (a11 * r21 - a21 * r11) + (a12 * r22 - a22 * r12),
-        w2 * q0 - w0 * q2 + (a20 * r00 - a00 * r20) + (a21 * r01 - a01 * r21) + (a22 * r02 - a02 * r22),
-        w0 * q1 - w1 * q0 + (a00 * r10 - a10 * r00) + (a01 * r11 - a11 * r01) + (a02 * r12 - a12 * r02),
-    ]
-
-
-def _se3dual(z, g):
-    v0, v1, v2, q0, q1, q2 = z
-    u0, u1, u2, w0, w1, w2 = g
-    return [
-        w1 * v2 - w2 * v1, w2 * v0 - w0 * v2, w0 * v1 - w1 * v0,
-        w1 * q2 - w2 * q1 + (u1 * v2 - u2 * v1),
-        w2 * q0 - w0 * q2 + (u2 * v0 - u0 * v2),
-        w0 * q1 - w1 * q0 + (u0 * v1 - u1 * v0),
-    ]
-
-
+# The two kernels with an x and p block: zdot = Lambda(z) g written out, z and g
+# each unpacked in one statement (q = pi, v = nu, rjk = R_jk; w, u, ajk, gx, gp
+# the entries of g at pi, nu, R_jk, x, p).  Every sum keeps the order of the
+# rule above: pidot starts from w x pi and adds dH/dv x v for nu, or for R's
+# columns 0, 1, 2.
 def _cotse3(z, g):
     _, _, _, _, _, _, r00, r01, r02, r10, r11, r12, r20, r21, r22, q0, q1, q2 = z
     gx0, gx1, gx2, gp0, gp1, gp2, a00, a01, a02, a10, a11, a12, a20, a21, a22, w0, w1, w2 = g
@@ -257,7 +238,15 @@ def _reduced(z, g):
     ]
 
 
-_KERNELS = {SpaceId.CotSO3: _cotso3, SpaceId.Se3Dual: _se3dual, SpaceId.CotSE3: _cotse3, SpaceId.Reduced: _reduced}
+def _rotational(kernel):
+    """The kernel of CotSO3 or Se3Dual from that of CotSE3 or Reduced: their
+    rotational rows at x = p = 0, which read no x, p, gx or gp entry, so every
+    bit is the one a written-out kernel would give."""
+    return lambda z, g: kernel((0.0,) * 6 + tuple(z), (0.0,) * 6 + tuple(g))[6:]
+
+
+_KERNELS = {SpaceId.CotSO3: _rotational(_cotse3), SpaceId.Se3Dual: _rotational(_reduced),
+            SpaceId.CotSE3: _cotse3, SpaceId.Reduced: _reduced}
 
 
 def vector_field_floats(space: SpaceId, z: Sequence[float], g: Sequence[float]) -> list[float]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra3 import Mat3, Vec3, _frame, exp_so3, matmul3
+from .algebra3 import Mat3, Vec3, _frame, _shape33, exp_so3, matmul3
 from .errors import DimensionMismatch
 from .phase import (
     LAYOUTS,
@@ -57,9 +57,9 @@ def z_rotation(theta: float) -> Mat3:
 
 
 def tau(r: Mat3) -> Vec3:
-    """Third column of the attitude matrix: the body axis in the inertial frame."""
-    r = np.asarray(r, dtype=float)
-    return r[:, 2].copy()
+    """Third column of the attitude matrix: the body axis in the inertial
+    frame.  ValueError unless r is 3x3."""
+    return _shape33(r, "attitude matrix")[:, 2].copy()
 
 
 def tilde_tau(s: CotSO3State) -> Se3DualPoint:

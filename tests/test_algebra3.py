@@ -6,12 +6,12 @@ import numpy.testing as npt
 import pytest
 
 from symtop.algebra3 import (
-    cross,
+    _cross,
+    _gram_defect,
     exp_so3,
     hat,
     max_or_nan,
     norm3,
-    orthogonality_defect,
     reorthonormalize,
     require_rotation,
     rotation_defect,
@@ -20,6 +20,11 @@ from symtop.algebra3 import (
 from symtop.errors import NotAntisymmetric, TooFarFromSO3
 from symtop.phase import random_rotation
 from symtop.reduction import section
+
+
+def orthogonality_defect(m):
+    """max|M^T M - I| of a 3x3 array, by the repair's Gram kernel."""
+    return _gram_defect(*np.ravel(m).tolist())
 
 
 def expm_series(k, terms=40):
@@ -186,11 +191,10 @@ def test_cross_matches_numpy_bytes():
         b = rng.normal(size=3) * 10.0 ** rng.uniform(-150, 150, 3)
         a[rng.random(3) < 0.2] = 0.0
         b[rng.random(3) < 0.2] = -0.0
-        assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
+        assert np.array(_cross(a.tolist(), b.tolist())).tobytes() == np.cross(a, b).tobytes()
     for a, b in (([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]), ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
                  ([-0.0, 1.0, 0.0], [0.0, -1.0, -0.0]), ([2.0, 4.0, 6.0], [1.0, 2.0, 3.0])):
-        a, b = np.array(a), np.array(b)
-        assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
+        assert np.array(_cross(a, b)).tobytes() == np.cross(a, b).tobytes()
 
 
 def test_orthogonal_unit():
@@ -233,6 +237,23 @@ def test_non_finite_matrices_are_not_rotations():
             reorthonormalize(m)
         with pytest.raises(ValueError, match="rotation defect"):
             require_rotation(m)
+
+
+@pytest.mark.parametrize("shape", [(9,), (4, 4), (5, 3), (3, 3, 1), (1, 9)])
+def test_matrix_functions_refuse_any_shape_but_3x3(shape):
+    for f, name in ((rotation_defect, "rotation"), (require_rotation, "rotation"), (reorthonormalize, "matrix")):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be 3x3, got shape {shape}")):
+            f(np.ones(shape))
+
+
+def test_flat_rotations_are_refused():
+    # flat, the identity used to come back as it was, a non-orthogonal
+    # matrix as 3x3, and the defect read 0.0
+    for m in (np.eye(3).ravel(), 1.01 * np.eye(3).ravel()):
+        with pytest.raises(ValueError, match=re.escape("matrix must be 3x3, got shape (9,)")):
+            reorthonormalize(m)
+        with pytest.raises(ValueError, match=re.escape("rotation must be 3x3, got shape (9,)")):
+            rotation_defect(m)
 
 
 def test_norm3_matches_fixed_order_reference():

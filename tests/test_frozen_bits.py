@@ -4,7 +4,8 @@ The random points of the certificates, the Rodrigues exponential, the
 rotation defects and the certificate composites (the coadjoint action, the
 orbit witness and the same-level and SE(3) samplers) run on Python floats
 (see the algebra3 docstring): every dot product and matrix entry is summed
-left to right, with no BLAS call.
+left to right, with no BLAS call.  So do the written-out vector-field
+kernels of poisson, whose CotSO3 and Se3Dual outputs are pinned too.
 So the sha256 literals hold on any OpenBLAS kernel (SkylakeX, Haswell,
 Nehalem, Prescott, ...) and any BLAS build.  They still depend on numpy's
 random generator and on the x86-64 double arithmetic that IEEE 754 fixes
@@ -20,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from symtop.algebra3 import exp_so3, hat, orthogonality_defect, rotation_defect
+from symtop.algebra3 import _gram_defect, exp_so3, hat, rotation_defect
 from symtop.checks import random_same_level_pair
 from symtop.orbits import casimirs, coadjoint, random_se3, same_orbit_witness
 from symtop.phase import (
@@ -32,6 +33,7 @@ from symtop.phase import (
     random_chart_point,
     random_rotation,
 )
+from symtop.poisson import vector_field_floats
 from symtop.reduction import z_rotation
 
 CHART_POINTS_SHA256 = "41f9e375db4f5aebc03322818989e6cf86487c6d5b2ff9827d4d4355094d33a5"
@@ -42,6 +44,7 @@ COADJOINT_SHA256 = "9e19cf53158158331ef1527814bbdd44618b46444002cbaa3604a722bf4d
 WITNESS_SHA256 = "83249fd68787603c1b2324e4943874164ad962457923066f54883620f4f6e261"
 SAME_LEVEL_PAIRS_SHA256 = "225c483229683026742a8164af994ab10dee73cf162ba1337121ed94393e14dd"
 RANDOM_SE3_SHA256 = "2a00796c25842137d81c3d25bcfde99f602bbe08e95b4175365148b1aa243f91"
+ROTATIONAL_FIELD_SHA256 = "f446ebce6e3a4b8d25766088b12b6c52f2825a95bf74b008dfd48c77b5ae7703"
 
 
 def exp_inputs():
@@ -92,11 +95,33 @@ def same_level_pairs():
         yield random_same_level_pair(rng, force_antipodal=(k % 10 == 3), force_aligned=(k % 10 == 7))
 
 
+def field_inputs(space):
+    """2,000 seeded pairs (z, g) of finite floats on a chart, entries of
+    magnitude 10**U(-3, 3): every fifth z a tuple, and in every third pair
+    about half the entries of z and of g set to 0.0 or -0.0."""
+    n = LAYOUTS[space].dim
+    rng = np.random.default_rng(43)
+    for k in range(2000):
+        z, g = (rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, n))).tolist()
+        if k % 3 == 0:
+            for w in (z, g):
+                for a in np.flatnonzero(rng.random(n) < 0.5).tolist():
+                    w[a] = 0.0 if rng.random() < 0.5 else -0.0
+        yield (tuple(z) if k % 5 == 0 else z), g
+
+
 def sha256(chunks) -> str:
     h = hashlib.sha256()
     for chunk in chunks:
         h.update(chunk)
     return h.hexdigest()
+
+
+def test_rotational_vector_field_bits():
+    # NaN is left out: the payload bits of a NaN result are platform-dependent
+    digest = sha256(np.array(vector_field_floats(space, z, g)).tobytes()
+                    for space in (SpaceId.CotSO3, SpaceId.Se3Dual) for z, g in field_inputs(space))
+    assert digest == ROTATIONAL_FIELD_SHA256
 
 
 def test_random_chart_point_bits():
@@ -113,7 +138,7 @@ def test_exp_so3_bits():
 
 
 def test_orthogonality_defect_bits():
-    digest = sha256(repr(orthogonality_defect(m)).encode() for m in perturbed_rotations(-16.0))
+    digest = sha256(repr(_gram_defect(*m.ravel().tolist())).encode() for m in perturbed_rotations(-16.0))
     assert digest == ORTHOGONALITY_DEFECT_SHA256
 
 
@@ -207,7 +232,7 @@ def test_random_rotation_matches_array_expression(seed):
 def test_orthogonality_defect_matches_array_expression():
     for m in perturbed_rotations(-16.0):
         gram = matmul_left_to_right(m.T, m)
-        assert orthogonality_defect(m) == float(np.abs(gram - np.eye(3)).max())
+        assert _gram_defect(*m.ravel().tolist()) == float(np.abs(gram - np.eye(3)).max())
 
 
 def dot_left_to_right(a, b):
@@ -222,7 +247,7 @@ def matvec_left_to_right(m, v):
 
 def coadjoint_reference(g, q):
     """(A nu, a x A nu + A pi); numpy's cross is the same six products and
-    three differences as algebra3.cross."""
+    three differences as algebra3._cross."""
     anu = matvec_left_to_right(g.A, q.nu)
     return anu, np.cross(g.a, anu) + matvec_left_to_right(g.A, q.pi)
 

@@ -15,13 +15,15 @@ import numpy as np
 import pytest
 
 from symtop import checks, dynamics, orbits, poisson
-from symtop.algebra3 import cross, matvec3
+from symtop.algebra3 import matvec3
 from symtop.cli import main
 from symtop.dynamics import BodyParams, DipolePotential, ZeroPotential
 from symtop.phase import LAYOUTS, Se3DualPoint, SpaceId, flatten
 from test_acceptance import BP, reduced_start
 from test_affine_identities import affine_identity_defects
 from test_orbits import orbit_form_residual
+from test_symmetry_bits import CASES as SYMMETRY_CASES
+from test_symmetry_bits import turned_runs_agree
 
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -45,7 +47,7 @@ def _rotation_only(g, q):
 
 def _unrotated_translation(g, q):
     """The coadjoint action with a x nu where a x A nu belongs."""
-    return Se3DualPoint(nu=matvec3(g.A, q.nu), pi=cross(g.a, q.nu) + matvec3(g.A, q.pi))
+    return Se3DualPoint(nu=matvec3(g.A, q.nu), pi=np.cross(g.a, q.nu) + matvec3(g.A, q.pi))
 
 
 def _without_vector_torque(space, z, g):
@@ -55,6 +57,19 @@ def _without_vector_torque(space, z, g):
     for a, d in LAYOUTS[space].vectors:
         g[a] = g[a + d] = g[a + 2 * d] = 0.0
     return g
+
+
+def _one_axis_sign_error(space, zdot):
+    """The field with the e1 entry of the first vector block's rate negated:
+    one component of w x v, for the first column of R or for nu."""
+    a, _ = LAYOUTS[space].vectors[0]
+    zdot = list(zdot)
+    zdot[a] = -zdot[a]
+    return zdot
+
+
+def _symmetry_pin(space, method, side):
+    return lambda tmp: turned_runs_agree(space, method, side, presets=("gravity",), states=1, steps=20)
 
 
 def _passes(suite, **sizes):
@@ -118,6 +133,13 @@ CASES = {
         dynamics, "vector_field_floats",
         lambda f: lambda space, z, g: f(space, z, _without_vector_torque(space, z, g)),
         _compare_free_top,
+    ),
+    # The torque-free field above is still equivariant; a sign error on one
+    # axis is not, under the quarter turn on either side.
+    "vector-field-one-axis-sign": (
+        dynamics, "vector_field_floats",
+        lambda f: lambda space, z, g: _one_axis_sign_error(space, f(space, z, g)),
+        *(_symmetry_pin(*case) for case in SYMMETRY_CASES),
     ),
     "free-top-precession-rate": (
         dynamics, "free_top_analytic",

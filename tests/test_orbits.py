@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symtop import orbits
-from symtop.algebra3 import cross, exp_so3, matmul3, matvec3, max_or_nan
+from symtop.algebra3 import exp_so3, matmul3, matvec3, max_or_nan
 from symtop.checks import random_same_level_pair
 from symtop.dynamics import step
 from symtop.errors import NotSameLevel, NotTangent, NotUnit, ZeroNu
@@ -19,13 +19,12 @@ from symtop.orbits import (
     casimirs,
     coadjoint,
     magnetic_form,
-    on_level,
     random_se3,
     same_orbit_witness,
     witness_residual,
     witness_tol,
 )
-from symtop.phase import LAYOUTS, Se3DualPoint, SpaceId, flatten, random_chart_point, random_rotation, random_unit
+from symtop.phase import LAYOUTS, Se3DualPoint, SpaceId, _random_unit, flatten, random_chart_point, random_rotation
 from symtop.poisson import bracket, coordinate, fd_gradient, random_polynomial, structure_matrix
 
 
@@ -59,7 +58,7 @@ def test_coadjoint_is_group_action():
     for _ in range(50):
         g1 = SE3Element(a=rng.uniform(-1, 1, 3), A=random_rotation(rng))
         g2 = SE3Element(a=rng.uniform(-1, 1, 3), A=random_rotation(rng))
-        point = q(random_unit(rng), rng.uniform(-1, 1, 3))
+        point = q(np.array(_random_unit(rng)), rng.uniform(-1, 1, 3))
         lhs = coadjoint(g1, coadjoint(g2, point))
         rhs = coadjoint(SE3Element(a=g1.a + matvec3(g1.A, g2.a), A=matmul3(g1.A, g2.A)), point)
         npt.assert_allclose(lhs.nu, rhs.nu, atol=1e-12)
@@ -69,7 +68,7 @@ def test_coadjoint_is_group_action():
 def test_casimirs_coadjoint_invariant():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        point = q(random_unit(rng) * rng.uniform(0.5, 1.5), rng.uniform(-1, 1, 3))
+        point = q(np.array(_random_unit(rng)) * rng.uniform(0.5, 1.5), rng.uniform(-1, 1, 3))
         g = SE3Element(a=rng.uniform(-1, 1, 3), A=random_rotation(rng))
         before, after = casimirs(point), casimirs(coadjoint(g, point))
         assert abs(after.c1 - before.c1) < 1e-12
@@ -158,7 +157,7 @@ def test_witness_random_pairs_including_degenerate():
             q1, q2 = q(nu1, [0, 0, 0]), q(sign * turned, [0, 0, 0])
             assert witness_residual(same_orbit_witness(q1, q2), q1, q2) < 1e-9
     for _ in range(5):
-        q1 = q(random_unit(rng), rng.uniform(-1, 1, 3))
+        q1 = q(np.array(_random_unit(rng)), rng.uniform(-1, 1, 3))
         axis = np.cross(q1.nu, rng.normal(size=3))
         axis /= np.linalg.norm(axis)
         for t in turns:
@@ -242,14 +241,13 @@ _EDGE_PAIRS = [
 @example(_EDGE_PAIRS[5])
 def test_witness_follows_its_public_predicates(pair):
     q1, q2 = pair
-    level = casimirs(q1)
+    level, l2 = casimirs(q1), casimirs(q2)
     tol = witness_tol(q1, level)
-    same_level = on_level(q2, level, tol)
+    same_level = abs(l2.c1 - level.c1) <= tol and abs(l2.c2 - level.c2) <= tol
     try:
         g = same_orbit_witness(q1, q2)
     except NotSameLevel as e:
         assert not same_level
-        l2 = casimirs(q2)
         assert str(e) == (f"levels ({level.c1:.6g}, {level.c2:.6g}) and ({l2.c1:.6g}, {l2.c2:.6g})"
                           f" differ beyond {tol:.1e}")
     except ZeroNu as e:
@@ -286,7 +284,7 @@ def test_magnetic_form_vanishes_on_zero_argument():
 def test_magnetic_form_zero_level():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        nu = random_unit(rng)
+        nu = np.array(_random_unit(rng))
         u = np.cross(nu, rng.uniform(-1, 1, 3))
         v = np.cross(nu, rng.uniform(-1, 1, 3))
         assert magnetic_form(nu, u, v, 0.0) == 0.0
@@ -295,7 +293,7 @@ def test_magnetic_form_zero_level():
 def test_magnetic_form_antisymmetric_exactly():
     rng = np.random.default_rng(5)
     for _ in range(100):
-        nu = random_unit(rng)
+        nu = np.array(_random_unit(rng))
         u = np.cross(nu, rng.uniform(-1, 1, 3))
         v = np.cross(nu, rng.uniform(-1, 1, 3))
         c2 = rng.uniform(-2, 2)
@@ -305,7 +303,7 @@ def test_magnetic_form_antisymmetric_exactly():
 def test_magnetic_form_representative_independent():
     rng = np.random.default_rng(6)
     for _ in range(100):
-        nu = random_unit(rng)
+        nu = np.array(_random_unit(rng))
         u = np.cross(nu, rng.uniform(-1, 1, 3))
         v = np.cross(nu, rng.uniform(-1, 1, 3))
         c2 = rng.uniform(-2, 2)
@@ -318,7 +316,7 @@ def test_magnetic_form_representative_independent():
 
 def test_magnetic_form_linear_in_c2():
     rng = np.random.default_rng(7)
-    nu = random_unit(rng)
+    nu = np.array(_random_unit(rng))
     u = np.cross(nu, rng.uniform(-1, 1, 3))
     v = np.cross(nu, rng.uniform(-1, 1, 3))
     base = magnetic_form(nu, u, v, 1.0)
@@ -329,7 +327,7 @@ def test_magnetic_form_linear_in_c2():
 def test_magnetic_form_agrees_with_area_identity():
     rng = np.random.default_rng(8)
     for _ in range(50):
-        nu = random_unit(rng)
+        nu = np.array(_random_unit(rng))
         u = np.cross(nu, rng.uniform(-1, 1, 3))
         v = np.cross(nu, rng.uniform(-1, 1, 3))
         c2 = rng.uniform(-2, 2)
@@ -385,13 +383,13 @@ def orbit_form_residual(seed: int = 0, points: int = 50) -> float:
     rng = np.random.default_rng(seed)
     residuals = []
     for _ in range(points):
-        pt = Se3DualPoint(nu=random_unit(rng), pi=rng.uniform(-1, 1, 3))
+        pt = Se3DualPoint(nu=np.array(_random_unit(rng)), pi=rng.uniform(-1, 1, 3))
         lam = structure_matrix(SpaceId.Se3Dual, flatten(pt, SpaceId.Se3Dual))
         a, b = rng.uniform(-1, 1, (2, lay.dim))
         xf, xg = lam @ a, lam @ b
 
         def dq(x):
-            return cross(x[lay.pi], pt.nu) + cross(pt.pi, x[lay.nu])
+            return np.cross(x[lay.pi], pt.nu) + np.cross(pt.pi, x[lay.nu])
 
         canonical = float(xf[lay.nu] @ dq(xg) - xg[lay.nu] @ dq(xf))
         magnetic = orbits.magnetic_form(pt.nu, xf[lay.nu], xg[lay.nu], casimirs(pt).c2)
@@ -406,11 +404,12 @@ def test_orbit_form_is_canonical_minus_magnetic_on_hamiltonian_fields():
 
 
 def test_on_level():
+    # same_orbit_witness's level test: both Casimirs within witness_tol
     point = q([0, 0, 1], [0.3, 0.1, 2.0])
-    lvl = casimirs(point)
-    assert on_level(point, lvl, 1e-9)
+    assert witness_residual(same_orbit_witness(point, point), point, point) == 0.0
     off = q([0, 0, 1], [0.3, 0.1, 2.0 + 1e-3])
-    assert not on_level(off, lvl, 1e-6)
+    with pytest.raises(NotSameLevel):
+        same_orbit_witness(point, off)
 
 
 def test_orbit_level_rejects_negative_c1():
@@ -429,8 +428,8 @@ def test_hamiltonian_flow_stays_on_level():
         traj = simulate(h, z0, 1e-3, 1.0, method="rk4", sample_stride=50)
         lvl = OrbitLevel(c1=traj.c1[0], c2=traj.c2[0])
         for i in range(len(traj)):
-            pt = q(traj.z[i][0:3], traj.z[i][3:6])
-            assert on_level(pt, lvl, 1e-8)
+            pt = casimirs(q(traj.z[i][0:3], traj.z[i][3:6]))
+            assert abs(pt.c1 - lvl.c1) <= 1e-8 and abs(pt.c2 - lvl.c2) <= 1e-8
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,11 +15,11 @@ from symtop.phase import (
     CotSO3State,
     FullState,
     SpaceId,
+    _random_unit,
     dim,
     flatten,
     random_chart_point,
     random_state,
-    random_unit,
 )
 from symtop.poisson import coordinate
 from symtop.orbits import casimir_fields
@@ -43,6 +45,13 @@ def test_z_rotation_fixes_third_axis_exactly():
 
 def test_tau_identity():
     npt.assert_array_equal(tau(np.eye(3)), [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (5, 3), (9,), (3,)])
+def test_tau_refuses_any_shape_but_3x3(shape):
+    # a 4x4 identity used to give a 4-vector, a 5x3 array five entries
+    with pytest.raises(ValueError, match=re.escape(f"attitude matrix must be 3x3, got shape {shape}")):
+        tau(np.ones(shape))
 
 
 def test_tau_invariant_under_circle_exactly():
@@ -110,7 +119,7 @@ def test_right_action_rejects_other_states():
 def test_section_is_preimage():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        nu = random_unit(rng)
+        nu = np.array(_random_unit(rng))
         npt.assert_allclose(tau(section(nu)), nu, atol=1e-12)
     # near-axis directions stay well-conditioned
     for nu in ([0, 0, 1], [0, 0, -1], [1e-12, 0, 1], [0, 1, 0]):
